@@ -10,7 +10,7 @@ use fastsc_bench::record::{self, BenchRecord};
 use fastsc_core::batch::{BatchCompiler, CompileJob};
 use fastsc_core::{CompilerConfig, Strategy};
 use fastsc_device::Device;
-use fastsc_service::{CompileService, LeastLoaded};
+use fastsc_service::{CompileService, Composite, ShardSpec};
 use fastsc_workloads::Benchmark;
 use rayon::prelude::*;
 
@@ -50,10 +50,13 @@ fn skewed_jobs() -> Vec<CompileJob> {
 /// measures scheduling, and a warm whole-schedule cache would reduce
 /// every iteration after the first to hash lookups.
 fn skewed_service() -> CompileService {
-    let mut service = CompileService::new(LeastLoaded::new());
+    let service = CompileService::new(Composite::least_loaded());
     for seed in [7, 11] {
         service
-            .register_device_with_cache(Device::grid(3, 3, seed), CompilerConfig::default(), 0)
+            .add_shard(ShardSpec {
+                cache_capacity: 0,
+                ..ShardSpec::new(Device::grid(3, 3, seed), CompilerConfig::default())
+            })
             .expect("device frequency plan solves");
     }
     service

@@ -15,7 +15,7 @@ use fastsc_core::batch::CompileJob;
 use fastsc_core::{CompilerConfig, Strategy};
 use fastsc_device::Device;
 use fastsc_queue::{Backpressure, QueueConfig, QueueService, RetryPolicy, Submission};
-use fastsc_service::{CompileService, LeastLoaded};
+use fastsc_service::{CompileService, Composite, ShardSpec};
 use fastsc_workloads::Benchmark;
 
 /// The saturated workload: 24 distinct jobs (no coalescing) mixing
@@ -38,10 +38,13 @@ fn queue_jobs() -> Vec<CompileJob> {
 /// A two-device fleet with result caching **disabled** so every
 /// iteration really compiles.
 fn uncached_service() -> CompileService {
-    let mut service = CompileService::new(LeastLoaded::new());
+    let service = CompileService::new(Composite::least_loaded());
     for seed in [7, 11] {
         service
-            .register_device_with_cache(Device::grid(3, 3, seed), CompilerConfig::default(), 0)
+            .add_shard(ShardSpec {
+                cache_capacity: 0,
+                ..ShardSpec::new(Device::grid(3, 3, seed), CompilerConfig::default())
+            })
             .expect("device frequency plan solves");
     }
     service

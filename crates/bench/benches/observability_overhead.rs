@@ -19,7 +19,7 @@ use fastsc_core::batch::CompileJob;
 use fastsc_core::{CompilerConfig, Strategy};
 use fastsc_device::Device;
 use fastsc_queue::{Backpressure, QueueConfig, QueueService, RetryPolicy, Submission};
-use fastsc_service::{CompileService, LeastLoaded};
+use fastsc_service::{CompileService, Composite, ShardSpec};
 use fastsc_telemetry::{set_metrics_enabled, set_trace_mode, TraceMode};
 use fastsc_workloads::Benchmark;
 
@@ -47,10 +47,13 @@ fn queue_jobs() -> Vec<CompileJob> {
 /// iteration really compiles (a cache-hit flood would measure nothing
 /// but the instrumentation itself — flattering, but not the claim).
 fn fleet_queue() -> QueueService {
-    let mut service = CompileService::new(LeastLoaded::new());
+    let service = CompileService::new(Composite::least_loaded());
     for seed in [7, 11] {
         service
-            .register_device_with_cache(Device::grid(4, 4, seed), CompilerConfig::default(), 0)
+            .add_shard(ShardSpec {
+                cache_capacity: 0,
+                ..ShardSpec::new(Device::grid(4, 4, seed), CompilerConfig::default())
+            })
             .expect("device frequency plan solves");
     }
     QueueService::new(

@@ -17,7 +17,7 @@ use fastsc_device::Device;
 use fastsc_ir::qasm::to_qasm;
 use fastsc_queue::{Backpressure, QueueConfig, QueueService, Submission};
 use fastsc_server::{Client, Server, TenantConfig};
-use fastsc_service::{CompileService, LeastLoaded};
+use fastsc_service::{CompileService, Composite, ShardSpec};
 use fastsc_workloads::Benchmark;
 
 /// The serial workload: 8 distinct jobs mixing program families and
@@ -46,9 +46,12 @@ fn qasm_payloads(jobs: &[CompileJob]) -> Vec<(String, String)> {
 /// A single-device fleet with result caching **disabled**: the bench
 /// compares transport paths, so every iteration must really compile.
 fn uncached_service() -> CompileService {
-    let mut service = CompileService::new(LeastLoaded::new());
+    let service = CompileService::new(Composite::least_loaded());
     service
-        .register_device_with_cache(Device::grid(3, 3, 7), CompilerConfig::default(), 0)
+        .add_shard(ShardSpec {
+            cache_capacity: 0,
+            ..ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default())
+        })
         .expect("device frequency plan solves");
     service
 }

@@ -14,7 +14,7 @@ use fastsc_bench::record::{self, BenchRecord};
 use fastsc_core::batch::CompileJob;
 use fastsc_core::{CompilerConfig, Strategy};
 use fastsc_device::Device;
-use fastsc_service::{CompileService, RoundRobin};
+use fastsc_service::{CompileService, RoundRobin, ShardSpec};
 use fastsc_store::ArtifactStore;
 use fastsc_workloads::Benchmark;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn device() -> Device {
 /// batch.
 fn run_cold() -> usize {
     let service = CompileService::new(RoundRobin::new());
-    service.add_shard(device(), CompilerConfig::default()).expect("adds");
+    service.add_shard(ShardSpec::new(device(), CompilerConfig::default())).expect("adds");
     service.compile_batch(first_batch()).iter().filter(|r| r.is_ok()).count()
 }
 
@@ -54,7 +54,10 @@ fn run_cold() -> usize {
 fn run_warmed(store: &Arc<ArtifactStore>) -> usize {
     let service = CompileService::new(RoundRobin::new());
     service
-        .add_shard_with_store(device(), CompilerConfig::default(), store)
+        .add_shard(ShardSpec {
+            store: Some(Arc::clone(store)),
+            ..ShardSpec::new(device(), CompilerConfig::default())
+        })
         .expect("adds warmed");
     service.compile_batch(first_batch()).iter().filter(|r| r.is_ok()).count()
 }
@@ -67,7 +70,12 @@ fn populated_store() -> Arc<ArtifactStore> {
     let _ = std::fs::remove_file(&path);
     let store = Arc::new(ArtifactStore::open(&path).expect("store opens"));
     let service = CompileService::new(RoundRobin::new());
-    service.add_shard_with_store(device(), CompilerConfig::default(), &store).expect("adds");
+    service
+        .add_shard(ShardSpec {
+            store: Some(Arc::clone(&store)),
+            ..ShardSpec::new(device(), CompilerConfig::default())
+        })
+        .expect("adds");
     service.compile_batch(first_batch());
     service.drain_shard(0);
     store

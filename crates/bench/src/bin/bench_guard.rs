@@ -23,7 +23,7 @@
 //!    workload and fleet (`BENCH_GUARD_QUEUE_RATIO` overrides): the
 //!    async front end's admission/dispatch/wakeup overhead cannot
 //!    silently regress.
-//! 4. **Relative, same-run** — `FidelityAware` routing must stay within
+//! 4. **Relative, same-run** — fidelity-aware routing must stay within
 //!    1.5x `RoundRobin` on the identical warm 8-shard batch
 //!    (`BENCH_GUARD_ROUTE_RATIO` overrides): consulting calibration
 //!    profiles may cost something, but never an order of magnitude.

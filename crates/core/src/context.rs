@@ -346,15 +346,20 @@ impl CompileContext {
     }
 
     /// `smt_find(k, band, alpha, tol)` through the concurrent memo:
-    /// returns the `k` frequencies (descending) plus whether this call
-    /// actually invoked the solver (`true` on a memo miss).
+    /// returns the `k` frequencies (descending) plus whether this call's
+    /// solve produced them (`true` on a memo miss whose result this call
+    /// installed, or handed back un-memoized because the memo is full).
     ///
     /// Hits are retained up to [`smt_memo_capacity`]
     /// (Self::smt_memo_capacity); beyond the cap, distinct keys are still
     /// solved correctly but not memoized. `smt_find` is a pure function
     /// of the key, so a warm hit is bit-identical to a fresh solve. The
-    /// solver runs outside the lock; when two threads race on the same
-    /// key the first insert wins and both observe the identical value.
+    /// solver runs outside the lock; when several threads race on the
+    /// same key the first insert wins, every racer observes the identical
+    /// value, and only the winner reports `true` — so the flag (and
+    /// [`CompileStats::smt_calls`](crate::CompileStats::smt_calls)) does
+    /// not depend on thread interleaving. The `smt_solves` metric still
+    /// counts every solver run, racing losers included.
     ///
     /// # Errors
     ///
@@ -374,8 +379,9 @@ impl CompileContext {
         registry.smt_solve.observe(solve_started.elapsed());
         let mut memo = self.smt_memo.write().unwrap_or_else(std::sync::PoisonError::into_inner);
         let value = match memo.get(&key) {
-            // A concurrent solver won the race: its value is canonical.
-            Some(existing) => Arc::clone(existing),
+            // A concurrent solver won the race: its value is canonical,
+            // and this call counts as a hit on it.
+            Some(existing) => return Ok((Arc::clone(existing), false)),
             None if memo.len() < self.smt_memo_capacity => {
                 memo.insert(key, Arc::clone(&solved));
                 solved
@@ -533,6 +539,30 @@ mod tests {
         for (a, b) in first.iter().zip(&direct) {
             assert_eq!(a.to_bits(), b.to_bits(), "memo must be bit-identical to a fresh solve");
         }
+        assert_eq!(c.smt_memo_len(), 1);
+    }
+
+    #[test]
+    fn racing_misses_report_exactly_one_solve() {
+        use std::sync::Barrier;
+        let c = ctx();
+        let barrier = Barrier::new(4);
+        let solved: Vec<bool> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        c.smt_frequencies(7).expect("fits").1
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|racer| racer.join().expect("racer finishes")).collect()
+        });
+        assert_eq!(
+            solved.iter().filter(|&&s| s).count(),
+            1,
+            "only the racer whose value the memo kept reports a solve: {solved:?}"
+        );
         assert_eq!(c.smt_memo_len(), 1);
     }
 

@@ -140,7 +140,12 @@ pub struct CompileStats {
     /// Largest number of interaction colors used in any cycle
     /// (ColorDynamic) or by the static assignment (S/G); 1 for U.
     pub max_colors_used: usize,
-    /// Number of `smt_find` invocations (cache misses).
+    /// `smt_find` solves this compile accounts for: one per Baseline
+    /// S/G compile (the static assignment), plus one per ColorDynamic
+    /// memo miss whose result this compile installed (see
+    /// [`CompileContext::smt_frequencies`](crate::CompileContext::smt_frequencies)).
+    /// A compile that loses a race to install the same key counts a
+    /// hit, so the figure does not depend on thread interleaving.
     pub smt_calls: usize,
     /// Times a gate was postponed by `noise_conflict`, the color budget,
     /// or Baseline U's serialization.

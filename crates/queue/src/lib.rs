@@ -53,11 +53,11 @@
 //! use fastsc_core::{CompilerConfig, Strategy};
 //! use fastsc_device::Device;
 //! use fastsc_queue::{Priority, QueueService, Submission};
-//! use fastsc_service::{CapacityAware, CompileService};
+//! use fastsc_service::{CompileService, Composite, ShardSpec};
 //! use fastsc_workloads::Benchmark;
 //!
-//! let mut service = CompileService::new(CapacityAware::new());
-//! service.register_device(Device::grid(3, 3, 7), CompilerConfig::default())?;
+//! let service = CompileService::new(Composite::capacity_aware());
+//! service.add_shard(ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default()))?;
 //! let queue = QueueService::with_defaults(service);
 //!
 //! let handle = queue.submit(

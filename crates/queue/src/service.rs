@@ -1243,13 +1243,13 @@ mod tests {
     use super::*;
     use fastsc_core::{CompilerConfig, Strategy};
     use fastsc_device::Device;
-    use fastsc_service::RoundRobin;
+    use fastsc_service::{RoundRobin, ShardSpec};
     use fastsc_workloads::Benchmark;
 
     fn queue(config: QueueConfig) -> QueueService {
-        let mut service = CompileService::new(RoundRobin::new());
+        let service = CompileService::new(RoundRobin::new());
         service
-            .register_device(Device::grid(3, 3, 7), CompilerConfig::default())
+            .add_shard(ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default()))
             .expect("registers");
         QueueService::new(service, config)
     }
@@ -1578,9 +1578,9 @@ mod tests {
                 Ok(7)
             }
         }
-        let mut service = CompileService::new(OutOfBounds);
+        let service = CompileService::new(OutOfBounds);
         service
-            .register_device(Device::grid(3, 3, 7), CompilerConfig::default())
+            .add_shard(ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default()))
             .expect("registers");
         let queue = QueueService::with_defaults(service);
         let first = queue.submit(bv(4)).expect("admits");
@@ -1648,7 +1648,7 @@ mod tests {
         assert_eq!(warmup.wait().expect("compiles").shard, 0);
         queue
             .service()
-            .add_shard(Device::grid(3, 3, 11), CompilerConfig::default())
+            .add_shard(ShardSpec::new(Device::grid(3, 3, 11), CompilerConfig::default()))
             .expect("adds behind the dispatcher");
         // Distinct programs so round-robin alternates over both shards.
         let handles: Vec<JobHandle> =
@@ -1665,10 +1665,10 @@ mod tests {
         // resolve exactly once — compiled on the surviving shard or on
         // the draining shard before it went idle — and the subscriber
         // must see each id exactly once.
-        let mut service = CompileService::new(fastsc_service::LeastLoaded::new());
+        let service = CompileService::new(fastsc_service::Composite::least_loaded());
         for seed in [7, 11] {
             service
-                .register_device(Device::grid(3, 3, seed), CompilerConfig::default())
+                .add_shard(ShardSpec::new(Device::grid(3, 3, seed), CompilerConfig::default()))
                 .expect("registers");
         }
         let queue = Arc::new(QueueService::new(
@@ -1757,10 +1757,10 @@ mod tests {
     /// A queue over `seeds.len()` shards with `plan` injected and the
     /// given retry policy (1ms base backoff keeps tests fast).
     fn faulty_queue(seeds: &[u64], plan: FaultPlan, retry: RetryPolicy) -> QueueService {
-        let mut service = CompileService::new(RoundRobin::new());
+        let service = CompileService::new(RoundRobin::new());
         for &seed in seeds {
             service
-                .register_device(Device::grid(3, 3, seed), CompilerConfig::default())
+                .add_shard(ShardSpec::new(Device::grid(3, 3, seed), CompilerConfig::default()))
                 .expect("registers");
         }
         service.set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));

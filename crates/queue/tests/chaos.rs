@@ -15,8 +15,8 @@ use fastsc_queue::{
     Backpressure, JobHandle, JobId, QueueConfig, QueueService, RetryPolicy, Submission,
 };
 use fastsc_service::{
-    BreakerConfig, CompileService, FaultInjector, FaultKind, FaultPlan, FaultRule, LeastLoaded,
-    ShardState,
+    BreakerConfig, CompileService, Composite, FaultInjector, FaultKind, FaultPlan, FaultRule,
+    ShardSpec, ShardState,
 };
 use fastsc_workloads::Benchmark;
 use std::collections::HashMap;
@@ -30,9 +30,11 @@ fn fleet() -> Vec<Device> {
 }
 
 fn chaos_queue(plan: FaultPlan, breaker: BreakerConfig, retry: RetryPolicy) -> QueueService {
-    let mut service = CompileService::new(LeastLoaded::new());
+    let service = CompileService::new(Composite::least_loaded());
     for device in fleet() {
-        service.register_device(device, CompilerConfig::default()).expect("registers");
+        service
+            .add_shard(ShardSpec::new(device, CompilerConfig::default()))
+            .expect("registers");
     }
     service.set_breaker(Some(breaker));
     service.set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));

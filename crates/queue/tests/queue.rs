@@ -8,7 +8,7 @@ use fastsc_device::Device;
 use fastsc_queue::{
     Backpressure, JobHandle, JobId, Priority, QueueConfig, QueueService, Submission,
 };
-use fastsc_service::{CompileService, LeastLoaded};
+use fastsc_service::{CompileService, Composite, ShardSpec};
 use fastsc_workloads::Benchmark;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,9 +19,11 @@ fn fleet() -> Vec<Device> {
 }
 
 fn two_shard_queue(config: QueueConfig) -> QueueService {
-    let mut service = CompileService::new(LeastLoaded::new());
+    let service = CompileService::new(Composite::least_loaded());
     for device in fleet() {
-        service.register_device(device, CompilerConfig::default()).expect("registers");
+        service
+            .add_shard(ShardSpec::new(device, CompilerConfig::default()))
+            .expect("registers");
     }
     QueueService::new(service, config)
 }

@@ -44,10 +44,10 @@
 //! use fastsc_device::Device;
 //! use fastsc_queue::QueueService;
 //! use fastsc_server::{Client, Server, TenantConfig};
-//! use fastsc_service::{CapacityAware, CompileService};
+//! use fastsc_service::{CompileService, Composite, ShardSpec};
 //!
-//! let mut service = CompileService::new(CapacityAware::new());
-//! service.register_device(Device::grid(2, 2, 7), CompilerConfig::default())?;
+//! let service = CompileService::new(Composite::capacity_aware());
+//! service.add_shard(ShardSpec::new(Device::grid(2, 2, 7), CompilerConfig::default()))?;
 //! let queue = QueueService::with_defaults(service);
 //! let mut server = Server::start(queue, vec![TenantConfig::generous("secret", "acme", 1)])?;
 //!

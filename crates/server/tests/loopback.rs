@@ -6,7 +6,7 @@ use fastsc_device::Device;
 use fastsc_ir::qasm::{from_qasm, malformed_corpus};
 use fastsc_queue::QueueService;
 use fastsc_server::{Client, ClientError, Json, Server, TenantConfig};
-use fastsc_service::{CapacityAware, CompileService};
+use fastsc_service::{CompileService, Composite, ShardSpec};
 use std::time::Duration;
 
 /// The sample program the tests submit: well-formed OpenQASM 2.0 using
@@ -20,8 +20,10 @@ fn test_device() -> Device {
 }
 
 fn start_server(tenants: Vec<TenantConfig>) -> Server {
-    let mut service = CompileService::new(CapacityAware::new());
-    service.register_device(test_device(), CompilerConfig::default()).expect("register");
+    let service = CompileService::new(Composite::capacity_aware());
+    service
+        .add_shard(ShardSpec::new(test_device(), CompilerConfig::default()))
+        .expect("register");
     let queue = QueueService::with_defaults(service);
     Server::start(queue, tenants).expect("server starts")
 }
@@ -396,15 +398,17 @@ fn shutdown_drains_in_flight_jobs_and_notifies_connections() {
 
 #[test]
 fn injected_connection_drops_are_deterministic_and_survivable() {
-    use fastsc_service::{FaultInjector, FaultKind, FaultPlan, FaultRule};
+    use fastsc_service::{FaultInjector, FaultKind, FaultPlan, FaultRule, ShardSpec};
     use std::sync::Arc;
 
     // The first two accepted connections are severed before a single
     // frame; the third serves normally.
     let plan =
         FaultPlan::new(9).rule(FaultRule::new(FaultKind::DropConnection).for_attempts(0..2));
-    let mut service = CompileService::new(CapacityAware::new());
-    service.register_device(test_device(), CompilerConfig::default()).expect("register");
+    let service = CompileService::new(Composite::capacity_aware());
+    service
+        .add_shard(ShardSpec::new(test_device(), CompilerConfig::default()))
+        .expect("register");
     let queue = QueueService::with_defaults(service);
     let injector = Arc::new(FaultInjector::new(plan));
     let mut server =

@@ -214,16 +214,27 @@ impl ScheduleCache {
     }
 
     /// Inserts `value` (compiled from `program`) under `key`, evicting
-    /// the oldest entry when full. An existing key keeps its original
-    /// entry (see the type docs) — in particular, a program colliding
-    /// with a cached key simply stays uncached and recompiles each time.
-    pub fn insert(&self, key: CacheKey, program: Circuit, value: Arc<CompiledProgram>) {
+    /// the oldest entry when full, and returns whether the entry was
+    /// stored — `false` when the key is already cached or the capacity
+    /// is 0. An existing key keeps its original entry (see the type
+    /// docs) — in particular, a program colliding with a cached key
+    /// simply stays uncached and recompiles each time. `dirty` marks the
+    /// entry for the next [`take_dirty`](Self::take_dirty); artifacts
+    /// hydrated *from* the persistent store are inserted clean so they
+    /// are not flushed straight back to it.
+    pub(crate) fn insert(
+        &self,
+        key: CacheKey,
+        program: Circuit,
+        value: Arc<CompiledProgram>,
+        dirty: bool,
+    ) -> bool {
         if self.capacity == 0 {
-            return;
+            return false;
         }
         let mut inner = self.lock();
         if inner.map.contains_key(&key) {
-            return;
+            return false;
         }
         if inner.map.len() >= self.capacity {
             if let Some(oldest) = inner.order.pop_front() {
@@ -233,29 +244,10 @@ impl ScheduleCache {
         }
         inner.map.insert(key, Entry { program, compiled: value });
         inner.order.push_back(key);
-        inner.dirty.push(key);
-    }
-
-    /// Inserts a pre-warmed entry *without* marking it dirty: artifacts
-    /// hydrated *from* the persistent store must not be flushed straight
-    /// back to it. Semantics otherwise identical to
-    /// [`insert`](Self::insert).
-    pub fn insert_clean(&self, key: CacheKey, program: Circuit, value: Arc<CompiledProgram>) {
-        if self.capacity == 0 {
-            return;
+        if dirty {
+            inner.dirty.push(key);
         }
-        let mut inner = self.lock();
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        if inner.map.len() >= self.capacity {
-            if let Some(oldest) = inner.order.pop_front() {
-                inner.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.map.insert(key, Entry { program, compiled: value });
-        inner.order.push_back(key);
+        true
     }
 
     /// Drains the entries inserted since the last call, returning the
@@ -357,7 +349,7 @@ mod tests {
     fn get_counts_hits_and_misses() {
         let cache = ScheduleCache::with_capacity(8);
         assert!(cache.get(&key(1), &circuit()).is_none());
-        cache.insert(key(1), circuit(), dummy_program(1));
+        cache.insert(key(1), circuit(), dummy_program(1), true);
         assert!(cache.get(&key(1), &circuit()).is_some());
         assert!(cache.get(&key(2), &circuit()).is_none());
         let stats = cache.stats();
@@ -372,7 +364,7 @@ mod tests {
         // up with a different circuit: it must miss, and the stored
         // entry must survive untouched.
         let cache = ScheduleCache::with_capacity(8);
-        cache.insert(key(1), circuit(), dummy_program(1));
+        cache.insert(key(1), circuit(), dummy_program(1), true);
         let mut other = Circuit::new(2);
         other.push1(fastsc_ir::Gate::X, 1).expect("valid");
         assert!(
@@ -388,9 +380,9 @@ mod tests {
     fn fifo_eviction_at_capacity() {
         let cache = ScheduleCache::with_capacity(2);
         let p = dummy_program(1);
-        cache.insert(key(1), circuit(), Arc::clone(&p));
-        cache.insert(key(2), circuit(), Arc::clone(&p));
-        cache.insert(key(3), circuit(), Arc::clone(&p));
+        cache.insert(key(1), circuit(), Arc::clone(&p), true);
+        cache.insert(key(2), circuit(), Arc::clone(&p), true);
+        cache.insert(key(3), circuit(), Arc::clone(&p), true);
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key(1), &circuit()).is_none(), "oldest entry must be evicted");
         assert!(cache.get(&key(2), &circuit()).is_some());
@@ -413,8 +405,8 @@ mod tests {
     fn first_insert_wins_for_duplicate_keys() {
         let cache = ScheduleCache::with_capacity(2);
         let first = dummy_program(1);
-        cache.insert(key(1), circuit(), Arc::clone(&first));
-        cache.insert(key(1), circuit(), dummy_program(2));
+        cache.insert(key(1), circuit(), Arc::clone(&first), true);
+        cache.insert(key(1), circuit(), dummy_program(2), true);
         let held = cache.get(&key(1), &circuit()).expect("cached");
         assert!(Arc::ptr_eq(&held, &first), "re-insertion must keep the original value");
         assert_eq!(cache.len(), 1);
@@ -423,7 +415,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = ScheduleCache::with_capacity(0);
-        cache.insert(key(1), circuit(), dummy_program(1));
+        cache.insert(key(1), circuit(), dummy_program(1), true);
         assert!(cache.is_empty());
         assert!(cache.get(&key(1), &circuit()).is_none());
         // The disabled path is counter-free too.
@@ -435,9 +427,9 @@ mod tests {
     fn dirty_tracking_drains_and_skips_hydrated_entries() {
         let cache = ScheduleCache::with_capacity(8);
         let p = dummy_program(1);
-        cache.insert(key(1), circuit(), Arc::clone(&p));
-        cache.insert_clean(key(2), circuit(), Arc::clone(&p)); // hydrated, not dirty
-        cache.insert(key(3), circuit(), Arc::clone(&p));
+        cache.insert(key(1), circuit(), Arc::clone(&p), true);
+        assert!(cache.insert(key(2), circuit(), Arc::clone(&p), false)); // hydrated, not dirty
+        cache.insert(key(3), circuit(), Arc::clone(&p), true);
         assert_eq!(cache.dirty_len(), 2);
         let dirty = cache.take_dirty();
         let keys: Vec<u64> = dirty.iter().map(|(k, _, _)| k.program_hash).collect();
@@ -449,12 +441,23 @@ mod tests {
     }
 
     #[test]
+    fn insert_reports_whether_it_stored_the_entry() {
+        let p = dummy_program(1);
+        let cache = ScheduleCache::with_capacity(8);
+        assert!(cache.insert(key(1), circuit(), Arc::clone(&p), false));
+        assert!(!cache.insert(key(1), circuit(), Arc::clone(&p), false), "already cached");
+        let disabled = ScheduleCache::with_capacity(0);
+        assert!(!disabled.insert(key(1), circuit(), p, false), "capacity 0 keeps nothing");
+        assert!(disabled.is_empty());
+    }
+
+    #[test]
     fn evicted_dirty_entries_are_not_flushed() {
         let cache = ScheduleCache::with_capacity(2);
         let p = dummy_program(1);
-        cache.insert(key(1), circuit(), Arc::clone(&p));
-        cache.insert(key(2), circuit(), Arc::clone(&p));
-        cache.insert(key(3), circuit(), Arc::clone(&p)); // evicts key(1)
+        cache.insert(key(1), circuit(), Arc::clone(&p), true);
+        cache.insert(key(2), circuit(), Arc::clone(&p), true);
+        cache.insert(key(3), circuit(), Arc::clone(&p), true); // evicts key(1)
         let dirty = cache.take_dirty();
         let keys: Vec<u64> = dirty.iter().map(|(k, _, _)| k.program_hash).collect();
         assert_eq!(keys, vec![2, 3], "the evicted entry is silently skipped");

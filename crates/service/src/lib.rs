@@ -8,12 +8,14 @@
 //! ("shards"), heavy mixed traffic, repetitive programs. Three layers,
 //! each independently testable:
 //!
-//! * [`router::CompileService`] — registers devices, routes each
-//!   submitted [`CompileJob`](fastsc_core::batch::CompileJob) to a shard
-//!   via a pluggable [`policy::ShardPolicy`], fans all routed jobs out
-//!   over the work-stealing rayon pool as one flat batch, and reassembles
-//!   results in submission order with per-job error isolation. The fleet
-//!   is **dynamic**: `add_shard` / `drain_shard` / `remove_shard` are
+//! * [`router::CompileService`] — builds one shard per
+//!   [`ShardSpec`](router::ShardSpec) (device, config, cache capacity,
+//!   optional artifact store), routes each submitted
+//!   [`CompileJob`](fastsc_core::batch::CompileJob) to a shard via a
+//!   pluggable [`policy::ShardPolicy`], fans all routed jobs out over the
+//!   work-stealing rayon pool as one flat batch, and reassembles results
+//!   in submission order with per-job error isolation. The fleet is
+//!   **dynamic**: `add_shard` / `drain_shard` / `remove_shard` are
 //!   `&self` and safe while batches are compiling.
 //! * [`telemetry`] — what placement decisions consume: an immutable
 //!   [`ShardProfile`](telemetry::ShardProfile) per shard (calibration
@@ -21,8 +23,9 @@
 //!   characteristics) plus live [`ShardView`](telemetry::ShardView)
 //!   snapshots (lifecycle state, load, EWMA compile latency, cache
 //!   counters). Policies read them through `RouteRequest::shards`;
-//!   fidelity-aware placement ([`FidelityAware`](policy::FidelityAware),
-//!   [`Composite`](policy::Composite)) ranks shards by profile.
+//!   [`Composite`](policy::Composite) — the one ranking engine, with
+//!   least-loaded, capacity-aware, and fidelity-aware presets — filters
+//!   and ranks shards by them.
 //! * [`cache::ScheduleCache`] — a bounded whole-schedule result cache
 //!   per shard, keyed by `(device fingerprint, program structural hash,
 //!   strategy, config fingerprint)`; identical repeat jobs skip the
@@ -51,9 +54,8 @@ pub mod telemetry;
 
 pub use cache::{device_fingerprint, CacheKey, CacheStats, ScheduleCache};
 pub use fault::{FaultAction, FaultInjector, FaultKind, FaultPlan, FaultRule};
-pub use policy::{
-    CapacityAware, Composite, FidelityAware, LeastLoaded, ProgramAffinity, RoundRobin,
-    RouteRequest, ShardPolicy, Stage,
+pub use policy::{Composite, ProgramAffinity, RoundRobin, RouteRequest, ShardPolicy, Stage};
+pub use router::{
+    BreakerConfig, CompileService, ImportReport, ServiceReply, ShardOutcome, ShardSpec,
 };
-pub use router::{BreakerConfig, CompileService, ImportReport, ServiceReply, ShardOutcome};
 pub use telemetry::{ShardHealth, ShardProfile, ShardState, ShardView};

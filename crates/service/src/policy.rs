@@ -48,12 +48,6 @@ impl RouteRequest<'_> {
         self.shards.iter().filter(|view| view.routable())
     }
 
-    /// The routable shards large enough for this job's program.
-    pub fn fitting(&self) -> impl Iterator<Item = &ShardView> {
-        let qubits = self.program_qubits;
-        self.shards.iter().filter(move |view| view.fits(qubits))
-    }
-
     /// The refusal a policy returns when no routable shard can serve
     /// this job: [`CompileError::NoShardFits`] carrying the program
     /// width against the largest *routable* shard (0 when the whole
@@ -119,33 +113,6 @@ impl ShardPolicy for RoundRobin {
     }
 }
 
-/// Routes each job to the routable shard with the fewest
-/// routed-but-unfinished jobs (ties break to the lowest shard index) —
-/// absorbs skewed batches where one shard's jobs run long.
-#[derive(Debug, Default)]
-pub struct LeastLoaded;
-
-impl LeastLoaded {
-    /// Creates the policy (stateless).
-    pub fn new() -> Self {
-        LeastLoaded
-    }
-}
-
-impl ShardPolicy for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least_loaded"
-    }
-
-    fn route(&mut self, request: &RouteRequest<'_>) -> Result<usize, CompileError> {
-        request
-            .routable()
-            .min_by_key(|view| view.load)
-            .map(|view| view.shard)
-            .ok_or_else(|| request.refusal())
-    }
-}
-
 /// Pins every program to `program_hash % routable_count`, so
 /// resubmissions of the same circuit always land on the shard whose
 /// result cache and SMT memo are already warm for it (stable as long as
@@ -176,86 +143,6 @@ impl ShardPolicy for ProgramAffinity {
     }
 }
 
-/// Capacity-aware least-loaded placement for heterogeneous fleets: only
-/// routable shards with at least `program_qubits` qubits are candidates;
-/// among them the least-loaded wins, with load ties broken to the
-/// **larger** shard (headroom for the next wide job on *its* rival is
-/// worth more than on a chip every job fits) and equal-capacity ties to
-/// the lowest index.
-///
-/// When no shard fits, routing fails with
-/// [`CompileError::NoShardFits`] — the job is rejected up front instead
-/// of being handed to a shard where compilation is guaranteed to fail.
-#[derive(Debug, Default)]
-pub struct CapacityAware;
-
-impl CapacityAware {
-    /// Creates the policy (stateless).
-    pub fn new() -> Self {
-        CapacityAware
-    }
-}
-
-impl ShardPolicy for CapacityAware {
-    fn name(&self) -> &'static str {
-        "capacity_aware"
-    }
-
-    fn route(&mut self, request: &RouteRequest<'_>) -> Result<usize, CompileError> {
-        request
-            .fitting()
-            .min_by(|a, b| {
-                a.load
-                    .cmp(&b.load)
-                    .then(b.qubits().cmp(&a.qubits()))
-                    .then(a.shard.cmp(&b.shard))
-            })
-            .map(|view| view.shard)
-            .ok_or_else(|| request.refusal())
-    }
-}
-
-/// Fidelity-aware placement: among the routable shards the program
-/// *fits*, pick the one whose profile promises the highest
-/// [`estimated_success`](crate::telemetry::ShardProfile::estimated_success)
-/// — the chip where the paper's crosstalk/coherence trade-off leaves the
-/// most success probability for this job. Score ties (via the total
-/// [`ShardProfile::cmp_estimated_success`]
-/// (crate::telemetry::ShardProfile::cmp_estimated_success) order, so NaN
-/// scores rank worst instead of panicking) break to the lower load, then
-/// to the lowest index.
-///
-/// Like [`CapacityAware`], refuses jobs wider than every routable shard
-/// with [`CompileError::NoShardFits`].
-#[derive(Debug, Default)]
-pub struct FidelityAware;
-
-impl FidelityAware {
-    /// Creates the policy (stateless).
-    pub fn new() -> Self {
-        FidelityAware
-    }
-}
-
-impl ShardPolicy for FidelityAware {
-    fn name(&self) -> &'static str {
-        "fidelity_aware"
-    }
-
-    fn route(&mut self, request: &RouteRequest<'_>) -> Result<usize, CompileError> {
-        request
-            .fitting()
-            .min_by(|a, b| {
-                b.profile
-                    .cmp_estimated_success(&a.profile)
-                    .then(a.load.cmp(&b.load))
-                    .then(a.shard.cmp(&b.shard))
-            })
-            .map(|view| view.shard)
-            .ok_or_else(|| request.refusal())
-    }
-}
-
 /// One stage of a [`Composite`] policy pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
@@ -267,14 +154,27 @@ pub enum Stage {
     Fidelity,
     /// Rank: keep the shards tied for the lowest load.
     LeastLoaded,
+    /// Rank: keep the shards tied for the most qubits.
+    MostQubits,
 }
 
 /// A policy pipeline: each [`Stage`] narrows the candidate set — filters
 /// drop shards, rankers keep only the shards tied for best — and
-/// whatever survives every stage resolves to the lowest index. The
-/// [`standard`](Self::standard) pipeline is `capacity → fidelity →
-/// least-loaded`: never place a job where it cannot compile, prefer the
-/// healthiest chip, and only then balance load.
+/// whatever survives every stage resolves to the lowest index. A stage
+/// that leaves no candidate refuses the job with
+/// [`CompileError::NoShardFits`].
+///
+/// The load- and calibration-driven placements are presets of this one
+/// engine, each reporting its own [`name`](ShardPolicy::name) in route
+/// spans:
+///
+/// | preset | stages | name |
+/// |---|---|---|
+/// | [`least_loaded`](Self::least_loaded) | least-loaded | `least_loaded` |
+/// | [`capacity_aware`](Self::capacity_aware) | capacity → least-loaded → most-qubits | `capacity_aware` |
+/// | [`fidelity_aware`](Self::fidelity_aware) | capacity → fidelity → least-loaded | `fidelity_aware` |
+///
+/// Any other pipeline reports `composite`.
 #[derive(Debug, Clone)]
 pub struct Composite {
     stages: Vec<Stage>,
@@ -287,8 +187,36 @@ impl Composite {
         Composite { stages }
     }
 
-    /// The standard pipeline: `capacity → fidelity → least-loaded`.
-    pub fn standard() -> Self {
+    /// Routes each job to the routable shard with the fewest
+    /// routed-but-unfinished jobs (ties break to the lowest shard index)
+    /// — absorbs skewed batches where one shard's jobs run long.
+    pub fn least_loaded() -> Self {
+        Composite::new(vec![Stage::LeastLoaded])
+    }
+
+    /// Capacity-aware least-loaded placement for heterogeneous fleets:
+    /// only shards with at least `program_qubits` qubits are candidates;
+    /// among them the least-loaded wins, with load ties broken to the
+    /// **larger** shard (headroom for the next wide job on *its* rival
+    /// is worth more than on a chip every job fits) and equal-capacity
+    /// ties to the lowest index. A job no shard fits is refused up front
+    /// instead of being handed to a shard where compilation is
+    /// guaranteed to fail.
+    pub fn capacity_aware() -> Self {
+        Composite::new(vec![Stage::Capacity, Stage::LeastLoaded, Stage::MostQubits])
+    }
+
+    /// Fidelity-aware placement, the production default: among the
+    /// shards the program *fits*, pick the one whose profile promises the
+    /// highest
+    /// [`estimated_success`](crate::telemetry::ShardProfile::estimated_success)
+    /// — the chip where the paper's crosstalk/coherence trade-off leaves
+    /// the most success probability for this job. Score ties (via the
+    /// total
+    /// [`cmp_estimated_success`](crate::telemetry::ShardProfile::cmp_estimated_success)
+    /// order, so NaN scores rank worst instead of panicking) break to the
+    /// lower load, then to the lowest index.
+    pub fn fidelity_aware() -> Self {
         Composite::new(vec![Stage::Capacity, Stage::Fidelity, Stage::LeastLoaded])
     }
 
@@ -300,13 +228,18 @@ impl Composite {
 
 impl Default for Composite {
     fn default() -> Self {
-        Composite::standard()
+        Composite::fidelity_aware()
     }
 }
 
 impl ShardPolicy for Composite {
     fn name(&self) -> &'static str {
-        "composite"
+        match self.stages.as_slice() {
+            [Stage::LeastLoaded] => "least_loaded",
+            [Stage::Capacity, Stage::LeastLoaded, Stage::MostQubits] => "capacity_aware",
+            [Stage::Capacity, Stage::Fidelity, Stage::LeastLoaded] => "fidelity_aware",
+            _ => "composite",
+        }
     }
 
     fn route(&mut self, request: &RouteRequest<'_>) -> Result<usize, CompileError> {
@@ -330,6 +263,11 @@ impl ShardPolicy for Composite {
                 Stage::LeastLoaded => {
                     if let Some(least) = candidates.iter().map(|view| view.load).min() {
                         candidates.retain(|view| view.load == least);
+                    }
+                }
+                Stage::MostQubits => {
+                    if let Some(most) = candidates.iter().map(|view| view.qubits()).max() {
+                        candidates.retain(|view| view.qubits() == most);
                     }
                 }
             }
@@ -414,7 +352,7 @@ mod tests {
 
     #[test]
     fn least_loaded_picks_minimum_with_low_tie_break() {
-        let mut p = LeastLoaded::new();
+        let mut p = Composite::least_loaded();
         let fleet = views(&[(9, 3, 0.9, A), (9, 1, 0.9, A), (9, 2, 0.9, A)]);
         assert_eq!(p.route(&request(0, 4, &fleet)), Ok(1));
         let tied = views(&[(9, 2, 0.9, A), (9, 2, 0.9, A), (9, 2, 0.9, A)]);
@@ -432,7 +370,7 @@ mod tests {
 
     #[test]
     fn capacity_aware_skips_too_small_shards() {
-        let mut p = CapacityAware::new();
+        let mut p = Composite::capacity_aware();
         // Program needs 4 qubits; shard 0 only has 2, so even though it
         // is idle the job must go to a fitting shard.
         let fleet = views(&[(2, 0, 0.9, A), (9, 5, 0.9, A), (16, 6, 0.9, A)]);
@@ -441,7 +379,7 @@ mod tests {
 
     #[test]
     fn capacity_aware_breaks_load_ties_to_the_larger_shard() {
-        let mut p = CapacityAware::new();
+        let mut p = Composite::capacity_aware();
         let fleet = views(&[(9, 1, 0.9, A), (16, 1, 0.9, A), (9, 1, 0.9, A)]);
         assert_eq!(p.route(&request(0, 4, &fleet)), Ok(1));
         let uniform = views(&[(9, 1, 0.9, A), (9, 1, 0.9, A), (9, 1, 0.9, A)]);
@@ -450,7 +388,7 @@ mod tests {
 
     #[test]
     fn capacity_aware_refuses_unplaceable_jobs() {
-        let mut p = CapacityAware::new();
+        let mut p = Composite::capacity_aware();
         let fleet = views(&[(2, 0, 0.9, A), (3, 0, 0.9, A)]);
         assert_eq!(
             p.route(&request(0, 4, &fleet)),
@@ -460,17 +398,17 @@ mod tests {
 
     #[test]
     fn fidelity_aware_prefers_the_healthier_shard_over_the_emptier_one() {
-        let mut p = FidelityAware::new();
+        let mut p = Composite::fidelity_aware();
         // Shard 0 is idle but noisy; shard 1 is loaded but much
-        // healthier. LeastLoaded would pick 0; FidelityAware must pick 1.
+        // healthier. Least-loaded would pick 0; fidelity-aware must pick 1.
         let fleet = views(&[(9, 0, 0.3, A), (9, 3, 0.9, A)]);
         assert_eq!(p.route(&request(0, 4, &fleet)), Ok(1));
-        assert_eq!(LeastLoaded::new().route(&request(0, 4, &fleet)), Ok(0));
+        assert_eq!(Composite::least_loaded().route(&request(0, 4, &fleet)), Ok(0));
     }
 
     #[test]
     fn fidelity_aware_filters_capacity_then_ties_by_load() {
-        let mut p = FidelityAware::new();
+        let mut p = Composite::fidelity_aware();
         // The healthiest shard is too small for the job.
         let fleet = views(&[(2, 0, 0.99, A), (9, 2, 0.8, A), (9, 1, 0.8, A)]);
         assert_eq!(p.route(&request(0, 4, &fleet)), Ok(2), "score tie breaks to lower load");
@@ -491,28 +429,11 @@ mod tests {
 
     #[test]
     fn fidelity_aware_survives_nan_scores() {
-        let mut p = FidelityAware::new();
+        let mut p = Composite::fidelity_aware();
         let fleet = views(&[(9, 0, f64::NAN, A), (9, 5, 0.1, A)]);
         assert_eq!(p.route(&request(0, 4, &fleet)), Ok(1), "NaN ranks worst, never panics");
         let all_nan = views(&[(9, 1, f64::NAN, A), (9, 0, f64::NAN, A)]);
         assert_eq!(p.route(&request(0, 4, &all_nan)), Ok(1), "NaN ties fall back to load");
-    }
-
-    #[test]
-    fn composite_standard_runs_capacity_then_fidelity_then_load() {
-        let mut p = Composite::standard();
-        // Shard 0: too small. Shards 1 and 2 tie on score; 2 is emptier.
-        let fleet = views(&[(2, 0, 0.99, A), (9, 2, 0.8, A), (9, 1, 0.8, A)]);
-        assert_eq!(p.route(&request(0, 4, &fleet)), Ok(2));
-        // Distinct scores: fidelity decides before load is consulted.
-        let fleet = views(&[(9, 0, 0.3, A), (9, 3, 0.9, A)]);
-        assert_eq!(p.route(&request(0, 4, &fleet)), Ok(1));
-        // Nothing fits: the capacity stage refuses.
-        let none = views(&[(2, 0, 0.9, A), (3, 0, 0.9, A)]);
-        assert_eq!(
-            p.route(&request(0, 4, &none)),
-            Err(CompileError::NoShardFits { program: 4, max_shard: 3 })
-        );
     }
 
     #[test]
@@ -524,7 +445,17 @@ mod tests {
         // Empty pipeline: lowest routable index.
         let mut p = Composite::new(Vec::new());
         assert_eq!(p.route(&request(0, 4, &fleet)), Ok(0));
-        assert_eq!(Composite::default().stages(), Composite::standard().stages());
+        assert_eq!(Composite::default().stages(), Composite::fidelity_aware().stages());
+    }
+
+    #[test]
+    fn presets_report_their_legacy_policy_names() {
+        assert_eq!(Composite::least_loaded().name(), "least_loaded");
+        assert_eq!(Composite::capacity_aware().name(), "capacity_aware");
+        assert_eq!(Composite::fidelity_aware().name(), "fidelity_aware");
+        assert_eq!(Composite::default().name(), "fidelity_aware");
+        assert_eq!(Composite::new(vec![Stage::Fidelity]).name(), "composite");
+        assert_eq!(Composite::new(Vec::new()).name(), "composite");
     }
 
     #[test]
@@ -534,11 +465,11 @@ mod tests {
         let request = request(0, 4, &drained);
         let policies: Vec<Box<dyn ShardPolicy>> = vec![
             Box::new(RoundRobin::new()),
-            Box::new(LeastLoaded::new()),
+            Box::new(Composite::least_loaded()),
             Box::new(ProgramAffinity::new()),
-            Box::new(CapacityAware::new()),
-            Box::new(FidelityAware::new()),
-            Box::new(Composite::standard()),
+            Box::new(Composite::capacity_aware()),
+            Box::new(Composite::fidelity_aware()),
+            Box::new(Composite::new(Vec::new())),
         ];
         for mut policy in policies {
             assert_eq!(

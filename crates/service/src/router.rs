@@ -45,17 +45,20 @@ use crate::policy::{RouteRequest, ShardPolicy};
 use crate::telemetry::{ShardHealth, ShardProfile, ShardState, ShardView};
 use fastsc_core::batch::{compile_isolated, CompileJob};
 use fastsc_core::{
-    CompileContext, CompileError, CompiledProgram, Compiler, CompilerConfig, SmtMemoEntry,
-    StaticAssignment, Strategy,
+    CompileContext, CompileError, CompiledProgram, Compiler, CompilerConfig, Strategy,
 };
 use fastsc_device::Device;
-use fastsc_store::{Artifact, ArtifactStore, ScheduleArtifact, SmtArtifact, StaticsArtifact};
+use fastsc_store::ArtifactStore;
 use fastsc_telemetry::{metrics, phase, AttrValue, TraceHandle};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
+
+mod persist;
+
+pub use persist::ImportReport;
 
 /// One successfully compiled job, with routing/caching provenance.
 #[derive(Debug, Clone)]
@@ -129,7 +132,7 @@ impl Default for BreakerConfig {
 const EWMA_WEIGHT: f64 = 0.25;
 
 /// Dirty cache entries a shard accumulates before its next periodic
-/// flush to the attached artifact store. Flushes also happen on drain
+/// flush to its artifact store. Flushes also happen on drain
 /// and removal, so the threshold bounds crash-loss, not completeness.
 const FLUSH_DIRTY_THRESHOLD: usize = 64;
 
@@ -138,7 +141,7 @@ struct Shard {
     compiler: Compiler,
     cache: ScheduleCache,
     /// The persistent artifact store this shard flushes to (and was
-    /// hydrated from), when one is attached.
+    /// hydrated from), when its [`ShardSpec`] named one.
     store: Option<Arc<ArtifactStore>>,
     fingerprint: u64,
     config_fingerprint: u64,
@@ -341,12 +344,12 @@ impl Slot {
 /// use fastsc_core::batch::CompileJob;
 /// use fastsc_core::{CompilerConfig, Strategy};
 /// use fastsc_device::Device;
-/// use fastsc_service::{CompileService, RoundRobin};
+/// use fastsc_service::{CompileService, RoundRobin, ShardSpec};
 /// use fastsc_workloads::Benchmark;
 ///
-/// let mut service = CompileService::new(RoundRobin::new());
-/// service.register_device(Device::grid(3, 3, 7), CompilerConfig::default())?;
-/// service.register_device(Device::grid(3, 3, 11), CompilerConfig::default())?;
+/// let service = CompileService::new(RoundRobin::new());
+/// service.add_shard(ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default()))?;
+/// service.add_shard(ShardSpec::new(Device::grid(3, 3, 11), CompilerConfig::default()))?;
 /// let jobs: Vec<CompileJob> = Strategy::all()
 ///     .into_iter()
 ///     .map(|s| CompileJob::new(Benchmark::Xeb(9, 3).build(1), s))
@@ -362,123 +365,88 @@ impl Slot {
 pub struct CompileService {
     shards: RwLock<Vec<Slot>>,
     policy: Mutex<Box<dyn ShardPolicy>>,
-    default_cache_capacity: usize,
     breaker: Mutex<Option<BreakerConfig>>,
     fault_injector: Mutex<Option<Arc<FaultInjector>>>,
-    store: Mutex<Option<Arc<ArtifactStore>>>,
 }
 
-/// What [`CompileService::import_artifacts`] did with a peer's exported
-/// bundle: per-class adoption counts plus everything that was skipped
-/// (no matching live shard, failed verification, or a damaged record).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ImportReport {
-    /// Static colorings / solved S–G assignments seeded into shard
-    /// contexts.
-    pub statics: usize,
-    /// Bounded SMT memo entries adopted by shard contexts.
-    pub smt: usize,
-    /// Whole-schedule cache entries hydrated into shard caches.
-    pub schedules: usize,
-    /// Artifacts that matched no live shard, failed re-validation, or
-    /// arrived damaged — never adopted, never served.
-    pub skipped: usize,
+/// Everything one shard is built from — the single argument of
+/// [`CompileService::add_shard`]. [`ShardSpec::new`] fills in the
+/// defaults; override a field with struct-update syntax:
+///
+/// ```
+/// use fastsc_core::CompilerConfig;
+/// use fastsc_device::Device;
+/// use fastsc_service::ShardSpec;
+///
+/// let uncached = ShardSpec {
+///     cache_capacity: 0,
+///     ..ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default())
+/// };
+/// assert!(uncached.store.is_none());
+/// ```
+#[derive(Debug, Clone)]
+pub struct ShardSpec {
+    /// The device the shard compiles for.
+    pub device: Device,
+    /// The compiler configuration every job on the shard uses.
+    pub config: CompilerConfig,
+    /// Result-cache capacity in schedules (0 disables result caching
+    /// and same-batch coalescing for this shard).
+    pub cache_capacity: usize,
+    /// A persistent artifact store the shard hydrates from when it is
+    /// added (static assignment, SMT memo entries, and cached schedules
+    /// for its `(device, config)` fingerprints) and flushes back to on
+    /// drain/removal and periodically under load. Store-served
+    /// artifacts are re-validated on the way in; anything that fails
+    /// validation is ignored and re-solved cold, so a damaged store can
+    /// slow a shard down but never change its output.
+    pub store: Option<Arc<ArtifactStore>>,
+}
+
+impl ShardSpec {
+    /// A spec with [`ScheduleCache::DEFAULT_CAPACITY`] and no store.
+    pub fn new(device: Device, config: CompilerConfig) -> Self {
+        ShardSpec {
+            device,
+            config,
+            cache_capacity: ScheduleCache::DEFAULT_CAPACITY,
+            store: None,
+        }
+    }
 }
 
 impl CompileService {
-    /// An empty service routing with `policy`. Register at least one
-    /// device before compiling. The circuit breaker starts enabled with
+    /// An empty service routing with `policy`. Add at least one shard
+    /// before compiling. The circuit breaker starts enabled with
     /// [`BreakerConfig::default`]; no faults are injected until
     /// [`set_fault_injector`](Self::set_fault_injector).
     pub fn new(policy: impl ShardPolicy + 'static) -> Self {
         CompileService {
             shards: RwLock::new(Vec::new()),
             policy: Mutex::new(Box::new(policy)),
-            default_cache_capacity: ScheduleCache::DEFAULT_CAPACITY,
             breaker: Mutex::new(Some(BreakerConfig::default())),
             fault_injector: Mutex::new(None),
-            store: Mutex::new(None),
         }
     }
 
-    /// Attaches a persistent artifact store to the fleet: every shard
-    /// added from now on hydrates from it at build (warm start), and
-    /// shards flush their dirty artifacts to it on drain/removal and
-    /// periodically under load. Already-registered shards are not
-    /// retrofitted — add shards after attaching, or use
-    /// [`add_shard_with_store`](Self::add_shard_with_store).
-    pub fn attach_store(&self, store: Arc<ArtifactStore>) {
-        *self.store.lock().unwrap_or_else(PoisonError::into_inner) = Some(store);
-    }
-
-    /// The store attached via [`attach_store`](Self::attach_store), if
-    /// any.
-    pub fn attached_store(&self) -> Option<Arc<ArtifactStore>> {
-        self.store.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    /// Sets the result-cache capacity that subsequent
-    /// [`register_device`](Self::register_device) /
-    /// [`add_shard`](Self::add_shard) calls give their shard (0 disables
-    /// caching for them). Already-registered shards keep the capacity
-    /// they were registered with.
-    pub fn set_default_cache_capacity(&mut self, capacity: usize) {
-        self.default_cache_capacity = capacity;
-    }
-
-    /// The capacity [`register_device`](Self::register_device) currently
-    /// hands new shards.
-    pub fn default_cache_capacity(&self) -> usize {
-        self.default_cache_capacity
-    }
-
-    /// The single-shard convenience: one device, round-robin routing —
-    /// behaviorally a [`BatchCompiler`](fastsc_core::batch::BatchCompiler)
-    /// plus the whole-schedule result cache.
+    /// `add_shard(ShardSpec { cache_capacity, ..ShardSpec::new(device,
+    /// config) })`. Kept only because the repo benchmark
+    /// (`perfbench/src/served_mix.rs`) calls it; new code should call
+    /// [`add_shard`](Self::add_shard).
     ///
     /// # Errors
     ///
-    /// Propagates context-construction failures from
-    /// [`register_device`](Self::register_device).
-    pub fn single_shard(device: Device, config: CompilerConfig) -> Result<Self, CompileError> {
-        let mut service = CompileService::new(crate::policy::RoundRobin::new());
-        service.register_device(device, config)?;
-        Ok(service)
-    }
-
-    /// Registers a device as a new shard at construction time (see
-    /// [`add_shard`](Self::add_shard), which this forwards to and which
-    /// also works on a **running** fleet).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::FrequencyBandExhausted`] when the device's
-    /// parking assignment or interaction band is unsolvable.
-    pub fn register_device(
-        &mut self,
-        device: Device,
-        config: CompilerConfig,
-    ) -> Result<usize, CompileError> {
-        self.add_shard(device, config)
-    }
-
-    /// [`register_device`](Self::register_device) with an explicit
-    /// result-cache capacity (0 disables result caching for this shard).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::FrequencyBandExhausted`] when the device's
-    /// parking assignment or interaction band is unsolvable.
+    /// As [`add_shard`](Self::add_shard).
     pub fn register_device_with_cache(
         &mut self,
         device: Device,
         config: CompilerConfig,
         cache_capacity: usize,
     ) -> Result<usize, CompileError> {
-        self.add_shard_with_cache(device, config, cache_capacity)
+        self.add_shard(ShardSpec { cache_capacity, ..ShardSpec::new(device, config) })
     }
 
-    /// Adds a device to the fleet as a new shard and returns its index
+    /// Adds a shard built from `spec` to the fleet and returns its index
     /// (shard indices are dense and stable: registration order). Safe on
     /// a **live** service — `&self`, so an operator loop can grow the
     /// fleet while a queue dispatcher is compiling; batches snapshot the
@@ -488,83 +456,19 @@ impl CompileService {
     /// The shard's [`CompileContext`] and [`ShardProfile`] are built
     /// **eagerly** (outside the fleet lock) so device-level
     /// frequency-plan failures surface here, once, instead of failing
-    /// every routed job later. The shard's result cache gets the
-    /// service's [`default_cache_capacity`](Self::default_cache_capacity)
-    /// ([`ScheduleCache::DEFAULT_CAPACITY`] unless reconfigured).
+    /// every routed job later. With a [`ShardSpec::store`], the shard
+    /// then adopts every store artifact for its fingerprints before it
+    /// joins the fleet — a full hit skips the device solve entirely.
     ///
     /// # Errors
     ///
     /// Returns [`CompileError::FrequencyBandExhausted`] when the device's
     /// parking assignment or interaction band is unsolvable.
-    pub fn add_shard(
-        &self,
-        device: Device,
-        config: CompilerConfig,
-    ) -> Result<usize, CompileError> {
-        self.add_shard_with_cache(device, config, self.default_cache_capacity)
-    }
-
-    /// [`add_shard`](Self::add_shard) with an explicit result-cache
-    /// capacity (0 disables result caching for this shard).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::FrequencyBandExhausted`] when the device's
-    /// parking assignment or interaction band is unsolvable.
-    pub fn add_shard_with_cache(
-        &self,
-        device: Device,
-        config: CompilerConfig,
-        cache_capacity: usize,
-    ) -> Result<usize, CompileError> {
-        let store = self.attached_store();
-        self.add_shard_inner(device, config, cache_capacity, store)
-    }
-
-    /// [`add_shard`](Self::add_shard) pre-warmed from a persistent
-    /// artifact store: the shard's [`CompileContext`] hydrates its static
-    /// coloring / S–G assignment and bounded SMT memo from `store`
-    /// (skipping the device solve entirely on a full hit), and matching
-    /// whole-schedule entries are loaded into its result cache. The shard
-    /// also flushes back to `store` on drain/removal and periodically
-    /// under load. Store-served artifacts are re-validated on the way in;
-    /// anything that fails validation is ignored and re-solved cold, so a
-    /// damaged store can slow a shard down but never change its output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::FrequencyBandExhausted`] when the device's
-    /// parking assignment or interaction band is unsolvable (and the
-    /// store held no valid assignment for it).
-    pub fn add_shard_with_store(
-        &self,
-        device: Device,
-        config: CompilerConfig,
-        store: &Arc<ArtifactStore>,
-    ) -> Result<usize, CompileError> {
-        self.add_shard_inner(
-            device,
-            config,
-            self.default_cache_capacity,
-            Some(Arc::clone(store)),
-        )
-    }
-
-    fn add_shard_inner(
-        &self,
-        device: Device,
-        config: CompilerConfig,
-        cache_capacity: usize,
-        store: Option<Arc<ArtifactStore>>,
-    ) -> Result<usize, CompileError> {
+    pub fn add_shard(&self, spec: ShardSpec) -> Result<usize, CompileError> {
+        let ShardSpec { device, config, cache_capacity, store } = spec;
         let fingerprint = device_fingerprint(&device);
         let config_fingerprint = config.fingerprint();
         let context = Arc::new(CompileContext::new(device, config)?);
-        if let Some(store) = &store {
-            let mut span = phase("store");
-            span.attr("op", "hydrate");
-            Self::hydrate_context(store, &context, fingerprint, config_fingerprint);
-        }
         let profile = Arc::new(ShardProfile::from_context(&context));
         let shard = Arc::new(Shard {
             compiler: Compiler::with_context(context),
@@ -584,125 +488,13 @@ impl CompileService {
             probing: AtomicBool::new(false),
         });
         if let Some(store) = &shard.store {
-            Self::prewarm_cache(store, &shard);
+            let mut span = phase("store");
+            span.attr("op", "hydrate");
+            persist::hydrate(store, &shard);
         }
         let mut shards = self.write_shards();
         shards.push(Slot::Live(shard));
         Ok(shards.len() - 1)
-    }
-
-    /// Seeds `context` from the store's statics + SMT artifacts for this
-    /// (device, config) pair. Seeding validates everything against the
-    /// context's own band/alpha/tolerance and rejects mismatches, so a
-    /// stale or corrupted artifact degrades to a cold solve — never a
-    /// wrong one.
-    fn hydrate_context(
-        store: &ArtifactStore,
-        context: &CompileContext,
-        fingerprint: u64,
-        config_fingerprint: u64,
-    ) {
-        match store.get_statics(fingerprint, config_fingerprint) {
-            Some(art) => {
-                let adopted = context.seed_statics(StaticAssignment {
-                    colors: art.colors,
-                    color_count: art.color_count,
-                    freqs: art.freqs,
-                });
-                if adopted {
-                    metrics().store_hits.inc();
-                } else {
-                    metrics().store_misses.inc();
-                }
-            }
-            None => metrics().store_misses.inc(),
-        }
-        let entries: Vec<SmtMemoEntry> = store
-            .smt_entries(fingerprint, config_fingerprint)
-            .into_iter()
-            .map(|art| SmtMemoEntry {
-                k: art.k,
-                band_lo: art.band_lo,
-                band_hi: art.band_hi,
-                alpha: art.alpha,
-                tol: art.tol,
-                values: art.values,
-            })
-            .collect();
-        let offered = entries.len();
-        let adopted = context.seed_smt_memo(entries);
-        metrics().store_hits.add(adopted as u64);
-        metrics().store_misses.add((offered - adopted) as u64);
-    }
-
-    /// Loads the store's whole-schedule artifacts for this shard's
-    /// (device, config) pair into its result cache. Each artifact carries
-    /// the exact program it was compiled from, so the cache's
-    /// equality-verify collision defense survives the disk round trip;
-    /// an artifact whose program no longer matches its recorded
-    /// structural hash is dropped here.
-    fn prewarm_cache(store: &ArtifactStore, shard: &Shard) {
-        let mut hits = 0u64;
-        for art in store.schedules(shard.fingerprint, shard.config_fingerprint) {
-            if art.program.structural_hash() != art.program_hash {
-                metrics().store_misses.inc();
-                continue;
-            }
-            let key = CacheKey {
-                device_fingerprint: art.device_fingerprint,
-                program_hash: art.program_hash,
-                strategy_code: art.strategy_code,
-                config_fingerprint: art.config_fingerprint,
-            };
-            shard.cache.insert_clean(key, art.program, art.compiled);
-            hits += 1;
-        }
-        metrics().store_hits.add(hits);
-    }
-
-    /// Writes a shard's unsaved artifacts — dirty schedule-cache
-    /// entries, plus its context's statics and SMT memo (the store
-    /// dedups those first-wins) — to its attached store. No-op without
-    /// a store.
-    fn flush_shard(shard: &Shard) {
-        let Some(store) = &shard.store else { return };
-        let mut span = phase("store");
-        span.attr("op", "flush");
-        let mut artifacts = Vec::new();
-        if let Ok(context) = shard.compiler.context() {
-            if let Some(statics) = context.export_statics() {
-                artifacts.push(Artifact::Statics(StaticsArtifact {
-                    device_fingerprint: shard.fingerprint,
-                    config_fingerprint: shard.config_fingerprint,
-                    colors: statics.colors,
-                    color_count: statics.color_count,
-                    freqs: statics.freqs,
-                }));
-            }
-            for entry in context.export_smt_memo() {
-                artifacts.push(Artifact::Smt(SmtArtifact {
-                    device_fingerprint: shard.fingerprint,
-                    config_fingerprint: shard.config_fingerprint,
-                    k: entry.k,
-                    band_lo: entry.band_lo,
-                    band_hi: entry.band_hi,
-                    alpha: entry.alpha,
-                    tol: entry.tol,
-                    values: entry.values,
-                }));
-            }
-        }
-        for (key, program, compiled) in shard.cache.take_dirty() {
-            artifacts.push(Artifact::Schedule(ScheduleArtifact {
-                device_fingerprint: key.device_fingerprint,
-                program_hash: key.program_hash,
-                strategy_code: key.strategy_code,
-                config_fingerprint: key.config_fingerprint,
-                program,
-                compiled,
-            }));
-        }
-        store.put_many(artifacts);
     }
 
     /// Takes shard `shard` out of rotation and waits for its in-flight
@@ -742,7 +534,7 @@ impl CompileService {
         // The shard is idle and out of rotation: persist everything it
         // learned before its context and cache go away (remove_shard
         // inherits this via the drain it performs first).
-        Self::flush_shard(&live);
+        persist::flush(&live);
     }
 
     /// Drains shard `shard` (see [`drain_shard`](Self::drain_shard)),
@@ -768,175 +560,6 @@ impl CompileService {
                     Slot::Retired { profile: Arc::clone(&live.profile), final_cache };
                 final_cache
             }
-        }
-    }
-
-    /// Serializes every live shard's artifacts — solved statics, SMT
-    /// memo entries, and all cached schedules — as a store-format bundle
-    /// a peer fleet can feed to
-    /// [`import_artifacts`](Self::import_artifacts). The bundle is
-    /// byte-deterministic for a given fleet state: artifacts are
-    /// canonically sorted, duplicates (shards sharing a device/config)
-    /// first-wins deduped by the importer.
-    pub fn export_artifacts(&self) -> Vec<u8> {
-        let mut artifacts = Vec::new();
-        {
-            let shards = self.read_shards();
-            for slot in shards.iter() {
-                let Slot::Live(shard) = slot else { continue };
-                if let Ok(context) = shard.compiler.context() {
-                    if let Some(statics) = context.export_statics() {
-                        artifacts.push(Artifact::Statics(StaticsArtifact {
-                            device_fingerprint: shard.fingerprint,
-                            config_fingerprint: shard.config_fingerprint,
-                            colors: statics.colors,
-                            color_count: statics.color_count,
-                            freqs: statics.freqs,
-                        }));
-                    }
-                    for entry in context.export_smt_memo() {
-                        artifacts.push(Artifact::Smt(SmtArtifact {
-                            device_fingerprint: shard.fingerprint,
-                            config_fingerprint: shard.config_fingerprint,
-                            k: entry.k,
-                            band_lo: entry.band_lo,
-                            band_hi: entry.band_hi,
-                            alpha: entry.alpha,
-                            tol: entry.tol,
-                            values: entry.values,
-                        }));
-                    }
-                }
-                for (key, program, compiled) in shard.cache.export_entries() {
-                    artifacts.push(Artifact::Schedule(ScheduleArtifact {
-                        device_fingerprint: key.device_fingerprint,
-                        program_hash: key.program_hash,
-                        strategy_code: key.strategy_code,
-                        config_fingerprint: key.config_fingerprint,
-                        program,
-                        compiled,
-                    }));
-                }
-            }
-        }
-        artifacts.sort_by_key(Self::artifact_sort_key);
-        fastsc_store::codec::encode_bundle(&artifacts)
-    }
-
-    /// Adopts a peer's exported bundle (see
-    /// [`export_artifacts`](Self::export_artifacts)): each artifact is
-    /// matched to live shards by (device, config) fingerprint and then
-    /// re-validated exactly like a store hydrate — statics and SMT
-    /// entries through the context's seeding checks, schedules through
-    /// the structural-hash check and the cache's equality-verify
-    /// collision defense. Damaged records in the bundle and artifacts
-    /// matching no shard are counted in
-    /// [`ImportReport::skipped`], never adopted. When a store is
-    /// attached, imported artifacts are also persisted to it.
-    pub fn import_artifacts(&self, bundle: &[u8]) -> ImportReport {
-        let scan = fastsc_store::codec::scan(bundle);
-        let mut report = ImportReport { skipped: scan.dropped, ..ImportReport::default() };
-        {
-            let shards = self.read_shards();
-            for artifact in &scan.artifacts {
-                let mut adopted = false;
-                for slot in shards.iter() {
-                    let Slot::Live(shard) = slot else { continue };
-                    adopted |= Self::adopt_artifact(shard, artifact);
-                }
-                match (adopted, artifact) {
-                    (true, Artifact::Statics(_)) => report.statics += 1,
-                    (true, Artifact::Smt(_)) => report.smt += 1,
-                    (true, Artifact::Schedule(_)) => report.schedules += 1,
-                    (false, _) => report.skipped += 1,
-                }
-            }
-        }
-        if let Some(store) = self.attached_store() {
-            store.put_many(scan.artifacts);
-        }
-        report
-    }
-
-    /// Offers one imported artifact to one shard; `true` if the shard
-    /// matched it by fingerprint and adopted it after re-validation.
-    fn adopt_artifact(shard: &Shard, artifact: &Artifact) -> bool {
-        match artifact {
-            Artifact::Statics(art) => {
-                if (art.device_fingerprint, art.config_fingerprint)
-                    != (shard.fingerprint, shard.config_fingerprint)
-                {
-                    return false;
-                }
-                let Ok(context) = shard.compiler.context() else { return false };
-                context.seed_statics(StaticAssignment {
-                    colors: art.colors.clone(),
-                    color_count: art.color_count,
-                    freqs: art.freqs.clone(),
-                })
-            }
-            Artifact::Smt(art) => {
-                if (art.device_fingerprint, art.config_fingerprint)
-                    != (shard.fingerprint, shard.config_fingerprint)
-                {
-                    return false;
-                }
-                let Ok(context) = shard.compiler.context() else { return false };
-                context.seed_smt_memo([SmtMemoEntry {
-                    k: art.k,
-                    band_lo: art.band_lo,
-                    band_hi: art.band_hi,
-                    alpha: art.alpha,
-                    tol: art.tol,
-                    values: art.values.clone(),
-                }]) == 1
-            }
-            Artifact::Schedule(art) => {
-                if (art.device_fingerprint, art.config_fingerprint)
-                    != (shard.fingerprint, shard.config_fingerprint)
-                {
-                    return false;
-                }
-                if art.program.structural_hash() != art.program_hash {
-                    return false;
-                }
-                let key = CacheKey {
-                    device_fingerprint: art.device_fingerprint,
-                    program_hash: art.program_hash,
-                    strategy_code: art.strategy_code,
-                    config_fingerprint: art.config_fingerprint,
-                };
-                shard.cache.insert_clean(key, art.program.clone(), Arc::clone(&art.compiled));
-                true
-            }
-        }
-    }
-
-    fn artifact_sort_key(artifact: &Artifact) -> (u8, u64, u64, u64, u64, u64, u64, u64) {
-        match artifact {
-            Artifact::Statics(a) => {
-                (0, a.device_fingerprint, a.config_fingerprint, 0, 0, 0, 0, 0)
-            }
-            Artifact::Smt(a) => (
-                1,
-                a.device_fingerprint,
-                a.config_fingerprint,
-                a.k as u64,
-                a.band_lo,
-                a.band_hi,
-                a.alpha,
-                a.tol,
-            ),
-            Artifact::Schedule(a) => (
-                2,
-                a.device_fingerprint,
-                a.config_fingerprint,
-                a.program_hash,
-                u64::from(a.strategy_code),
-                0,
-                0,
-                0,
-            ),
         }
     }
 
@@ -1549,12 +1172,12 @@ impl CompileService {
             Err(error) => shard.record_attempt(false, error.is_transient(), breaker),
         }
         let compiled = Arc::new(result?);
-        shard.cache.insert(key, job.program.clone(), Arc::clone(&compiled));
+        shard.cache.insert(key, job.program.clone(), Arc::clone(&compiled), true);
         // Periodic flush under load: bound how much warm-start state a
         // crash can lose without waiting for a drain. Threshold-gated so
         // the hot path normally never touches the disk.
         if shard.store.is_some() && shard.cache.dirty_len() >= FLUSH_DIRTY_THRESHOLD {
-            Self::flush_shard(shard);
+            persist::flush(shard);
         }
         Ok(ServiceReply { shard: shard_index, cache_hit: false, compiled })
     }
@@ -1584,20 +1207,18 @@ impl CompileService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{
-        CapacityAware, Composite, FidelityAware, LeastLoaded, ProgramAffinity, RoundRobin,
-    };
+    use crate::policy::{Composite, ProgramAffinity, RoundRobin};
     use fastsc_core::Strategy;
     use fastsc_workloads::Benchmark;
 
+    fn spec(device: Device) -> ShardSpec {
+        ShardSpec::new(device, CompilerConfig::default())
+    }
+
     fn two_shard_service() -> CompileService {
-        let mut service = CompileService::new(RoundRobin::new());
-        service
-            .register_device(Device::grid(3, 3, 7), CompilerConfig::default())
-            .expect("registers");
-        service
-            .register_device(Device::grid(3, 3, 11), CompilerConfig::default())
-            .expect("registers");
+        let service = CompileService::new(RoundRobin::new());
+        service.add_shard(spec(Device::grid(3, 3, 7))).expect("registers");
+        service.add_shard(spec(Device::grid(3, 3, 11))).expect("registers");
         service
     }
 
@@ -1638,7 +1259,7 @@ mod tests {
     #[test]
     fn least_loaded_balances_a_uniform_batch() {
         let service = two_shard_service();
-        service.set_policy(LeastLoaded::new());
+        service.set_policy(Composite::least_loaded());
         // Distinct widths: identical programs would pin to one shard by
         // design rather than balance.
         let jobs: Vec<CompileJob> = (0..6)
@@ -1677,8 +1298,8 @@ mod tests {
         use fastsc_device::DeviceBuilder;
         let mut bad = DeviceBuilder::new(fastsc_graph::topology::grid(2, 2));
         bad.seed(0).omega_max_distribution(5.5, 0.0); // below the 6 GHz floor
-        let mut service = CompileService::new(RoundRobin::new());
-        let result = service.register_device(bad.build(), CompilerConfig::default());
+        let service = CompileService::new(RoundRobin::new());
+        let result = service.add_shard(spec(bad.build()));
         assert!(matches!(result, Err(CompileError::FrequencyBandExhausted { .. })));
         assert_eq!(service.shard_count(), 0);
     }
@@ -1695,10 +1316,8 @@ mod tests {
 
     #[test]
     fn duplicate_jobs_coalesce_to_one_compile() {
-        let mut service = CompileService::new(RoundRobin::new());
-        service
-            .register_device(Device::grid(3, 3, 7), CompilerConfig::default())
-            .expect("registers");
+        let service = CompileService::new(RoundRobin::new());
+        service.add_shard(spec(Device::grid(3, 3, 7))).expect("registers");
         let program = Benchmark::Xeb(9, 3).build(1);
         let jobs: Vec<CompileJob> =
             (0..6).map(|_| CompileJob::new(program.clone(), Strategy::ColorDynamic)).collect();
@@ -1726,7 +1345,7 @@ mod tests {
         // with exactly one compile, and the free duplicates don't count
         // toward load when the genuinely distinct job is placed.
         let service = two_shard_service();
-        service.set_policy(LeastLoaded::new());
+        service.set_policy(Composite::least_loaded());
         let program = Benchmark::Qaoa(6).build(9);
         let mut jobs: Vec<CompileJob> =
             (0..4).map(|_| CompileJob::new(program.clone(), Strategy::ColorDynamic)).collect();
@@ -1748,9 +1367,9 @@ mod tests {
 
     #[test]
     fn caching_disabled_shards_skip_coalescing() {
-        let mut service = CompileService::new(RoundRobin::new());
+        let service = CompileService::new(RoundRobin::new());
         service
-            .register_device_with_cache(Device::grid(3, 3, 7), CompilerConfig::default(), 0)
+            .add_shard(ShardSpec { cache_capacity: 0, ..spec(Device::grid(3, 3, 7)) })
             .expect("registers");
         let program = Benchmark::Bv(4).build(1);
         let jobs: Vec<CompileJob> =
@@ -1802,13 +1421,9 @@ mod tests {
 
     #[test]
     fn capacity_aware_routes_wide_jobs_to_fitting_shards_only() {
-        let mut service = CompileService::new(CapacityAware::new());
-        service
-            .register_device(Device::grid(2, 2, 7), CompilerConfig::default())
-            .expect("registers");
-        service
-            .register_device(Device::grid(4, 4, 23), CompilerConfig::default())
-            .expect("registers");
+        let service = CompileService::new(Composite::capacity_aware());
+        service.add_shard(spec(Device::grid(2, 2, 7))).expect("registers");
+        service.add_shard(spec(Device::grid(4, 4, 23))).expect("registers");
         let jobs = vec![
             // 16 qubits: only the 4x4 shard fits.
             CompileJob::new(Benchmark::Bv(16).build(1), Strategy::BaselineN),
@@ -1828,10 +1443,8 @@ mod tests {
 
     #[test]
     fn routing_refusals_do_not_poison_later_batches() {
-        let mut service = CompileService::new(CapacityAware::new());
-        service
-            .register_device(Device::grid(3, 3, 7), CompilerConfig::default())
-            .expect("registers");
+        let service = CompileService::new(Composite::capacity_aware());
+        service.add_shard(spec(Device::grid(3, 3, 7))).expect("registers");
         let wide = CompileJob::new(Benchmark::Bv(16).build(1), Strategy::ColorDynamic);
         let fits = CompileJob::new(Benchmark::Bv(4).build(1), Strategy::ColorDynamic);
         let replies = service.compile_batch(vec![wide.clone(), fits.clone()]);
@@ -1845,19 +1458,42 @@ mod tests {
     }
 
     #[test]
-    fn default_cache_capacity_is_configurable_per_registration() {
+    fn shard_spec_sets_cache_capacity_and_store_per_shard() {
         let mut service = CompileService::new(RoundRobin::new());
-        assert_eq!(service.default_cache_capacity(), ScheduleCache::DEFAULT_CAPACITY);
-        service.set_default_cache_capacity(2);
+        service.add_shard(spec(Device::grid(3, 3, 7))).expect("registers");
         service
-            .register_device(Device::grid(3, 3, 7), CompilerConfig::default())
+            .add_shard(ShardSpec { cache_capacity: 0, ..spec(Device::grid(3, 3, 11)) })
             .expect("registers");
-        service.set_default_cache_capacity(0);
         service
-            .register_device(Device::grid(3, 3, 11), CompilerConfig::default())
+            .register_device_with_cache(Device::grid(3, 3, 13), CompilerConfig::default(), 2)
             .expect("registers");
-        assert_eq!(service.cache_stats(0).capacity, 2);
-        assert_eq!(service.cache_stats(1).capacity, 0);
+        let capacities: Vec<usize> = (0..3).map(|s| service.cache_stats(s).capacity).collect();
+        assert_eq!(capacities, vec![ScheduleCache::DEFAULT_CAPACITY, 0, 2]);
+
+        // A store-backed spec flushes on drain, and a later store-backed
+        // shard hydrates from it: its context adopts the solved statics
+        // even when its capacity-0 cache keeps none of the schedules.
+        let path = temp_store_path("shard-spec");
+        let store = Arc::new(fastsc_store::ArtifactStore::open(&path).expect("opens"));
+        let backed =
+            || ShardSpec { store: Some(Arc::clone(&store)), ..spec(Device::grid(3, 3, 7)) };
+        let job = || vec![CompileJob::new(Benchmark::Bv(9).build(7), Strategy::BaselineS)];
+        let donor = CompileService::new(RoundRobin::new());
+        donor.add_shard(backed()).expect("adds");
+        let cold = donor.compile_batch(job());
+        donor.drain_shard(0);
+        assert_eq!((store.stats().statics, store.stats().schedules), (1, 1));
+        let warm = CompileService::new(RoundRobin::new());
+        warm.add_shard(ShardSpec { cache_capacity: 0, ..backed() }).expect("adds");
+        let context = warm.shard_context(0).expect("built");
+        assert!(context.export_statics().is_some(), "statics hydrated from the store");
+        assert_eq!(warm.cache_stats(0).len, 0, "a capacity-0 cache keeps no schedule");
+        let replies = warm.compile_batch(job());
+        let (c, w) =
+            (cold[0].as_ref().expect("compiles"), replies[0].as_ref().expect("compiles"));
+        assert!(!w.cache_hit);
+        assert_eq!(c.compiled.schedule, w.compiled.schedule);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1878,17 +1514,17 @@ mod tests {
     fn fidelity_aware_prefers_the_healthier_chip_where_least_loaded_would_not() {
         use fastsc_device::DeviceBuilder;
         // Shard 0: a noisy chip (short coherence). Shard 1: a healthy
-        // one. Saturate the healthy shard with load so LeastLoaded would
-        // send a critical job to the noisy chip; FidelityAware must still
+        // one. Saturate the healthy shard with load so least-loaded would
+        // send a critical job to the noisy chip; fidelity-aware must still
         // pick the healthy one.
         let build = |seed: u64, t1: f64, t2: f64| {
             let mut b = DeviceBuilder::new(fastsc_graph::topology::grid(3, 3));
             b.seed(seed).coherence(t1, t2);
             b.build()
         };
-        let mut service = CompileService::new(FidelityAware::new());
-        service.register_device(build(7, 5.0, 3.0), CompilerConfig::default()).expect("ok");
-        service.register_device(build(11, 50.0, 40.0), CompilerConfig::default()).expect("ok");
+        let service = CompileService::new(Composite::fidelity_aware());
+        service.add_shard(spec(build(7, 5.0, 3.0))).expect("ok");
+        service.add_shard(spec(build(11, 50.0, 40.0))).expect("ok");
         assert!(
             service.shard_profile(1).estimated_success
                 > service.shard_profile(0).estimated_success,
@@ -1908,66 +1544,31 @@ mod tests {
             vec![1, 1, 1, 1],
             "fidelity-aware routing must absorb load on the healthy chip"
         );
-        // The control: LeastLoaded sends the critical job to the idle,
+        // The control: least-loaded sends the critical job to the idle,
         // noisy shard instead.
-        let control = CompileService::new(LeastLoaded::new());
-        let mut control_mut = control;
-        control_mut.register_device(build(7, 5.0, 3.0), CompilerConfig::default()).expect("ok");
-        control_mut
-            .register_device(build(11, 50.0, 40.0), CompilerConfig::default())
-            .expect("ok");
-        let replies = control_mut.compile_batch_sequential(jobs);
+        let control = CompileService::new(Composite::least_loaded());
+        control.add_shard(spec(build(7, 5.0, 3.0))).expect("ok");
+        control.add_shard(spec(build(11, 50.0, 40.0))).expect("ok");
+        let replies = control.compile_batch_sequential(jobs);
         let shards: Vec<usize> =
             replies.iter().map(|r| r.as_ref().expect("compiles").shard).collect();
         assert!(
             shards.contains(&0),
-            "control: LeastLoaded should spread onto the noisy chip ({shards:?})"
+            "control: least-loaded should spread onto the noisy chip ({shards:?})"
         );
-    }
-
-    #[test]
-    fn composite_routes_like_fidelity_aware_on_the_standard_pipeline() {
-        let mut a = CompileService::new(FidelityAware::new());
-        let mut b = CompileService::new(Composite::standard());
-        for service in [&mut a, &mut b] {
-            service
-                .register_device(Device::grid(3, 3, 7), CompilerConfig::default())
-                .expect("ok");
-            service
-                .register_device(Device::grid(4, 4, 23), CompilerConfig::default())
-                .expect("ok");
-        }
-        let jobs: Vec<CompileJob> = (0..6)
-            .map(|i| CompileJob::new(Benchmark::Bv(3 + i).build(1), Strategy::ColorDynamic))
-            .collect();
-        let ra = a.compile_batch_sequential(jobs.clone());
-        let rb = b.compile_batch_sequential(jobs);
-        for (i, (x, y)) in ra.iter().zip(&rb).enumerate() {
-            assert_eq!(
-                x.as_ref().expect("compiles").shard,
-                y.as_ref().expect("compiles").shard,
-                "slot {i}: composite(standard) diverged from FidelityAware"
-            );
-        }
     }
 
     #[test]
     fn add_shard_grows_a_live_fleet() {
         let service = CompileService::new(RoundRobin::new());
         // Seed the fleet through the &self path only.
-        assert_eq!(
-            service.add_shard(Device::grid(3, 3, 7), CompilerConfig::default()).expect("adds"),
-            0
-        );
+        assert_eq!(service.add_shard(spec(Device::grid(3, 3, 7))).expect("adds"), 0);
         let first = service.compile_batch(vec![CompileJob::new(
             Benchmark::Bv(4).build(1),
             Strategy::ColorDynamic,
         )]);
         assert_eq!(first[0].as_ref().expect("compiles").shard, 0);
-        assert_eq!(
-            service.add_shard(Device::grid(3, 3, 11), CompilerConfig::default()).expect("adds"),
-            1
-        );
+        assert_eq!(service.add_shard(spec(Device::grid(3, 3, 11))).expect("adds"), 1);
         assert_eq!(service.shard_count(), 2);
         // Round-robin now alternates onto the new shard.
         let jobs: Vec<CompileJob> = (0..4)
@@ -2044,9 +1645,9 @@ mod tests {
         // A producer thread floods batches while the main thread drains
         // shard 0; after drain returns, shard 0 must be idle and every
         // job must have resolved on some shard.
-        let mut service = CompileService::new(LeastLoaded::new());
-        service.register_device(Device::grid(3, 3, 7), CompilerConfig::default()).expect("ok");
-        service.register_device(Device::grid(3, 3, 11), CompilerConfig::default()).expect("ok");
+        let service = CompileService::new(Composite::least_loaded());
+        service.add_shard(spec(Device::grid(3, 3, 7))).expect("ok");
+        service.add_shard(spec(Device::grid(3, 3, 11))).expect("ok");
         let service = Arc::new(service);
         let producer = {
             let service = Arc::clone(&service);
@@ -2253,8 +1854,8 @@ mod tests {
     fn store_warm_start_round_trips_bit_identically() {
         let path = temp_store_path("warm-start");
         let store = Arc::new(fastsc_store::ArtifactStore::open(&path).expect("opens"));
-        let device = || Device::grid(3, 3, 7);
-        let config = CompilerConfig::default();
+        let backed =
+            || ShardSpec { store: Some(Arc::clone(&store)), ..spec(Device::grid(3, 3, 7)) };
         // One static-strategy job forces the statics solve, so the drain
         // flush has a static assignment to persist alongside schedules.
         let jobs = || {
@@ -2267,7 +1868,7 @@ mod tests {
 
         // Cold fleet: compile, then drain to flush everything learned.
         let cold = CompileService::new(RoundRobin::new());
-        cold.add_shard_with_store(device(), config, &store).expect("adds");
+        cold.add_shard(backed()).expect("adds");
         let cold_replies = cold.compile_batch(jobs());
         cold.drain_shard(0);
         let stats = store.stats();
@@ -2277,7 +1878,7 @@ mod tests {
         // Warm fleet from the same store: every repeat job is served
         // from the pre-warmed cache, bit-identical to the cold compile.
         let warm = CompileService::new(RoundRobin::new());
-        warm.add_shard_with_store(device(), config, &store).expect("adds");
+        warm.add_shard(backed()).expect("adds");
         let warm_replies = warm.compile_batch(jobs());
         for (i, (c, w)) in cold_replies.iter().zip(&warm_replies).enumerate() {
             let c = c.as_ref().expect("cold compiles");
@@ -2291,15 +1892,15 @@ mod tests {
     #[test]
     fn export_import_prewarms_a_peer_fleet() {
         let donor = CompileService::new(RoundRobin::new());
-        donor.add_shard(Device::grid(3, 3, 7), CompilerConfig::default()).expect("adds");
+        donor.add_shard(spec(Device::grid(3, 3, 7))).expect("adds");
         let donor_replies = donor.compile_batch((0..3).map(distinct_job).collect());
         let bundle = donor.export_artifacts();
 
         let peer = CompileService::new(RoundRobin::new());
-        peer.add_shard(Device::grid(3, 3, 7), CompilerConfig::default()).expect("adds");
+        peer.add_shard(spec(Device::grid(3, 3, 7))).expect("adds");
         // A shard the bundle does not describe: everything it is offered
         // must be skipped, nothing misapplied.
-        peer.add_shard(Device::grid(2, 2, 5), CompilerConfig::default()).expect("adds");
+        peer.add_shard(spec(Device::grid(2, 2, 5))).expect("adds");
         let report = peer.import_artifacts(&bundle);
         assert_eq!(report.schedules, 3, "all donor schedules adopted: {report:?}");
 
@@ -2312,6 +1913,25 @@ mod tests {
         // seed (OnceLock already set) and schedules dedup in the cache.
         let again = peer.import_artifacts(&bundle);
         assert_eq!(again.statics, 0, "statics seed only once: {again:?}");
+        assert_eq!(again.schedules, 0, "resident schedules are not adopted twice: {again:?}");
+        assert_eq!(
+            again.skipped,
+            report.statics + report.smt + report.schedules + report.skipped
+        );
+    }
+
+    #[test]
+    fn import_into_a_capacity_zero_shard_adopts_no_schedules() {
+        let donor = CompileService::new(RoundRobin::new());
+        donor.add_shard(spec(Device::grid(3, 3, 7))).expect("adds");
+        let _ = donor.compile_batch((0..3).map(distinct_job).collect());
+        let peer = CompileService::new(RoundRobin::new());
+        peer.add_shard(ShardSpec { cache_capacity: 0, ..spec(Device::grid(3, 3, 7)) })
+            .expect("adds");
+        let report = peer.import_artifacts(&donor.export_artifacts());
+        assert_eq!(report.schedules, 0, "a capacity-0 cache keeps nothing: {report:?}");
+        assert!(report.skipped >= 3, "the declined schedules are skipped: {report:?}");
+        assert!(peer.cache_stats(0).len == 0);
     }
 
     fn service_matches_donor(
@@ -2334,7 +1954,10 @@ mod tests {
         let store = Arc::new(fastsc_store::ArtifactStore::open(&path).expect("opens"));
         let service = CompileService::new(RoundRobin::new());
         service
-            .add_shard_with_store(Device::grid(3, 3, 7), CompilerConfig::default(), &store)
+            .add_shard(ShardSpec {
+                store: Some(Arc::clone(&store)),
+                ..spec(Device::grid(3, 3, 7))
+            })
             .expect("adds");
         service.compile_batch((0..2).map(distinct_job).collect());
         service.drain_shard(0);
@@ -2357,7 +1980,10 @@ mod tests {
         );
         let service = CompileService::new(RoundRobin::new());
         service
-            .add_shard_with_store(Device::grid(3, 3, 7), CompilerConfig::default(), &store)
+            .add_shard(ShardSpec {
+                store: Some(Arc::clone(&store)),
+                ..spec(Device::grid(3, 3, 7))
+            })
             .expect("warm start survives corruption");
         let replies = service.compile_batch((0..2).map(distinct_job).collect());
         for (i, reply) in replies.iter().enumerate() {

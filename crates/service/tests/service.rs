@@ -5,7 +5,9 @@
 use fastsc_core::batch::CompileJob;
 use fastsc_core::{Compiler, CompilerConfig, Strategy};
 use fastsc_device::Device;
-use fastsc_service::{CompileService, LeastLoaded, ProgramAffinity, RoundRobin, ShardPolicy};
+use fastsc_service::{
+    CompileService, Composite, ProgramAffinity, RoundRobin, ShardPolicy, ShardSpec,
+};
 use fastsc_workloads::Benchmark;
 
 /// The two-device fleet every test routes over.
@@ -14,9 +16,11 @@ fn fleet() -> Vec<Device> {
 }
 
 fn service_with(policy: impl ShardPolicy + 'static) -> CompileService {
-    let mut service = CompileService::new(policy);
+    let service = CompileService::new(policy);
     for device in fleet() {
-        service.register_device(device, CompilerConfig::default()).expect("registers");
+        service
+            .add_shard(ShardSpec::new(device, CompilerConfig::default()))
+            .expect("registers");
     }
     service
 }
@@ -42,12 +46,14 @@ fn routed_compiles_are_bit_identical_to_fresh_single_device_compiles() {
     // cold, sequential compile against that shard's device.
     for policy in [
         Box::new(RoundRobin::new()) as Box<dyn ShardPolicy>,
-        Box::new(LeastLoaded::new()),
+        Box::new(Composite::least_loaded()),
         Box::new(ProgramAffinity::new()),
     ] {
-        let mut service = CompileService::new(RoundRobin::new());
+        let service = CompileService::new(RoundRobin::new());
         for device in fleet() {
-            service.register_device(device, CompilerConfig::default()).expect("registers");
+            service
+                .add_shard(ShardSpec::new(device, CompilerConfig::default()))
+                .expect("registers");
         }
         service.set_policy_boxed(policy);
         let jobs = mixed_jobs();
@@ -141,9 +147,13 @@ fn distinct_devices_never_share_cache_entries() {
     // Same program, same strategy, two shards with different seeds: both
     // shards must compile cold (different device fingerprints), and their
     // schedules must differ (different fabrication variation).
-    let mut service = CompileService::new(RoundRobin::new());
-    service.register_device(Device::grid(3, 3, 1), CompilerConfig::default()).expect("ok");
-    service.register_device(Device::grid(3, 3, 2), CompilerConfig::default()).expect("ok");
+    let service = CompileService::new(RoundRobin::new());
+    service
+        .add_shard(ShardSpec::new(Device::grid(3, 3, 1), CompilerConfig::default()))
+        .expect("ok");
+    service
+        .add_shard(ShardSpec::new(Device::grid(3, 3, 2), CompilerConfig::default()))
+        .expect("ok");
     let program = Benchmark::Xeb(9, 5).build(42);
     // Two single-job batches: within one batch identical jobs pin to one
     // shard by design, but round-robin state persists across batches, so
@@ -163,9 +173,12 @@ fn distinct_devices_never_share_cache_entries() {
 
 #[test]
 fn bounded_cache_evicts_but_stays_correct() {
-    let mut service = CompileService::new(RoundRobin::new());
+    let service = CompileService::new(RoundRobin::new());
     service
-        .register_device_with_cache(Device::grid(3, 3, 7), CompilerConfig::default(), 2)
+        .add_shard(ShardSpec {
+            cache_capacity: 2,
+            ..ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default())
+        })
         .expect("registers");
     // 4 distinct programs through a capacity-2 cache.
     let jobs: Vec<CompileJob> = (0..4)

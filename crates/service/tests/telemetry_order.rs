@@ -61,7 +61,7 @@ proptest! {
     fn sorting_a_fleet_never_panics_and_is_stable(scores in proptest::collection::vec(any::<u64>(), 1..24)) {
         let mut fleet: Vec<ShardProfile> =
             scores.iter().map(|&bits| profile(bits, 9)).collect();
-        // This is the operation FidelityAware/Composite effectively
+        // This is the operation Composite's fidelity stage effectively
         // perform; with a non-total order (e.g. partial_cmp + unwrap on
         // NaN) this would panic.
         fleet.sort_by(|x, y| x.cmp_estimated_success(y));

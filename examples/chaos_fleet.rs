@@ -14,8 +14,8 @@ use fastsc::compiler::{CompilerConfig, Strategy};
 use fastsc::device::Device;
 use fastsc::queue::{QueueConfig, QueueService, RetryPolicy, Submission};
 use fastsc::service::{
-    BreakerConfig, CompileService, FaultInjector, FaultKind, FaultPlan, FaultRule, LeastLoaded,
-    ShardState,
+    BreakerConfig, CompileService, Composite, FaultInjector, FaultKind, FaultPlan, FaultRule,
+    ShardSpec, ShardState,
 };
 use fastsc::workloads::Benchmark;
 use std::sync::Arc;
@@ -26,10 +26,10 @@ const TOTAL_JOBS: u64 = 30;
 const SICK_ATTEMPTS: u64 = 6;
 
 fn main() {
-    let mut service = CompileService::new(LeastLoaded::new());
+    let service = CompileService::new(Composite::least_loaded());
     for seed in [7, 11, 13] {
         service
-            .register_device(Device::grid(3, 3, seed), CompilerConfig::default())
+            .add_shard(ShardSpec::new(Device::grid(3, 3, seed), CompilerConfig::default()))
             .expect("device frequency plan solves");
     }
     // A deterministic fault plan: shard 0 panics on 100% of its first

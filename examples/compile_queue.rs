@@ -11,7 +11,7 @@ use fastsc::compiler::batch::CompileJob;
 use fastsc::compiler::{CompilerConfig, Strategy};
 use fastsc::device::Device;
 use fastsc::queue::{Backpressure, Priority, QueueConfig, QueueService, Submission};
-use fastsc::service::{CapacityAware, CompileService};
+use fastsc::service::{CompileService, Composite, ShardSpec};
 use fastsc::workloads::Benchmark;
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,10 +19,10 @@ use std::time::Duration;
 fn main() {
     // A two-device fleet behind capacity-aware placement: programs wider
     // than a shard never route to it.
-    let mut service = CompileService::new(CapacityAware::new());
+    let service = CompileService::new(Composite::capacity_aware());
     for device in [Device::grid(3, 3, 7), Device::grid(4, 4, 23)] {
         let shard = service
-            .register_device(device, CompilerConfig::default())
+            .add_shard(ShardSpec::new(device, CompilerConfig::default()))
             .expect("device frequency plan solves");
         println!(
             "registered shard {shard}: {} qubits (seed {})",

@@ -13,17 +13,17 @@ use fastsc::device::Device;
 use fastsc::ir::qasm::to_qasm;
 use fastsc::queue::QueueService;
 use fastsc::server::{Client, ClientError, Server, TenantConfig};
-use fastsc::service::{CapacityAware, CompileService};
+use fastsc::service::{CompileService, Composite, ShardSpec};
 use fastsc::workloads::Benchmark;
 use std::time::Duration;
 
 fn main() {
     // A two-device fleet behind the async queue — exactly the stack the
     // earlier examples build — now fronted by a TCP wire protocol.
-    let mut service = CompileService::new(CapacityAware::new());
+    let service = CompileService::new(Composite::capacity_aware());
     for device in [Device::grid(3, 3, 7), Device::grid(4, 4, 23)] {
         service
-            .register_device(device, CompilerConfig::default())
+            .add_shard(ShardSpec::new(device, CompilerConfig::default()))
             .expect("device frequency plan solves");
     }
     let tenants = vec![

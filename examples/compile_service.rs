@@ -9,7 +9,7 @@
 use fastsc::compiler::batch::CompileJob;
 use fastsc::compiler::{CompilerConfig, Strategy};
 use fastsc::device::Device;
-use fastsc::service::{CompileService, LeastLoaded};
+use fastsc::service::{CompileService, Composite, ShardSpec};
 use fastsc::workloads::Benchmark;
 use std::time::Instant;
 
@@ -17,10 +17,10 @@ fn main() {
     // A heterogeneous fleet: two 3x3 meshes with different fabrication
     // seeds and one 4x4 mesh. Registration builds each shard's compile
     // context (crosstalk graph, parking plan, SMT memo) exactly once.
-    let mut service = CompileService::new(LeastLoaded::new());
+    let service = CompileService::new(Composite::least_loaded());
     for device in [Device::grid(3, 3, 7), Device::grid(3, 3, 11), Device::grid(4, 4, 23)] {
         let shard = service
-            .register_device(device, CompilerConfig::default())
+            .add_shard(ShardSpec::new(device, CompilerConfig::default()))
             .expect("device frequency plan solves");
         println!(
             "registered shard {shard}: {} qubits (seed {})",

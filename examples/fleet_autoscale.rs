@@ -2,7 +2,7 @@
 //! `QueueService::telemetry_feed()` and scales the shard fleet against
 //! live queue depth — adding a healthy chip under load, then draining
 //! the noisier chip once the burst has passed. Placement is
-//! `FidelityAware`, so as soon as the healthier chip joins, critical
+//! fidelity-aware, so as soon as the healthier chip joins, critical
 //! traffic prefers it.
 //!
 //! ```console
@@ -13,7 +13,7 @@ use fastsc::compiler::batch::CompileJob;
 use fastsc::compiler::{CompilerConfig, Strategy};
 use fastsc::device::{Device, DeviceBuilder};
 use fastsc::queue::{Priority, QueueConfig, QueueService, Submission};
-use fastsc::service::{CompileService, FidelityAware, ShardState};
+use fastsc::service::{CompileService, Composite, ShardSpec, ShardState};
 use fastsc::workloads::Benchmark;
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,9 +31,9 @@ fn chip(seed: u64, t1_us: f64, t2_us: f64) -> Device {
 
 fn main() {
     // The fleet starts as a single, mediocre chip.
-    let mut service = CompileService::new(FidelityAware::new());
+    let service = CompileService::new(Composite::fidelity_aware());
     service
-        .register_device(chip(7, 12.0, 9.0), CompilerConfig::default())
+        .add_shard(ShardSpec::new(chip(7, 12.0, 9.0), CompilerConfig::default()))
         .expect("device frequency plan solves");
     let queue = Arc::new(QueueService::new(
         service,
@@ -93,7 +93,7 @@ fn main() {
         if !scaled_up && snapshot.stats.depth >= SCALE_UP_DEPTH {
             let shard = queue
                 .service()
-                .add_shard(chip(23, 60.0, 45.0), CompilerConfig::default())
+                .add_shard(ShardSpec::new(chip(23, 60.0, 45.0), CompilerConfig::default()))
                 .expect("device frequency plan solves");
             scaled_up = true;
             println!(

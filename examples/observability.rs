@@ -19,7 +19,7 @@ use fastsc::device::Device;
 use fastsc::ir::qasm::to_qasm;
 use fastsc::queue::{Priority, QueueService, Submission};
 use fastsc::server::{Client, Json, Server, TenantConfig};
-use fastsc::service::{CapacityAware, CompileService};
+use fastsc::service::{CompileService, Composite, ShardSpec};
 use fastsc::telemetry::SpanNode;
 use fastsc::workloads::Benchmark;
 
@@ -53,10 +53,10 @@ fn print_wire_span(node: &Json, depth: usize) {
 }
 
 fn fleet() -> CompileService {
-    let mut service = CompileService::new(CapacityAware::new());
+    let service = CompileService::new(Composite::capacity_aware());
     for device in [Device::grid(3, 3, 7), Device::grid(4, 4, 23)] {
         service
-            .register_device(device, CompilerConfig::default())
+            .add_shard(ShardSpec::new(device, CompilerConfig::default()))
             .expect("device frequency plan solves");
     }
     service

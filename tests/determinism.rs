@@ -9,8 +9,7 @@ use fastsc::compiler::{CompileContext, Compiler, CompilerConfig, Strategy};
 use fastsc::device::Device;
 use fastsc::noise::{estimate, NoiseConfig};
 use fastsc::service::{
-    CapacityAware, CompileService, Composite, FidelityAware, LeastLoaded, ProgramAffinity,
-    RoundRobin, ShardPolicy,
+    CompileService, Composite, ProgramAffinity, RoundRobin, ShardPolicy, ShardSpec, Stage,
 };
 use fastsc::workloads::Benchmark;
 use std::sync::Arc;
@@ -127,8 +126,8 @@ fn sharded_service_compiles_are_bit_identical_to_fresh_single_device_compiles() 
     // every reply equals a fresh, cold, sequential compile of the same
     // job on the device it was routed to, for all five strategies and
     // every built-in policy (including the telemetry-driven
-    // FidelityAware and Composite — placement by calibration data must
-    // not touch what gets compiled, only where).
+    // fidelity-aware preset and a custom Composite pipeline — placement
+    // by calibration data must not touch what gets compiled, only where).
     let devices = [Device::grid(3, 3, 7), Device::grid(3, 3, 11)];
     let jobs: Vec<CompileJob> = Strategy::all()
         .into_iter()
@@ -138,17 +137,17 @@ fn sharded_service_compiles_are_bit_identical_to_fresh_single_device_compiles() 
 
     let policies: Vec<Box<dyn ShardPolicy>> = vec![
         Box::new(RoundRobin::new()),
-        Box::new(LeastLoaded::new()),
+        Box::new(Composite::least_loaded()),
         Box::new(ProgramAffinity::new()),
-        Box::new(CapacityAware::new()),
-        Box::new(FidelityAware::new()),
-        Box::new(Composite::standard()),
+        Box::new(Composite::capacity_aware()),
+        Box::new(Composite::fidelity_aware()),
+        Box::new(Composite::new(vec![Stage::Capacity, Stage::MostQubits, Stage::Fidelity])),
     ];
     for (round, policy) in policies.into_iter().enumerate() {
-        let mut service = CompileService::new(RoundRobin::new());
+        let service = CompileService::new(RoundRobin::new());
         for device in &devices {
             service
-                .register_device(device.clone(), CompilerConfig::default())
+                .add_shard(ShardSpec::new(device.clone(), CompilerConfig::default()))
                 .expect("registers");
         }
         service.set_policy_boxed(policy);
@@ -178,17 +177,17 @@ fn sharded_service_compiles_are_bit_identical_to_fresh_single_device_compiles() 
 
 #[test]
 fn fidelity_routed_compiles_repeat_bit_identically_across_services() {
-    // FidelityAware consumes floating-point calibration scores; the
+    // Fidelity-aware placement consumes floating-point calibration scores; the
     // whole pipeline from profile construction to routed schedule must
     // still be reproducible run to run (same fleet, same jobs, same
     // shards, same bits).
     let build_service = || {
-        let mut service = CompileService::new(FidelityAware::new());
+        let service = CompileService::new(Composite::fidelity_aware());
         service
-            .register_device(Device::grid(3, 3, 7), CompilerConfig::default())
+            .add_shard(ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default()))
             .expect("registers");
         service
-            .register_device(Device::grid(3, 3, 11), CompilerConfig::default())
+            .add_shard(ShardSpec::new(Device::grid(3, 3, 11), CompilerConfig::default()))
             .expect("registers");
         service
     };
@@ -209,9 +208,10 @@ fn fidelity_routed_compiles_repeat_bit_identically_across_services() {
 
 #[test]
 fn warm_result_cache_hits_are_bit_identical_to_cold_compiles() {
-    let service =
-        CompileService::single_shard(Device::grid(3, 3, 7), CompilerConfig::default())
-            .expect("builds");
+    let service = CompileService::new(RoundRobin::new());
+    service
+        .add_shard(ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default()))
+        .expect("builds");
     let jobs: Vec<CompileJob> = Strategy::all()
         .into_iter()
         .map(|s| CompileJob::new(Benchmark::Qaoa(8).build(5), s))
@@ -271,9 +271,11 @@ fn queued_compiles_under_contention_match_fresh_sequential_compiles() {
     use std::sync::Arc as StdArc;
 
     let devices = [Device::grid(3, 3, 7), Device::grid(3, 3, 11)];
-    let mut service = CompileService::new(LeastLoaded::new());
+    let service = CompileService::new(Composite::least_loaded());
     for device in &devices {
-        service.register_device(device.clone(), CompilerConfig::default()).expect("registers");
+        service
+            .add_shard(ShardSpec::new(device.clone(), CompilerConfig::default()))
+            .expect("registers");
     }
     let queue = StdArc::new(QueueService::new(
         service,
@@ -340,9 +342,9 @@ fn socket_compiles_are_bit_identical_to_fresh_sequential_compiles() {
     use fastsc::server::{Client, Server, TenantConfig};
 
     let programs = [Benchmark::Xeb(9, 5).build(42), Benchmark::Xeb(4, 3).build(7)];
-    let mut service = CompileService::new(CapacityAware::new());
+    let service = CompileService::new(Composite::capacity_aware());
     service
-        .register_device(Device::grid(3, 3, 7), CompilerConfig::default())
+        .add_shard(ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default()))
         .expect("registers");
     let queue = QueueService::with_defaults(service);
     let mut server = Server::start(queue, vec![TenantConfig::generous("suite", "suite", 1)])
@@ -539,10 +541,10 @@ fn tracing_on_off_and_sampled_are_invisible_in_compiled_output() {
     // modes is then attributable to tracing, not dispatch timing.
     let run = |mode: TraceMode, explicit: bool| {
         set_trace_mode(mode);
-        let mut service = CompileService::new(RoundRobin::new());
+        let service = CompileService::new(RoundRobin::new());
         for device in &devices {
             service
-                .register_device(device.clone(), CompilerConfig::default())
+                .add_shard(ShardSpec::new(device.clone(), CompilerConfig::default()))
                 .expect("registers");
         }
         let queue = QueueService::with_defaults(service);
@@ -633,9 +635,11 @@ fn faulty_then_failed_over_compiles_match_fresh_sequential_compiles() {
     use std::time::Duration;
 
     let devices = [Device::grid(3, 3, 7), Device::grid(3, 3, 11)];
-    let mut service = CompileService::new(RoundRobin::new());
+    let service = CompileService::new(RoundRobin::new());
     for device in &devices {
-        service.register_device(device.clone(), CompilerConfig::default()).expect("registers");
+        service
+            .add_shard(ShardSpec::new(device.clone(), CompilerConfig::default()))
+            .expect("registers");
     }
     let plan = FaultPlan::new(71).rule(FaultRule::new(FaultKind::Error).on_shard(0));
     service.set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
@@ -707,8 +711,11 @@ fn store_warmed_compiles_are_bit_identical_to_cold_across_strategies() {
     // Cold process: attached store, every strategy compiled once, drain
     // flushes statics + SMT memo + all five schedules to disk.
     let cold = CompileService::new(RoundRobin::new());
-    cold.add_shard_with_store(Device::grid(3, 3, 7), CompilerConfig::default(), &store)
-        .expect("adds");
+    cold.add_shard(ShardSpec {
+        store: Some(Arc::clone(&store)),
+        ..ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default())
+    })
+    .expect("adds");
     let cold_replies = cold.compile_batch(strategy_jobs(&program));
     cold.drain_shard(0);
     assert!(store.stats().schedules >= 5, "drain persists every strategy's schedule");
@@ -717,8 +724,11 @@ fn store_warmed_compiles_are_bit_identical_to_cold_across_strategies() {
     // strategy must be served from the pre-warmed cache, bit-identical
     // to both the cold run and a fresh sequential compile.
     let warm = CompileService::new(RoundRobin::new());
-    warm.add_shard_with_store(Device::grid(3, 3, 7), CompilerConfig::default(), &store)
-        .expect("adds");
+    warm.add_shard(ShardSpec {
+        store: Some(Arc::clone(&store)),
+        ..ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default())
+    })
+    .expect("adds");
     let warm_replies = warm.compile_batch(strategy_jobs(&program));
     for ((strategy, c), w) in Strategy::all().iter().zip(&cold_replies).zip(&warm_replies) {
         let c = c.as_ref().expect("cold compiles");
@@ -746,12 +756,15 @@ fn peer_imported_fleets_compile_bit_identically_across_strategies() {
     // bits from its pre-warmed cache for every strategy.
     let program = Benchmark::Xeb(9, 5).build(42);
     let donor = CompileService::new(RoundRobin::new());
-    donor.add_shard(Device::grid(3, 3, 7), CompilerConfig::default()).expect("adds");
+    donor
+        .add_shard(ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default()))
+        .expect("adds");
     let donor_replies = donor.compile_batch(strategy_jobs(&program));
     let bundle = donor.export_artifacts();
 
     let peer = CompileService::new(RoundRobin::new());
-    peer.add_shard(Device::grid(3, 3, 7), CompilerConfig::default()).expect("adds");
+    peer.add_shard(ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default()))
+        .expect("adds");
     let report = peer.import_artifacts(&bundle);
     assert_eq!(report.schedules, 5, "every strategy's schedule is adopted: {report:?}");
 
@@ -777,7 +790,10 @@ fn corrupted_or_alien_stores_fall_back_to_bit_identical_cold_compiles() {
         let store = Arc::new(ArtifactStore::open(&path).expect("opens"));
         let service = CompileService::new(RoundRobin::new());
         service
-            .add_shard_with_store(Device::grid(3, 3, 7), CompilerConfig::default(), &store)
+            .add_shard(ShardSpec {
+                store: Some(Arc::clone(&store)),
+                ..ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default())
+            })
             .expect("adds");
         service.compile_batch(strategy_jobs(&program));
         service.drain_shard(0);
@@ -801,7 +817,10 @@ fn corrupted_or_alien_stores_fall_back_to_bit_identical_cold_compiles() {
         let store = Arc::new(ArtifactStore::open(&path).expect("open never fails"));
         let service = CompileService::new(RoundRobin::new());
         service
-            .add_shard_with_store(Device::grid(3, 3, 7), CompilerConfig::default(), &store)
+            .add_shard(ShardSpec {
+                store: Some(Arc::clone(&store)),
+                ..ShardSpec::new(Device::grid(3, 3, 7), CompilerConfig::default())
+            })
             .expect("warm start survives damage");
         let replies = service.compile_batch(strategy_jobs(&program));
         for (strategy, reply) in Strategy::all().iter().zip(&replies) {
