@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use fastsc_bench::record::{self, BenchRecord};
-use fastsc_core::{frequency, Compiler, CompilerConfig, Strategy};
+use fastsc_core::{frequency, CompileContext, Compiler, CompilerConfig, Strategy};
 use fastsc_device::{Band, Device};
 use fastsc_graph::coloring;
 use fastsc_graph::crosstalk::CrosstalkGraph;
@@ -82,8 +82,10 @@ fn bench_smt_find(c: &mut Criterion) {
 /// Records the acceptance-criteria measurement — median single-compile
 /// wall time on the 16-qubit XEB workload, one record per strategy — into
 /// `BENCH_compile.json` so the perf trajectory is machine-readable across
-/// PRs. The compiler is constructed once, so repeated compiles measure the
-/// shared-device steady state a compilation service actually runs in.
+/// PRs. The compiler is constructed once and each strategy compiles once
+/// untimed before sampling, so every sample (even the single `--test`
+/// one) measures the warm shared-device steady state a compilation
+/// service actually runs in, never the first compile's static solve.
 fn emit_bench_json() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let samples = if test_mode { 1 } else { 15 };
@@ -94,6 +96,7 @@ fn emit_bench_json() {
     let records: Vec<BenchRecord> = Strategy::all()
         .into_iter()
         .map(|strategy| {
+            compiler.compile(&program, strategy).expect("compiles");
             let ns = record::median_ns(samples, || {
                 criterion::black_box(
                     compiler.compile(&program, strategy).expect("compiles").schedule.depth(),
@@ -104,6 +107,37 @@ fn emit_bench_json() {
         .collect();
     let path = record::record(&records);
     println!("recorded xeb16 medians to {}", path.display());
+}
+
+/// Records the cold frequency solve, the cost a new device config pays
+/// once before any compile is warm: `smt_find` at k = 10 (band 6–7 GHz,
+/// alpha = -0.2, the default tolerance) and the Baseline S/G statics of a
+/// 4x4 grid at crosstalk distance 2 (14 colors), each sample on a fresh
+/// context so nothing is memoized. `bench_guard` holds the statics row
+/// under a fixed ceiling.
+fn emit_cold_solve_json() {
+    let test_mode = std::env::args().any(|a| a == "--test");
+    let samples = if test_mode { 5 } else { 21 };
+    let tol = CompilerConfig::default().smt_tolerance;
+    let smt = record::median_ns(samples, || {
+        criterion::black_box(
+            frequency::smt_find(10, Band::new(6.0, 7.0), -0.2, tol).expect("band fits"),
+        );
+    });
+    let config = CompilerConfig { crosstalk_distance: 2, ..CompilerConfig::default() };
+    let mut statics = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let ctx = CompileContext::new(Device::grid(4, 4, 7), config).expect("context");
+        let start = std::time::Instant::now();
+        criterion::black_box(ctx.statics().expect("statics fit"));
+        statics.push(start.elapsed().as_nanos());
+    }
+    statics.sort_unstable();
+    let path = record::record(&[
+        BenchRecord::new("smt_find_cold", "k10", smt),
+        BenchRecord::new("statics_cold", "grid4x4_d2", statics[samples / 2]),
+    ]);
+    println!("recorded cold frequency-solve medians to {}", path.display());
 }
 
 /// Records the scalability ladder (64 / 256 / 1024-qubit grids, XEB
@@ -184,5 +218,6 @@ criterion_group!(
 fn main() {
     benches();
     emit_bench_json();
+    emit_cold_solve_json();
     emit_scalability_json();
 }

@@ -7,7 +7,7 @@
 //! $ cargo run --release -p fastsc-bench --bin bench_guard
 //! ```
 //!
-//! Nine gates:
+//! Ten gates:
 //!
 //! 1. **Absolute** — the fresh skewed-batch `parallel` median must stay
 //!    within 2x the committed `post` baseline (`BENCH_GUARD_MAX_RATIO`
@@ -55,6 +55,11 @@
 //!    overrides). Note the inversion: the subject must be *faster* than
 //!    the reference, or persisting artifacts has stopped paying for
 //!    itself.
+//! 10. **Ceiling, same-run** — the cold Baseline S/G statics of a 4x4
+//!     grid at crosstalk distance 2 (`statics_cold` `grid4x4_d2`, a
+//!     14-color `smt_find`) must finish within a fixed 50 ms: the
+//!     order-aware frequency solve takes a few milliseconds there, where
+//!     the general difference-logic search it replaced took seconds.
 //!
 //! Exits non-zero when any gate fails.
 
@@ -132,6 +137,12 @@ fn main() {
         label: "current",
         max_ratio: env_ratio("BENCH_GUARD_WARM_RATIO", 0.5),
     };
+    let cold_statics = CeilingGate {
+        workload: "statics_cold",
+        strategy: "grid4x4_d2",
+        label: "current",
+        max_value: 50_000_000,
+    };
     let mut failed = false;
     for outcome in [
         check(&records, &absolute),
@@ -143,6 +154,7 @@ fn main() {
         check_ceiling(&records, &scale),
         check_relative(&records, &observability),
         check_relative(&records, &warm),
+        check_ceiling(&records, &cold_statics),
     ] {
         match outcome {
             Ok(message) => println!("bench_guard OK: {message}"),

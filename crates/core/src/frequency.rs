@@ -1,10 +1,45 @@
-//! Frequency assignment: graph colors to concrete GHz values via the
-//! difference-logic SMT solver (paper §V-B3/4).
+//! Frequency assignment: graph colors to concrete GHz values (paper
+//! §V-B3/4).
+//!
+//! The paper's `smt_find` hands Eq. 1–3 to Z3 and binary-searches the
+//! separation threshold δ. [`smt_find`] keeps that search but decides each
+//! probe with an exact solver that uses the fixed frequency order
+//! `x_0 ≥ x_1 ≥ … ≥ x_{k-1}` (most-used color fastest, §V-B3).
+//!
+//! # The reduction
+//!
+//! Under the order, write `d_ij = x_i − x_j ≥ 0` for `i < j` and
+//! `a = |α|`. Per pair, the three absolute-value clauses become:
+//!
+//! * direct (Eq. 2): `|x_i − x_j| ≥ δ` is `d_ij ≥ δ`;
+//! * the sideband pointing against the order (Eq. 3):
+//!   `|x_j + α − x_i| = d_ij + a ≥ δ` is implied by `d_ij ≥ δ`, since
+//!   `a ≥ 0`;
+//! * the remaining sideband: `|x_i + α − x_j| = |d_ij − a| ≥ δ`, i.e.
+//!   `d_ij ≤ a − δ` ("close") **or** `d_ij ≥ a + δ` ("far").
+//!
+//! `d_ij` grows as `i` falls or `j` rises, so for each `j` the close `i`
+//! form a suffix `[t_j, j − 1]`: if `i` is close to `j`, every `i' > i`
+//! is too. And if `i` is close to `j' > j` it is close to `j`, so `t_j`
+//! never decreases: the choices form a staircase. Each staircase is a
+//! conjunction of difference constraints along the chain — consecutive
+//! gaps `≥ δ`, `x_{t_j} − x_j ≤ a − δ` and `x_{t_j − 1} − x_j ≥ a + δ` —
+//! whose least solution is a longest-path problem, infeasible exactly
+//! when it has a positive cycle or spans more than the band.
+//!
+//! [`smt_find`] searches staircases depth-first over
+//! `t_j = t_{j−1}..=j` (most close pairs first), keeping the longest-path
+//! potentials of each prefix and pruning a prefix as soon as it is
+//! infeasible. The first feasible staircase is the one the general
+//! difference-logic case split (the paper's Z3 query, ported as a
+//! DPLL search) settles on, and its witness is that search's
+//! Bellman–Ford model, so δ*, the floor and every value are
+//! bit-identical to it (`tests/frequency_oracle.rs` pins this against
+//! that search).
 
 use crate::error::CompileError;
 use fastsc_device::{Band, Device};
 use fastsc_graph::coloring;
-use fastsc_smt::{maximize, Problem};
 
 /// Solves the paper's `smt_find`: places `k` frequencies inside `band`
 /// maximizing the pairwise separation threshold `delta`, subject to
@@ -14,6 +49,16 @@ use fastsc_smt::{maximize, Problem};
 /// * `|x_i + alpha - x_j| >= delta` for every ordered pair (Eq. 3),
 /// * a fixed total order `x_0 >= x_1 >= ...` so that the caller can map
 ///   the most-used color to the highest (fastest) frequency (§V-B3).
+///
+/// Phase 1 bisects `delta` over `[0, max(band width, tolerance)]`. Phase 2
+/// fixes `delta` at `delta* - tolerance` and bisects the lowest
+/// frequency's floor over the band, pushing the assignment as high as it
+/// goes. Each probe is decided by the order-aware staircase search of the
+/// [module docs](self): the sideband clause `|x_j + alpha - x_i| >= delta`
+/// is implied by the order plus Eq. 2, and the choices left for
+/// `|x_i + alpha - x_j| >= delta` form a monotone staircase solved as a
+/// longest-path problem. The two sideband clauses together depend only on
+/// `|alpha|`.
 ///
 /// Returns the frequencies in descending order.
 ///
@@ -32,46 +77,236 @@ pub fn smt_find(
     tolerance: f64,
 ) -> Result<Vec<f64>, CompileError> {
     assert!(k > 0, "at least one frequency required");
-    let build = |delta: f64, floor: f64| {
-        let mut p = Problem::new();
-        let xs: Vec<_> = (0..k).map(|_| p.new_var()).collect();
-        for &x in &xs {
-            p.add_bounds(x, band.lo, band.hi);
-        }
-        // Anchor: even the lowest frequency sits at or above `floor`.
-        p.add_bounds(xs[k - 1], floor.min(band.hi), band.hi);
-        for i in 0..k {
-            for j in (i + 1)..k {
-                p.add_abs_ge(xs[i], 0.0, xs[j], delta);
-                p.add_abs_ge(xs[i], alpha, xs[j], delta);
-                p.add_abs_ge(xs[j], alpha, xs[i], delta);
-                // Total ordering: x_i (earlier) above x_j (later).
-                p.add_ge(xs[i], xs[j], 0.0);
-            }
-        }
-        p
-    };
+    assert!(tolerance > 0.0, "tolerance must be positive, got {tolerance}");
+    let exhausted = CompileError::FrequencyBandExhausted { colors: k };
+    let mut search = Staircase::new(k, band, -alpha.abs());
     // Phase 1: maximize the separation threshold delta (the paper's
     // binary search).
-    let best_delta =
-        maximize(0.0, band.width().max(tolerance), tolerance, |delta| build(delta, band.lo))
-            .ok_or(CompileError::FrequencyBandExhausted { colors: k })?
-            .best;
+    let (best_delta, _) = bisect(0.0, band.width().max(tolerance), tolerance, |delta| {
+        search.probe(delta, band.lo)
+    })
+    .ok_or(exhausted.clone())?;
     // Phase 2: at (just under) the optimal separation, push the whole
     // assignment as high in the band as possible — higher interaction
     // frequency means faster gates (t_gate ~ 1/omega, §V-B3), and keeps
     // interaction frequencies far from the parking sidebands.
     let delta = (best_delta - tolerance).max(0.0);
-    let solved = maximize(band.lo, band.hi, tolerance, |floor| build(delta, floor))
-        .ok_or(CompileError::FrequencyBandExhausted { colors: k })?;
-    let mut values: Vec<f64> = (0..k)
-        .map(|i| {
-            // Variables were created in order; re-create handles by index.
-            solved.model.values()[i]
-        })
-        .collect();
+    let (_, mut values) =
+        bisect(band.lo, band.hi, tolerance, |floor| search.probe(delta, floor))
+            .ok_or(exhausted)?;
     values.sort_by(|a, b| b.total_cmp(a));
     Ok(values)
+}
+
+/// Finds (approximately) the largest `t` in `[lo, hi]` for which `probe`
+/// returns a witness, assuming feasibility is downward closed: probes
+/// `lo`, then `hi`, then bisects until the bracket is at most `tol` wide.
+/// Returns the largest verified-feasible `t` and its witness, or `None`
+/// when `lo` itself is infeasible.
+fn bisect(
+    lo: f64,
+    hi: f64,
+    tol: f64,
+    mut probe: impl FnMut(f64) -> Option<Vec<f64>>,
+) -> Option<(f64, Vec<f64>)> {
+    let mut witness = probe(lo)?;
+    let mut feasible = lo;
+    if let Some(w) = probe(hi) {
+        return Some((hi, w));
+    }
+    let mut infeasible = hi;
+    while infeasible - feasible > tol {
+        let mid = 0.5 * (feasible + infeasible);
+        match probe(mid) {
+            Some(w) => {
+                feasible = mid;
+                witness = w;
+            }
+            None => infeasible = mid,
+        }
+    }
+    Some((feasible, witness))
+}
+
+/// Numeric slack of the witness relaxation, in GHz: a potential moves only
+/// when it improves by more than this (one Hz).
+const EPSILON: f64 = 1e-9;
+
+/// Slack of the staircase pruning, in GHz. Far above the witness
+/// relaxation's accumulated [`EPSILON`] and far below any physical
+/// separation, so the search never prunes a staircase whose witness
+/// relaxation would accept it; the witness check decides every leaf.
+const PRUNE_SLACK: f64 = 1e-7;
+
+/// A difference constraint `var[x] - var[y] <= bound`, over the zero
+/// variable (index 0) and `x_c` at index `c + 1`.
+#[derive(Debug, Clone, Copy)]
+struct Diff {
+    x: usize,
+    y: usize,
+    bound: f64,
+}
+
+/// The order-aware staircase search, with buffers reused across the
+/// probes of one [`smt_find`] call.
+struct Staircase {
+    k: usize,
+    band: Band,
+    /// `-|alpha|`.
+    alpha: f64,
+    delta: f64,
+    floor: f64,
+    /// `steps[j] = t_j`: `x_i` is close to `x_j` exactly for `i` in
+    /// `[t_j, j - 1]`.
+    steps: Vec<usize>,
+    /// Row `j` (stride `k`) holds the least potentials `p_m`, `m <= j`, of
+    /// the prefix staircase `t_0..=t_j`: `p_m - p_0 = x_0 - x_m`.
+    potentials: Vec<f64>,
+    /// The leaf system handed to the witness relaxation.
+    constraints: Vec<Diff>,
+}
+
+impl Staircase {
+    fn new(k: usize, band: Band, alpha: f64) -> Self {
+        Self {
+            k,
+            band,
+            alpha,
+            delta: 0.0,
+            floor: band.lo,
+            steps: vec![0; k],
+            potentials: vec![0.0; k * k],
+            constraints: Vec::with_capacity(2 * k + 2 + 2 * k * k),
+        }
+    }
+
+    /// The witness of the first feasible staircase at separation `delta`
+    /// with the lowest frequency at or above `floor`, or `None` when no
+    /// staircase is feasible.
+    fn probe(&mut self, delta: f64, floor: f64) -> Option<Vec<f64>> {
+        self.delta = delta;
+        self.floor = floor;
+        self.descend(0)
+    }
+
+    /// Tries every step `t_j` for `x_j`, most close pairs first, below the
+    /// prefix fixed so far.
+    fn descend(&mut self, j: usize) -> Option<Vec<f64>> {
+        if j == self.k {
+            return self.witness();
+        }
+        let lowest = if j == 0 { 0 } else { self.steps[j - 1] };
+        for t in lowest..=j {
+            self.steps[j] = t;
+            if self.settle(j) {
+                if let Some(witness) = self.descend(j + 1) {
+                    return Some(witness);
+                }
+            }
+        }
+        None
+    }
+
+    /// Extends the parent prefix's least potentials by `x_j` and relaxes
+    /// them to the least solution of the prefix `0..=j`. Returns `false`
+    /// when that prefix is infeasible: a positive cycle, or a span that
+    /// leaves no room for the remaining `k - 1 - j` gaps in the band.
+    fn settle(&mut self, j: usize) -> bool {
+        let k = self.k;
+        let (parent, rest) = self.potentials.split_at_mut(j * k);
+        let row = &mut rest[..=j];
+        if j > 0 {
+            row[..j].copy_from_slice(&parent[(j - 1) * k..(j - 1) * k + j]);
+        }
+        row[j] = 0.0;
+        let steps = &self.steps[..=j];
+        let (delta, a) = (self.delta, -self.alpha);
+        let (close, far) = (a - delta, a + delta);
+        // A feasible system settles within one pass per back edge on its
+        // longest paths; any further pass means a positive cycle.
+        for _ in 0..=j + 1 {
+            // Lower bounds point forward: one sweep in index order.
+            for m in 1..=j {
+                let mut p = row[m].max(row[m - 1] + delta);
+                if steps[m] > 0 {
+                    p = p.max(row[steps[m] - 1] + far);
+                }
+                row[m] = p;
+            }
+            // Close bounds point backward: `p_j - p_{t_j} <= a - delta`
+            // raises the staircase's top node.
+            let mut raised = false;
+            for m in (1..=j).rev() {
+                let t = steps[m];
+                if t < m && row[m] - close > row[t] + PRUNE_SLACK {
+                    row[t] = row[m] - close;
+                    raised = true;
+                }
+            }
+            if !raised {
+                let room = self.band.hi - self.floor.max(self.band.lo).min(self.band.hi);
+                return row[j] - row[0] + (k - 1 - j) as f64 * delta <= room + PRUNE_SLACK;
+            }
+        }
+        false
+    }
+
+    /// Builds the leaf system the general case split would hold for this
+    /// staircase — bounds, order, then per pair the direct literal and one
+    /// literal per sideband clause, in clause order — and relaxes it from
+    /// zero potentials with [`EPSILON`] slack. Returns the zero-normalized
+    /// values of `x_0..x_{k-1}`, or `None` on a negative cycle.
+    fn witness(&mut self) -> Option<Vec<f64>> {
+        let (k, band, alpha, delta) = (self.k, self.band, self.alpha, self.delta);
+        let cs = &mut self.constraints;
+        cs.clear();
+        for x in 1..=k {
+            cs.push(Diff { x, y: 0, bound: band.hi });
+            cs.push(Diff { x: 0, y: x, bound: -band.lo });
+        }
+        // Anchor: even the lowest frequency sits at or above `floor`.
+        cs.push(Diff { x: k, y: 0, bound: band.hi });
+        cs.push(Diff { x: 0, y: k, bound: -self.floor.min(band.hi) });
+        for i in 1..=k {
+            for j in i + 1..=k {
+                cs.push(Diff { x: j, y: i, bound: -0.0 });
+            }
+        }
+        for i in 0..k {
+            for j in i + 1..k {
+                let (xi, xj) = (i + 1, j + 1);
+                cs.push(Diff { x: xj, y: xi, bound: 0.0 - delta });
+                cs.push(if i >= self.steps[j] {
+                    Diff { x: xi, y: xj, bound: -alpha - delta }
+                } else {
+                    Diff { x: xj, y: xi, bound: alpha - delta }
+                });
+                cs.push(Diff { x: xj, y: xi, bound: -alpha - delta });
+            }
+        }
+
+        // Bellman–Ford from a virtual source: k rounds with early exit,
+        // then one detection round.
+        let mut dist = vec![0.0f64; k + 1];
+        for _ in 0..k {
+            let mut changed = false;
+            for c in cs.iter() {
+                let candidate = dist[c.y] + c.bound;
+                if candidate < dist[c.x] - EPSILON {
+                    dist[c.x] = candidate;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        if cs.iter().any(|c| dist[c.y] + c.bound < dist[c.x] - EPSILON) {
+            return None;
+        }
+        let shift = dist[0];
+        Some(dist[1..].iter().map(|d| d - shift).collect())
+    }
 }
 
 /// Maps a coloring to frequencies ordered by color multiplicity: the color

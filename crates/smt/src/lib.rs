@@ -23,6 +23,11 @@
 //! * [`maximize`] — binary search for the largest parameter for which a
 //!   parameterized problem stays satisfiable.
 //!
+//! `fastsc-core`'s `smt_find` no longer calls this crate: it solves the
+//! same queries with an order-aware staircase search. This general search
+//! stays as the reference that solver is tested against bit for bit
+//! (`crates/core/tests/frequency_oracle.rs`).
+//!
 //! # Example: three frequencies in 1 GHz with 0.4 GHz separation
 //!
 //! ```

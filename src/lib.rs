@@ -9,7 +9,6 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`graph`] | `fastsc-graph` | connectivity/crosstalk graphs, colorings, topologies |
-//! | [`smt`] | `fastsc-smt` | difference-logic SMT solver + `smt_find`-style maximization |
 //! | [`ir`] | `fastsc-ir` | circuit IR, gate unitaries, slicing, decomposition |
 //! | [`device`] | `fastsc-device` | transmon specs, frequency partition, couplers |
 //! | [`noise`] | `fastsc-noise` | crosstalk/decoherence models, `P_success` estimator |
@@ -56,7 +55,6 @@ pub use fastsc_queue as queue;
 pub use fastsc_server as server;
 pub use fastsc_service as service;
 pub use fastsc_sim as sim;
-pub use fastsc_smt as smt;
 pub use fastsc_store as store;
 pub use fastsc_telemetry as telemetry;
 pub use fastsc_workloads as workloads;
