@@ -5,11 +5,13 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use fastsc_bench::record::{self, BenchRecord};
-use fastsc_core::{frequency, CompileContext, Compiler, CompilerConfig, Strategy};
+use fastsc_core::{frequency, router, CompileContext, Compiler, CompilerConfig, Strategy};
 use fastsc_device::{Band, Device};
 use fastsc_graph::coloring;
 use fastsc_graph::crosstalk::CrosstalkGraph;
 use fastsc_graph::topology;
+use fastsc_ir::decompose::decompose;
+use fastsc_ir::optimize::peephole;
 use fastsc_workloads::Benchmark;
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -207,6 +209,39 @@ fn emit_scalability_json() {
     println!("recorded scalability medians to {}", path.display());
 }
 
+/// Records the compile front end — `route`, `decompose` (the default
+/// hybrid lowering) and `peephole`, exactly as `Compiler::compile` runs
+/// them — on the 1024-qubit scale-tier XEB program and on xeb16, into
+/// the `front_end` rows. `bench_guard` holds the 1024-qubit row under a
+/// fixed ceiling.
+fn emit_front_end_json() {
+    let test_mode = std::env::args().any(|a| a == "--test");
+    // Cheap enough (under a millisecond a sample) to keep a robust
+    // median even under `--test`, where `bench_guard` reads it.
+    let samples = if test_mode { 21 } else { 51 };
+    let lowering = CompilerConfig::default().decomposition;
+    let tier = fastsc_workloads::scale_tiers()
+        .into_iter()
+        .find(|t| t.n_qubits() == 1024)
+        .expect("the ladder has a 1024-qubit tier");
+    let cases = [
+        ("scale1024", Device::grid(tier.side, tier.side, tier.seed), tier.circuit()),
+        ("xeb16", Device::grid(4, 4, 7), Benchmark::Xeb(16, 5).build(7)),
+    ];
+    let records: Vec<BenchRecord> = cases
+        .iter()
+        .map(|(label, device, program)| {
+            let ns = record::median_ns(samples, || {
+                let routed = router::route(program, device).expect("routable");
+                criterion::black_box(peephole(&decompose(&routed.circuit, lowering)));
+            });
+            BenchRecord::new("front_end", label, ns)
+        })
+        .collect();
+    let path = record::record(&records);
+    println!("recorded front-end medians to {}", path.display());
+}
+
 criterion_group!(
     benches,
     bench_end_to_end,
@@ -220,4 +255,5 @@ fn main() {
     emit_bench_json();
     emit_cold_solve_json();
     emit_scalability_json();
+    emit_front_end_json();
 }

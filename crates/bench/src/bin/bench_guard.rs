@@ -7,7 +7,7 @@
 //! $ cargo run --release -p fastsc-bench --bin bench_guard
 //! ```
 //!
-//! Ten gates:
+//! Eleven gates:
 //!
 //! 1. **Absolute** — the fresh skewed-batch `parallel` median must stay
 //!    within 2x the committed `post` baseline (`BENCH_GUARD_MAX_RATIO`
@@ -60,6 +60,12 @@
 //!     14-color `smt_find`) must finish within a fixed 50 ms: the
 //!     order-aware frequency solve takes a few milliseconds there, where
 //!     the general difference-logic search it replaced took seconds.
+//! 11. **Ceiling, same-run** — the compile front end (`route`,
+//!     `decompose`, `peephole`) on the 1024-qubit scale-tier XEB program
+//!     (`front_end` `scale1024`) must finish within a fixed 350 µs, about
+//!     twice its committed `post` median: the linear-time passes take
+//!     ~0.17 ms there, where the fixed-point peephole with its no-op
+//!     pass, hashed adjacency tests and regrown buffers took 0.3–0.5 ms.
 //!
 //! Exits non-zero when any gate fails.
 
@@ -143,6 +149,12 @@ fn main() {
         label: "current",
         max_value: 50_000_000,
     };
+    let front_end = CeilingGate {
+        workload: "front_end",
+        strategy: "scale1024",
+        label: "current",
+        max_value: 350_000,
+    };
     let mut failed = false;
     for outcome in [
         check(&records, &absolute),
@@ -155,6 +167,7 @@ fn main() {
         check_relative(&records, &observability),
         check_relative(&records, &warm),
         check_ceiling(&records, &cold_statics),
+        check_ceiling(&records, &front_end),
     ] {
         match outcome {
             Ok(message) => println!("bench_guard OK: {message}"),

@@ -247,9 +247,20 @@ impl Compiler {
         let mut compile_span = fastsc_telemetry::phase("compile");
         compile_span.attr("strategy", strategy.label());
 
-        // 1-2. Route and lower.
-        let routed = router::route(program, &self.device)?;
-        let lowered = peephole(&decompose(&routed.circuit, self.config.decomposition));
+        // 1-2. Route and lower, each under its own phase (`qubit_map`, so
+        // as not to collide with a service's shard-`route` span).
+        let routed = {
+            let mut span = fastsc_telemetry::phase("qubit_map");
+            let routed = router::route(program, &self.device)?;
+            span.attr("swaps", routed.swaps_inserted);
+            routed
+        };
+        let lowered = {
+            let mut span = fastsc_telemetry::phase("lower");
+            let lowered = peephole(&decompose(&routed.circuit, self.config.decomposition));
+            span.attr("instructions", lowered.len());
+            lowered
+        };
 
         // 3-5. List scheduling against the shared per-device context —
         // whole-device, or partition-and-stitch when configured and the

@@ -12,6 +12,7 @@
 
 use crate::error::CompileError;
 use fastsc_device::Device;
+use fastsc_graph::PathScratch;
 use fastsc_ir::{Circuit, Gate, Operands};
 
 /// The routing result: a device-wide circuit whose two-qubit gates all sit
@@ -45,7 +46,14 @@ pub fn route(program: &Circuit, device: &Device) -> Result<Routed, CompileError>
     let mut log_at: Vec<usize> =
         (0..n_dev).map(|p| if p < n_prog { p } else { usize::MAX }).collect();
 
-    let mut out = Circuit::new(n_dev);
+    // Adjacency is a scan of `pa`'s (mesh-sized) neighbor list rather
+    // than an edge-map hash; SWAP-chain searches share one BFS scratch
+    // and one path buffer. The output grows past its reservation only
+    // when SWAPs are inserted.
+    let graph = device.connectivity();
+    let mut scratch = PathScratch::default();
+    let mut path: Vec<usize> = Vec::new();
+    let mut out = Circuit::with_capacity(n_dev, program.len());
     let mut swaps = 0usize;
 
     for inst in program.instructions() {
@@ -56,11 +64,10 @@ pub fn route(program: &Circuit, device: &Device) -> Result<Routed, CompileError>
             Operands::Two(a, b) => {
                 let mut pa = phys_of[a];
                 let pb = phys_of[b];
-                if !device.are_coupled(pa, pb) {
-                    let path = device
-                        .connectivity()
-                        .shortest_path(pa, pb)
-                        .ok_or(CompileError::Unroutable { a: pa, b: pb })?;
+                if !graph.neighbors(pa).contains(&pb) {
+                    if !graph.shortest_path_into(pa, pb, &mut scratch, &mut path) {
+                        return Err(CompileError::Unroutable { a: pa, b: pb });
+                    }
                     // Walk `a` up to the neighbor of `pb`.
                     for &step in &path[1..path.len() - 1] {
                         out.push2(Gate::Swap, pa, step).expect("path edges are coupled");

@@ -3,11 +3,25 @@
 //! keep frequencies inside the partition, and honor its own serialization
 //! contract.
 
+use fastsc_core::router::route;
 use fastsc_core::{Compiler, CompilerConfig, Strategy as Plan};
 use fastsc_device::Device;
-use fastsc_ir::{Circuit, Gate};
+use fastsc_ir::decompose::decompose;
+use fastsc_ir::optimize::peephole;
+use fastsc_ir::{Circuit, Gate, Instruction};
 use fastsc_noise::{estimate, NoiseConfig};
 use proptest::prelude::*;
+
+/// Each qubit's instructions, in order.
+fn qubit_streams(n: usize, instructions: &[Instruction]) -> Vec<Vec<Instruction>> {
+    let mut streams = vec![Vec::new(); n];
+    for inst in instructions {
+        for q in inst.operands {
+            streams[q].push(*inst);
+        }
+    }
+    streams
+}
 
 /// A random program over `n` qubits using the benchmark-level gate set.
 fn arb_program(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
@@ -86,31 +100,31 @@ proptest! {
     }
 
     #[test]
-    fn dependency_order_is_respected(
-        program in arb_program(9, 24),
+    fn every_qubit_keeps_its_lowered_gate_stream(
+        program in arb_program(16, 32),
     ) {
-        // Gates on the same qubit must execute in program order under
-        // every strategy.
-        let device = Device::grid(3, 3, 5);
-        let compiler = Compiler::new(device, CompilerConfig::default());
-        for strategy in Plan::all() {
-            let compiled = compiler.compile(&program, strategy).expect("compiles");
-            // Rebuild per-qubit gate streams from the schedule and verify
-            // single-qubit rotation angles appear in program order
-            // (two-qubit operands are permuted by routing, but relative
-            // order per physical qubit is what execution correctness
-            // needs, and that is what cycles encode).
-            let mut last_cycle_on_qubit = vec![0usize; compiled.schedule.n_qubits()];
-            for (idx, cycle) in compiled.schedule.cycles().iter().enumerate() {
-                for g in &cycle.gates {
-                    for q in g.instruction.qubits() {
-                        prop_assert!(
-                            last_cycle_on_qubit[q] <= idx + 1,
-                            "strategy {} reordered qubit {}", strategy, q
-                        );
-                        last_cycle_on_qubit[q] = idx + 1;
-                    }
-                }
+        // Reading the schedule cycle by cycle must give each physical
+        // qubit exactly its gate stream in the routed, lowered program:
+        // scheduling may interleave qubits but never reorder, drop or
+        // duplicate a gate on one. Whole-device and partitioned.
+        for config in [CompilerConfig::default(), CompilerConfig::with_partition(8)] {
+            let compiler = Compiler::new(Device::grid(4, 4, 5), config);
+            let routed = route(&program, compiler.device()).expect("routable");
+            let lowered = peephole(&decompose(&routed.circuit, config.decomposition));
+            let expected = qubit_streams(16, lowered.instructions());
+            for strategy in Plan::all() {
+                let compiled = compiler.compile(&program, strategy).expect("compiles");
+                let scheduled: Vec<Instruction> = compiled
+                    .schedule
+                    .cycles()
+                    .iter()
+                    .flat_map(|c| c.gates.iter().map(|g| g.instruction))
+                    .collect();
+                prop_assert!(
+                    qubit_streams(16, &scheduled) == expected,
+                    "strategy {} (partition {:?}) changed a qubit's gate stream",
+                    strategy, config.partition
+                );
             }
         }
     }

@@ -13,7 +13,6 @@
 //! that pattern explicitly.
 
 use crate::Graph;
-use std::collections::HashMap;
 
 /// The distance-`d` crosstalk graph of a device connectivity graph.
 ///
@@ -36,7 +35,8 @@ use std::collections::HashMap;
 pub struct CrosstalkGraph {
     graph: Graph,
     couplings: Vec<(usize, usize)>,
-    pair_index: HashMap<(usize, usize), usize>,
+    /// Per-qubit `(neighbor, coupling)` lists, in coupling order.
+    by_qubit: Vec<Vec<(usize, usize)>>,
     distance: usize,
 }
 
@@ -105,8 +105,12 @@ impl CrosstalkGraph {
                 }
             }
         }
-        let pair_index = couplings.iter().enumerate().map(|(i, &pair)| (pair, i)).collect();
-        CrosstalkGraph { graph, couplings, pair_index, distance: d }
+        let mut by_qubit = vec![Vec::new(); connectivity.node_count()];
+        for (i, &(u, v)) in couplings.iter().enumerate() {
+            by_qubit[u].push((v, i));
+            by_qubit[v].push((u, i));
+        }
+        CrosstalkGraph { graph, couplings, by_qubit, distance: d }
     }
 
     /// The underlying graph (nodes are couplings).
@@ -135,11 +139,13 @@ impl CrosstalkGraph {
 
     /// The coupling index between two qubits, if they are directly coupled.
     ///
-    /// O(1): the scheduler hot loop calls this once per two-qubit gate per
-    /// cycle, so the lookup is backed by a qubit-pair hash index rather
-    /// than a scan of the coupling list.
+    /// O(degree of `q1`): a scan of `q1`'s `(neighbor, coupling)` list,
+    /// which on device graphs (a mesh has degree at most 4) is a few
+    /// loads and cheaper than hashing the pair. The engine
+    /// resolves every two-qubit instruction's coupling through it once
+    /// per compile.
     pub fn coupling_between(&self, q1: usize, q2: usize) -> Option<usize> {
-        self.pair_index.get(&(q1.min(q2), q1.max(q2))).copied()
+        self.by_qubit.get(q1)?.iter().find(|&&(w, _)| w == q2).map(|&(_, i)| i)
     }
 
     /// Crosstalk-graph neighbors of coupling `i`: all couplings that must
@@ -258,6 +264,12 @@ mod tests {
             assert_eq!(x.coupling_between(b, a), Some(i));
         }
         assert_eq!(x.coupling_between(0, 8), None);
+        assert_eq!(x.coupling_between(4, 4), None);
+        // Out-of-range qubits are simply uncoupled.
+        for q in [9, 10, usize::MAX] {
+            assert_eq!(x.coupling_between(q, 0), None);
+            assert_eq!(x.coupling_between(0, q), None);
+        }
     }
 
     #[test]

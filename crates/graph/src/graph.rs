@@ -232,32 +232,54 @@ impl Graph {
     ///
     /// Panics if either index is out of range.
     pub fn shortest_path(&self, u: usize, v: usize) -> Option<Vec<usize>> {
+        let mut path = Vec::new();
+        self.shortest_path_into(u, v, &mut PathScratch::default(), &mut path).then_some(path)
+    }
+
+    /// [`shortest_path`](Self::shortest_path) into caller-owned buffers:
+    /// writes the path into `path` (cleared first) and returns whether one
+    /// exists. `scratch` carries the search state between calls, so a
+    /// caller searching many paths on one graph allocates it once and
+    /// each search costs only the nodes it visits. The traversal (and so
+    /// the path) is the same as `shortest_path`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn shortest_path_into(
+        &self,
+        u: usize,
+        v: usize,
+        scratch: &mut PathScratch,
+        path: &mut Vec<usize>,
+    ) -> bool {
         assert!(u < self.node_count(), "node {u} out of range");
         assert!(v < self.node_count(), "node {v} out of range");
-        let mut parent: Vec<Option<usize>> = vec![None; self.node_count()];
-        let mut seen = vec![false; self.node_count()];
-        seen[u] = true;
-        let mut queue = VecDeque::from([u]);
+        path.clear();
+        let epoch = scratch.begin(self.node_count());
+        let PathScratch { stamp, parent, queue, .. } = scratch;
+        stamp[u] = epoch;
+        queue.push_back(u);
         while let Some(x) = queue.pop_front() {
             if x == v {
-                let mut path = vec![v];
                 let mut cur = v;
-                while let Some(p) = parent[cur] {
-                    path.push(p);
-                    cur = p;
+                path.push(v);
+                while cur != u {
+                    cur = parent[cur];
+                    path.push(cur);
                 }
                 path.reverse();
-                return Some(path);
+                return true;
             }
             for &y in &self.adjacency[x] {
-                if !seen[y] {
-                    seen[y] = true;
-                    parent[y] = Some(x);
+                if stamp[y] != epoch {
+                    stamp[y] = epoch;
+                    parent[y] = x;
                     queue.push_back(y);
                 }
             }
         }
-        None
+        false
     }
 
     /// Whether every node is reachable from every other node.
@@ -371,6 +393,33 @@ impl fmt::Display for Graph {
     }
 }
 
+/// Reusable breadth-first search state for
+/// [`Graph::shortest_path_into`]. A node counts as seen in the current
+/// search when its stamp equals the search's epoch, so starting a search
+/// clears nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PathScratch {
+    stamp: Vec<u32>,
+    parent: Vec<usize>,
+    queue: VecDeque<usize>,
+    epoch: u32,
+}
+
+impl PathScratch {
+    /// Starts a search over `n` nodes and returns its epoch.
+    fn begin(&mut self, n: usize) -> u32 {
+        if self.stamp.len() != n || self.epoch == u32::MAX {
+            self.stamp.clear();
+            self.stamp.resize(n, 0);
+            self.parent.resize(n, 0);
+            self.epoch = 0;
+        }
+        self.queue.clear();
+        self.epoch += 1;
+        self.epoch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,6 +528,58 @@ mod tests {
         assert_eq!(p.last(), Some(&3));
         assert_eq!(p.len(), 3); // 0 - 4 - 3
         assert_eq!(g.shortest_path(0, 0), Some(vec![0]));
+    }
+
+    /// The allocating BFS `shortest_path` used before the reusable
+    /// scratch, kept as the oracle for path identity.
+    fn reference_shortest_path(g: &Graph, u: usize, v: usize) -> Option<Vec<usize>> {
+        let mut parent: Vec<Option<usize>> = vec![None; g.node_count()];
+        let mut seen = vec![false; g.node_count()];
+        seen[u] = true;
+        let mut queue = VecDeque::from([u]);
+        while let Some(x) = queue.pop_front() {
+            if x == v {
+                let mut path = vec![v];
+                let mut cur = v;
+                while let Some(p) = parent[cur] {
+                    path.push(p);
+                    cur = p;
+                }
+                path.reverse();
+                return Some(path);
+            }
+            for &y in g.neighbors(x) {
+                if !seen[y] {
+                    seen[y] = true;
+                    parent[y] = Some(x);
+                    queue.push_back(y);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn reused_scratch_finds_the_reference_paths() {
+        // One scratch across every search, switching between graphs of
+        // different sizes (including a disconnected one) mid-stream.
+        let graphs = [
+            crate::topology::grid(4, 5),
+            Graph::with_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 2)]).expect("valid"),
+            crate::topology::grid(3, 3),
+        ];
+        let mut scratch = PathScratch::default();
+        let mut path = vec![99];
+        for g in &graphs {
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    let found = g.shortest_path_into(u, v, &mut scratch, &mut path);
+                    let expected = reference_shortest_path(g, u, v);
+                    assert_eq!(found.then(|| path.clone()), expected, "path {u} -> {v}");
+                    assert_eq!(g.shortest_path(u, v), expected);
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub mod regions;
 pub mod topology;
 
 pub use error::GraphError;
-pub use graph::Graph;
+pub use graph::{Graph, PathScratch};

@@ -189,6 +189,13 @@ impl Circuit {
         Circuit { n_qubits, instructions: Vec::new() }
     }
 
+    /// An empty circuit on `n_qubits` qubits with room for `capacity`
+    /// instructions, so a pass that knows (or bounds) its output length
+    /// appends without regrowing the buffer.
+    pub fn with_capacity(n_qubits: usize, capacity: usize) -> Self {
+        Circuit { n_qubits, instructions: Vec::with_capacity(capacity) }
+    }
+
     /// The number of program qubits.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits

@@ -60,9 +60,22 @@ impl Strategy {
 /// exhaustively); run [`optimize::peephole`](crate::optimize::peephole)
 /// afterwards to cancel the single-qubit debris between adjacent lowered
 /// gates.
+///
+/// The output is allocated once, at its exact length: a first sweep sums
+/// each instruction's lowered length ([`lowered_len`]).
 pub fn decompose(circuit: &Circuit, strategy: Strategy) -> Circuit {
-    let mut out = Circuit::new(circuit.n_qubits());
     let native = strategy.native_set();
+    let budget = circuit
+        .instructions()
+        .iter()
+        .map(|inst| match inst.operands {
+            Operands::Two(..) if !native.contains(inst.gate) => {
+                lowered_len(inst.gate, strategy)
+            }
+            _ => 1,
+        })
+        .sum();
+    let mut out = Circuit::with_capacity(circuit.n_qubits(), budget);
     for inst in circuit.instructions() {
         match inst.operands {
             Operands::One(q) => {
@@ -77,7 +90,36 @@ pub fn decompose(circuit: &Circuit, strategy: Strategy) -> Circuit {
             }
         }
     }
+    debug_assert_eq!(out.len(), budget, "lowered_len disagrees with lower");
     out
+}
+
+/// How many instructions [`lower`] emits for a non-native two-qubit
+/// `gate` under `strategy`; one arm per arm of `lower`.
+fn lowered_len(gate: Gate, strategy: Strategy) -> usize {
+    const CNOT_VIA_CZ: usize = 3;
+    const CNOT_VIA_ISWAP: usize = 5;
+    const CNOT_VIA_SQRT_ISWAP: usize = 10;
+    const SWAP_VIA_CZ: usize = 3 * CNOT_VIA_CZ;
+    const CZ_VIA_ISWAP: usize = 2 + CNOT_VIA_ISWAP;
+    const SWAP_VIA_SQRT_ISWAP: usize = 11;
+    // Two basis-changed ZZ interactions, each CNOT . Rz . CNOT.
+    let sqrt_iswap_via_cnots = |cnot: usize| 8 + 2 * (2 * cnot + 1);
+    match (gate, strategy) {
+        (Gate::Cnot, Strategy::CzOnly | Strategy::Hybrid) => CNOT_VIA_CZ,
+        (Gate::Cnot, Strategy::ISwapOnly) => CNOT_VIA_ISWAP,
+        (Gate::Cnot, Strategy::SqrtISwapOnly) => CNOT_VIA_SQRT_ISWAP,
+        (Gate::Swap, Strategy::CzOnly) => SWAP_VIA_CZ,
+        (Gate::Swap, Strategy::ISwapOnly) => CZ_VIA_ISWAP + 3,
+        (Gate::Swap, Strategy::SqrtISwapOnly | Strategy::Hybrid) => SWAP_VIA_SQRT_ISWAP,
+        (Gate::Cz, Strategy::ISwapOnly) => CZ_VIA_ISWAP,
+        (Gate::Cz, Strategy::SqrtISwapOnly) => 2 + CNOT_VIA_SQRT_ISWAP,
+        (Gate::ISwap, Strategy::CzOnly) => 3 + SWAP_VIA_CZ,
+        (Gate::ISwap, Strategy::SqrtISwapOnly) => 2,
+        (Gate::SqrtISwap, Strategy::CzOnly) => sqrt_iswap_via_cnots(CNOT_VIA_CZ),
+        (Gate::SqrtISwap, Strategy::ISwapOnly) => sqrt_iswap_via_cnots(CNOT_VIA_ISWAP),
+        (g, s) => unreachable!("gate {g} requires no lowering under {s:?}"),
+    }
 }
 
 fn lower(out: &mut Circuit, gate: Gate, a: usize, b: usize, strategy: Strategy) {
@@ -306,6 +348,22 @@ mod tests {
                 Strategy::Hybrid,
             ] {
                 assert_equivalent(&c, s);
+            }
+        }
+    }
+
+    #[test]
+    fn lowered_len_counts_every_lowering() {
+        let strategies =
+            [Strategy::CzOnly, Strategy::ISwapOnly, Strategy::SqrtISwapOnly, Strategy::Hybrid];
+        for s in strategies {
+            for gate in [Gate::Cnot, Gate::Cz, Gate::Swap, Gate::ISwap, Gate::SqrtISwap] {
+                if s.native_set().contains(gate) {
+                    continue;
+                }
+                let mut out = Circuit::new(2);
+                lower(&mut out, gate, 0, 1, s);
+                assert_eq!(lowered_len(gate, s), out.len(), "{gate} under {s:?}");
             }
         }
     }

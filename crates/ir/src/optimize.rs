@@ -18,24 +18,35 @@ use crate::gate::Gate;
 /// Rotation angles within this tolerance of zero (mod 4 pi) are dropped.
 const ANGLE_TOL: f64 = 1e-12;
 
+const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
+
 /// Applies peephole simplification until a fixed point is reached and
 /// returns the cleaned circuit.
 ///
-/// The fixed-point loop double-buffers between two instruction vectors
-/// and reuses one per-qubit tracker, so a whole peephole run costs three
-/// allocations regardless of how many passes it takes.
+/// Each pass walks the instructions once against a per-qubit tracker of
+/// the last live instruction. The loop stops after the first pass that
+/// clears no tracker — no inverse pair cancelled and no merge collapsed
+/// to identity — because such a pass already produced a fixed point:
+/// every surviving instruction meets the same candidate partner on the
+/// next pass (trackers only ever advanced, and merges keep their slot's
+/// operands and axis), and none of those pairs cancels or merges, since
+/// same-axis rotations always do one or the other when they meet.
+/// Trivial gates dropped by the pass are gone, and merged angles are
+/// non-trivial. The pass that would confirm this is therefore skipped.
+///
+/// Buffers: the tracker, the first pass's output (sized to the input), a
+/// second pass buffer only when the first pass cleared a tracker, and the
+/// returned circuit, sized exactly to the surviving instructions.
 pub fn peephole(circuit: &Circuit) -> Circuit {
-    let mut current: Vec<Instruction> = circuit.instructions().to_vec();
-    let mut next: Vec<Instruction> = Vec::with_capacity(current.len());
     let mut last_on_qubit: Vec<usize> = vec![NO_INST; circuit.n_qubits()];
-    loop {
-        let changed = one_pass(&current, &mut next, &mut last_on_qubit);
+    let mut current: Vec<Instruction> = Vec::with_capacity(circuit.len());
+    let mut cleared = one_pass(circuit.instructions(), &mut current, &mut last_on_qubit);
+    let mut next: Vec<Instruction> = Vec::new();
+    while cleared {
+        cleared = one_pass(&current, &mut next, &mut last_on_qubit);
         std::mem::swap(&mut current, &mut next);
-        if !changed {
-            break;
-        }
     }
-    let mut out = Circuit::new(circuit.n_qubits());
+    let mut out = Circuit::with_capacity(circuit.n_qubits(), current.len());
     for inst in current {
         out.push(inst).expect("instructions validated by the source circuit");
     }
@@ -45,11 +56,15 @@ pub fn peephole(circuit: &Circuit) -> Circuit {
 fn is_trivial(gate: Gate) -> bool {
     match gate {
         Gate::Id => true,
+        // Strictly inside (ANGLE_TOL, 4 pi - ANGLE_TOL) the reduction
+        // below is the identity and both tests fail, so skip it.
+        Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) if t > ANGLE_TOL && t < FOUR_PI - ANGLE_TOL => {
+            false
+        }
         Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) => {
             // Rotations are 4 pi periodic (2 pi flips global phase only).
-            let reduced = t.rem_euclid(4.0 * std::f64::consts::PI);
-            reduced.abs() < ANGLE_TOL
-                || (reduced - 4.0 * std::f64::consts::PI).abs() < ANGLE_TOL
+            let reduced = t.rem_euclid(FOUR_PI);
+            reduced.abs() < ANGLE_TOL || (reduced - FOUR_PI).abs() < ANGLE_TOL
         }
         _ => false,
     }
@@ -68,6 +83,9 @@ fn merge(a: Gate, b: Gate) -> Option<Gate> {
 /// tracker.
 const NO_INST: usize = usize::MAX;
 
+/// One simplification pass from `insts` into `out`. Returns whether it
+/// cleared a per-qubit tracker, i.e. killed a slot (an inverse pair or a
+/// merge to identity): only then can another pass find more work.
 fn one_pass(
     insts: &[Instruction],
     out: &mut Vec<Instruction>,
@@ -77,11 +95,10 @@ fn one_pass(
     // For each qubit, the index *in `out`* of the last instruction touching
     // it (NO_INST if none is still present).
     last_on_qubit.fill(NO_INST);
-    let mut changed = false;
+    let mut cleared = false;
 
     for &inst in insts {
         if is_trivial(inst.gate) {
-            changed = true;
             continue;
         }
         // The candidate partner must be the last instruction on *all* of
@@ -94,25 +111,19 @@ fn one_pass(
 
         if let Some(idx) = partner {
             let prev = out[idx];
-            if prev.gate.is_inverse_of(inst.gate) {
+            let merged = merge(prev.gate, inst.gate);
+            let dies = prev.gate.is_inverse_of(inst.gate) || merged.is_some_and(is_trivial);
+            if dies {
                 // Remove the pair: mark the slot dead and clear trackers.
                 out[idx] = Instruction { gate: Gate::Id, operands: prev.operands };
                 for q in inst.operands {
                     last_on_qubit[q] = NO_INST;
                 }
-                changed = true;
+                cleared = true;
                 continue;
             }
-            if let Some(merged) = merge(prev.gate, inst.gate) {
-                if is_trivial(merged) {
-                    out[idx] = Instruction { gate: Gate::Id, operands: prev.operands };
-                    for q in inst.operands {
-                        last_on_qubit[q] = NO_INST;
-                    }
-                } else {
-                    out[idx] = Instruction { gate: merged, operands: prev.operands };
-                }
-                changed = true;
+            if let Some(merged) = merged {
+                out[idx] = Instruction { gate: merged, operands: prev.operands };
                 continue;
             }
         }
@@ -124,8 +135,10 @@ fn one_pass(
         }
     }
 
-    out.retain(|i| !is_trivial(i.gate));
-    changed
+    if cleared {
+        out.retain(|i| i.gate != Gate::Id);
+    }
+    cleared
 }
 
 #[cfg(test)]

@@ -292,6 +292,13 @@ fn traced_submit_returns_the_span_tree_over_the_wire() {
     for name in ["compile", "smt", "coloring"] {
         assert!(find_span(attempt, name).is_some(), "missing engine phase {name:?}");
     }
+    // The compile's front end (qubit mapping, then lowering) nests under
+    // it, named apart from the shard-routing span above.
+    let compile = find_span(attempt, "compile").expect("compile phase");
+    for name in ["qubit_map", "lower"] {
+        assert!(find_span(compile, name).is_some(), "missing front-end phase {name:?}");
+    }
+    assert!(find_span(compile, "route").is_none(), "only the shard decision is `route`");
     let attempt_attrs = attempt.get("attrs").expect("attempt attrs");
     assert_eq!(attempt_attrs.get("ok").and_then(Json::as_bool), Some(true));
     assert!(attempt_attrs.get("cache_hit").and_then(Json::as_bool).is_some());
