@@ -1,175 +1,52 @@
 //! Bench-regression gate over `BENCH_compile.json` (see
 //! [`fastsc_bench::regression`]).
 //!
-//! Run after the bench smoke has recorded fresh `current` medians:
+//! Run after the bench smoke has recorded fresh `current` rows:
 //!
 //! ```console
 //! $ cargo run --release -p fastsc-bench --bin bench_guard
 //! ```
 //!
-//! Eleven gates:
-//!
-//! 1. **Absolute** — the fresh skewed-batch `parallel` median must stay
-//!    within 2x the committed `post` baseline (`BENCH_GUARD_MAX_RATIO`
-//!    overrides).
-//! 2. **Relative, same-run** — the fresh skewed-batch `parallel`
-//!    (work-stealing) median must stay within 1.5x the fresh
-//!    `parallel_chunked` median (`BENCH_GUARD_STEAL_RATIO` overrides).
-//!    This one is machine-independent: whatever the host, stealing
-//!    falling meaningfully behind contiguous chunking over the same jobs
-//!    means the stealing dispatch has regressed.
-//! 3. **Relative, same-run** — queued end-to-end (`queue_saturated`
-//!    `queued`) must stay within 2x direct `compile_batch` on the same
-//!    workload and fleet (`BENCH_GUARD_QUEUE_RATIO` overrides): the
-//!    async front end's admission/dispatch/wakeup overhead cannot
-//!    silently regress.
-//! 4. **Relative, same-run** — fidelity-aware routing must stay within
-//!    1.5x `RoundRobin` on the identical warm 8-shard batch
-//!    (`BENCH_GUARD_ROUTE_RATIO` overrides): consulting calibration
-//!    profiles may cost something, but never an order of magnitude.
-//! 5. **Relative, same-run** — socket end-to-end (`server_roundtrip`
-//!    `socket`) must stay within 3x direct queue submission on the same
-//!    jobs and fleet (`BENCH_GUARD_SOCKET_RATIO` overrides): framing,
-//!    JSON, QASM parsing, and session accounting cannot silently come to
-//!    dominate compile time.
-//! 6. **Relative, same-run** — the fault-free flood with the default
-//!    `RetryPolicy` (`fault_free_overhead` `retry`) must stay within
-//!    1.2x the same flood with `RetryPolicy::none()`
-//!    (`BENCH_GUARD_FAULT_RATIO` overrides): attempt histories, shard
-//!    exclusions, and backoff bookkeeping cannot tax healthy fleets.
-//! 7. **Ceiling, same-run** — the 256-qubit scalability tier's median
-//!    per-pair partitioned/whole cold-compile ratio (`scale256`
-//!    `paired_ratio_permille`, computed by the bench over interleaved
-//!    back-to-back pairs so machine drift cancels inside each pair)
-//!    must stay at or below 0.9 (`BENCH_GUARD_SCALE_RATIO` overrides):
-//!    partitioning is only worth its stitch complexity while it beats
-//!    the monolithic path outright at scale.
-//! 8. **Relative, same-run** — the saturated flood with tracing and
-//!    metrics fully on (`observability_overhead` `enabled`, every job
-//!    recording a complete span tree) must stay within 1.1x the same
-//!    flood with observability off (`BENCH_GUARD_OBS_RATIO`
-//!    overrides): watching the fleet can never become a tax on it.
-//! 9. **Relative, same-run** — a store-warmed restart (`warm_start`
-//!    `warmed`: context hydration + pre-warmed first batch) must finish
-//!    within 0.5x the identical cold sequence (`BENCH_GUARD_WARM_RATIO`
-//!    overrides). Note the inversion: the subject must be *faster* than
-//!    the reference, or persisting artifacts has stopped paying for
-//!    itself.
-//! 10. **Ceiling, same-run** — the cold Baseline S/G statics of a 4x4
-//!     grid at crosstalk distance 2 (`statics_cold` `grid4x4_d2`, a
-//!     14-color `smt_find`) must finish within a fixed 50 ms: the
-//!     order-aware frequency solve takes a few milliseconds there, where
-//!     the general difference-logic search it replaced took seconds.
-//! 11. **Ceiling, same-run** — the compile front end (`route`,
-//!     `decompose`, `peephole`) on the 1024-qubit scale-tier XEB program
-//!     (`front_end` `scale1024`) must finish within a fixed 350 µs, about
-//!     twice its committed `post` median: the linear-time passes take
-//!     ~0.17 ms there, where the fixed-point peephole with its no-op
-//!     pass, hashed adjacency tests and regrown buffers took 0.3–0.5 ms.
-//!
-//! Exits non-zero when any gate fails.
+//! Checks every gate in [`GATES`] and exits non-zero when any fails.
 
-use fastsc_bench::record;
-use fastsc_bench::regression::{
-    check, check_ceiling, check_relative, CeilingGate, Gate, RelativeGate,
-};
+use fastsc_bench::record::{self, PAIRED_RATIO};
+use fastsc_bench::regression::{check, Bound::*, Gate};
 
-fn env_ratio(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse::<f64>().ok()).unwrap_or(default)
-}
+/// Every gate CI holds the benches to. Ratio rows are the median of
+/// per-pair `subject / reference` times in permille, both sides measured
+/// back to back in the same run.
+const GATES: [Gate; 11] = [
+    // Work stealing must not regress toward serializing the heavy jobs.
+    Gate { workload: "skewed_batch", strategy: "parallel", bound: VsPost(2.0) },
+    // Work stealing vs emulated contiguous chunking over the same jobs.
+    Gate { workload: "skewed_batch", strategy: PAIRED_RATIO, bound: Ceiling(1500) },
+    // Queued end-to-end vs direct `compile_batch` on the same fleet.
+    Gate { workload: "queue_saturated", strategy: PAIRED_RATIO, bound: Ceiling(2000) },
+    // FidelityAware vs RoundRobin routing on the same warm 8-shard batch.
+    Gate { workload: "routing_overhead", strategy: PAIRED_RATIO, bound: Ceiling(1500) },
+    // Socket round trips vs direct queue submission of the same jobs.
+    Gate { workload: "server_roundtrip", strategy: PAIRED_RATIO, bound: Ceiling(3000) },
+    // Default `RetryPolicy` vs `RetryPolicy::none()` on a fault-free flood.
+    Gate { workload: "fault_free_overhead", strategy: PAIRED_RATIO, bound: Ceiling(1200) },
+    // Partitioned vs whole cold compile at 256 qubits: partitioning must
+    // beat the monolithic path outright to be worth its stitch.
+    Gate { workload: "scale256", strategy: PAIRED_RATIO, bound: Ceiling(900) },
+    // Tracing and metrics fully on vs off on the same flood.
+    Gate { workload: "observability_overhead", strategy: PAIRED_RATIO, bound: Ceiling(1100) },
+    // A store-warmed restart vs the identical cold one: at most half.
+    Gate { workload: "warm_start", strategy: PAIRED_RATIO, bound: Ceiling(500) },
+    // Cold d = 2 4x4 Baseline S/G statics (a 14-color `smt_find`): 50 ms.
+    Gate { workload: "statics_cold", strategy: "grid4x4_d2", bound: Ceiling(50_000_000) },
+    // route + decompose + peephole on the 1024q scale-tier XEB: 350 µs.
+    Gate { workload: "front_end", strategy: "scale1024", bound: Ceiling(350_000) },
+];
 
 fn main() {
     let path = record::default_path();
     let records = record::read_records(&path);
-    let absolute = Gate {
-        workload: "skewed_batch",
-        strategy: "parallel",
-        current_label: "current",
-        baseline_label: "post",
-        max_ratio: env_ratio("BENCH_GUARD_MAX_RATIO", 2.0),
-    };
-    let relative = RelativeGate {
-        workload: "skewed_batch",
-        subject_strategy: "parallel",
-        reference_strategy: "parallel_chunked",
-        label: "current",
-        max_ratio: env_ratio("BENCH_GUARD_STEAL_RATIO", 1.5),
-    };
-    let queue = RelativeGate {
-        workload: "queue_saturated",
-        subject_strategy: "queued",
-        reference_strategy: "direct",
-        label: "current",
-        max_ratio: env_ratio("BENCH_GUARD_QUEUE_RATIO", 2.0),
-    };
-    let route = RelativeGate {
-        workload: "routing_overhead",
-        subject_strategy: "FidelityAware_8shard",
-        reference_strategy: "RoundRobin_8shard",
-        label: "current",
-        max_ratio: env_ratio("BENCH_GUARD_ROUTE_RATIO", 1.5),
-    };
-    let socket = RelativeGate {
-        workload: "server_roundtrip",
-        subject_strategy: "socket",
-        reference_strategy: "direct",
-        label: "current",
-        max_ratio: env_ratio("BENCH_GUARD_SOCKET_RATIO", 3.0),
-    };
-    let fault = RelativeGate {
-        workload: "fault_free_overhead",
-        subject_strategy: "retry",
-        reference_strategy: "no_retry",
-        label: "current",
-        max_ratio: env_ratio("BENCH_GUARD_FAULT_RATIO", 1.2),
-    };
-    let scale = CeilingGate {
-        workload: "scale256",
-        strategy: "paired_ratio_permille",
-        label: "current",
-        max_value: (env_ratio("BENCH_GUARD_SCALE_RATIO", 0.9) * 1000.0) as u128,
-    };
-    let observability = RelativeGate {
-        workload: "observability_overhead",
-        subject_strategy: "enabled",
-        reference_strategy: "disabled",
-        label: "current",
-        max_ratio: env_ratio("BENCH_GUARD_OBS_RATIO", 1.1),
-    };
-    let warm = RelativeGate {
-        workload: "warm_start",
-        subject_strategy: "warmed",
-        reference_strategy: "cold",
-        label: "current",
-        max_ratio: env_ratio("BENCH_GUARD_WARM_RATIO", 0.5),
-    };
-    let cold_statics = CeilingGate {
-        workload: "statics_cold",
-        strategy: "grid4x4_d2",
-        label: "current",
-        max_value: 50_000_000,
-    };
-    let front_end = CeilingGate {
-        workload: "front_end",
-        strategy: "scale1024",
-        label: "current",
-        max_value: 350_000,
-    };
     let mut failed = false;
-    for outcome in [
-        check(&records, &absolute),
-        check_relative(&records, &relative),
-        check_relative(&records, &queue),
-        check_relative(&records, &route),
-        check_relative(&records, &socket),
-        check_relative(&records, &fault),
-        check_ceiling(&records, &scale),
-        check_relative(&records, &observability),
-        check_relative(&records, &warm),
-        check_ceiling(&records, &cold_statics),
-        check_ceiling(&records, &front_end),
-    ] {
-        match outcome {
+    for gate in &GATES {
+        match check(&records, gate) {
             Ok(message) => println!("bench_guard OK: {message}"),
             Err(message) => {
                 eprintln!("bench_guard FAILED ({}): {message}", path.display());
@@ -179,5 +56,30 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    #[test]
+    fn every_gate_names_a_committed_post_row() {
+        let committed = record::read_records(
+            &Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_compile.json"),
+        );
+        for gate in &GATES {
+            assert!(
+                committed.iter().any(|r| {
+                    r.workload == gate.workload
+                        && r.strategy == gate.strategy
+                        && r.label == "post"
+                }),
+                "no committed `post` row for ({}, {})",
+                gate.workload,
+                gate.strategy
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@ use fastsc_noise::coupling::residual_coupling;
 fn main() {
     // The paper sweeps omega_A in [5.38, 5.50] GHz with omega_B = 5.44.
     let omega_b = 5.44;
-    let g0 = 0.005; // effective coupling, GHz (see DESIGN.md)
+    let g0 = 0.005; // effective coupling, GHz (the `DeviceParams::g0` default)
     println!("Fig. 2 — interaction strength g'(|omega_A - omega_B|) = g0^2/delta");
     println!("omega_B = {omega_b} GHz, g0 = {g0} GHz");
     println!();

@@ -1,9 +1,12 @@
 //! Shared harness utilities for the per-figure reproduction binaries.
 //!
 //! Every figure and table of the paper's evaluation maps to one binary in
-//! `src/bin/` (see DESIGN.md §5 for the index); this library holds the
-//! pieces they share: device construction at benchmark sizes, strategy
-//! sweeps, and small table/statistics helpers.
+//! `src/bin/`, named after it (README, "Paper figures"); this library
+//! holds the pieces they share: device construction at benchmark sizes,
+//! strategy sweeps, and small table/statistics helpers. [`record`] and
+//! [`regression`] serve the two bench targets and `bench_guard`: one
+//! interleaved sampler writing `BENCH_compile.json`, and the gate check
+//! CI runs over it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,17 @@
-//! Machine-readable benchmark records (`BENCH_compile.json`).
+//! Machine-readable benchmark records (`BENCH_compile.json`) and the one
+//! sampler every bench measures with.
 //!
-//! The criterion benches print human-readable timings; this module gives
-//! them a stable, machine-readable side channel so the compile-time
-//! trajectory can be tracked across PRs. Each record is one
-//! `(workload, strategy, median_ns)` measurement plus a free-form `label`
-//! (`BENCH_LABEL` env var, default `current`) distinguishing e.g. the
-//! `pre`/`post` halves of an optimization PR.
+//! [`interleaved`] times N sides of a comparison back to back inside each
+//! sample, after one untimed warm-up of each, and reports every side's
+//! median plus the median of per-sample ratios against side 0. Pair
+//! members run within milliseconds of each other, so machine drift
+//! cancels inside each ratio; the `bench_guard` same-run gates bound
+//! those ratios (recorded as [`PAIRED_RATIO`] rows) rather than dividing
+//! two independently drifting medians.
+//!
+//! Each record is one `(workload, strategy, median_ns)` measurement plus
+//! a free-form `label` (`BENCH_LABEL` env var, default `current`)
+//! distinguishing e.g. the `pre`/`post` halves of an optimization PR.
 //!
 //! The file format is a JSON array with exactly one record object per
 //! line — machine-readable by any JSON parser, and re-readable by
@@ -92,30 +98,101 @@ pub fn default_path() -> PathBuf {
     }
 }
 
-/// Runs `routine` `samples` times and returns the median wall-clock
-/// nanoseconds of one run.
+/// Strategy key of a same-run ratio row: the median over samples of one
+/// side's time over side 0's, in permille (it rides the integer
+/// `median_ns` field).
+pub const PAIRED_RATIO: &str = "paired_ratio_permille";
+
+/// The sample count for a bench: `smoke` under `--test` (the CI smoke
+/// run), `full` otherwise.
+pub fn samples(smoke: usize, full: usize) -> usize {
+    if std::env::args().any(|a| a == "--test") {
+        smoke
+    } else {
+        full
+    }
+}
+
+/// What [`interleaved`] measured, one entry per side in the order given.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sampled {
+    /// Median wall-clock nanoseconds of each side.
+    pub median_ns: Vec<u128>,
+    /// Median over samples of `side / side 0`, in permille (entry 0 is
+    /// side 0 against itself).
+    pub ratio_permille: Vec<u128>,
+}
+
+impl Sampled {
+    /// One record per side: `strategies[i]` carries side `i`'s median.
+    pub fn records<S: AsRef<str>>(&self, workload: &str, strategies: &[S]) -> Vec<BenchRecord> {
+        strategies
+            .iter()
+            .zip(&self.median_ns)
+            .map(|(strategy, &ns)| BenchRecord::new(workload, strategy.as_ref(), ns))
+            .collect()
+    }
+
+    /// The [`PAIRED_RATIO`] record of `side` against side 0.
+    pub fn ratio_record(&self, workload: &str, side: usize) -> BenchRecord {
+        BenchRecord::new(workload, PAIRED_RATIO, self.ratio_permille[side])
+    }
+}
+
+/// Runs each of `sides` once untimed, then `samples` times round-robin —
+/// every sample runs all sides back to back, in order — and returns each
+/// side's median wall-clock time and the median of its per-sample ratios
+/// to side 0.
 ///
 /// # Panics
 ///
-/// Panics if `samples == 0`.
-pub fn median_ns<F: FnMut()>(samples: usize, mut routine: F) -> u128 {
+/// Panics if `samples == 0` or `sides` is empty.
+pub fn interleaved<F: FnMut()>(samples: usize, sides: &mut [F]) -> Sampled {
     assert!(samples > 0, "at least one sample is required");
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
+    sides.iter_mut().for_each(|side| side());
+    let mut times = vec![Vec::with_capacity(samples); sides.len()];
+    for _ in 0..samples {
+        for (side, times) in sides.iter_mut().zip(&mut times) {
             let start = Instant::now();
-            routine();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
+            side();
+            times.push(start.elapsed().as_nanos());
+        }
+    }
+    summarize(&times)
 }
 
-/// Merges `records` into the file at [`default_path`] and returns the path.
-pub fn record(records: &[BenchRecord]) -> PathBuf {
+/// The pure summary step of [`interleaved`] over `times[side][sample]`:
+/// each side's median and the median of its per-sample ratios to side 0
+/// (a zero-duration side-0 sample counts as 1 ns). An even count takes
+/// the upper of the two middle values.
+///
+/// # Panics
+///
+/// Panics if `times` is empty or its sides differ in sample count.
+fn summarize(times: &[Vec<u128>]) -> Sampled {
+    fn median(mut values: Vec<u128>) -> u128 {
+        values.sort_unstable();
+        values[values.len() / 2]
+    }
+    let base = &times[0];
+    assert!(times.iter().all(|t| t.len() == base.len()), "sides differ in sample count");
+    Sampled {
+        median_ns: times.iter().map(|t| median(t.clone())).collect(),
+        ratio_permille: times
+            .iter()
+            .map(|t| median(t.iter().zip(base).map(|(&t, &b)| t * 1000 / b.max(1)).collect()))
+            .collect(),
+    }
+}
+
+/// Merges `records` into the file at [`default_path`] and prints them.
+pub fn record(records: &[BenchRecord]) {
     let path = default_path();
     record_at(&path, records);
-    path
+    for r in records {
+        println!("{}/{}: {} ({})", r.workload, r.strategy, r.median_ns, r.label);
+    }
+    println!("recorded {} rows to {}", records.len(), path.display());
 }
 
 /// Merges `records` into `path`: existing records with the same
@@ -286,11 +363,46 @@ mod tests {
     }
 
     #[test]
-    fn median_of_odd_samples() {
-        let mut n = 0u64;
-        let m = median_ns(5, || n += 1);
-        assert_eq!(n, 5);
-        assert!(m > 0);
+    fn summary_of_an_odd_count_takes_the_middle() {
+        let sampled = summarize(&[vec![30, 10, 20], vec![60, 10, 30]]);
+        assert_eq!(sampled.median_ns, vec![20, 30]);
+        // Pair ratios 2000, 1000, 1500 ‰: their median, not 30 / 20.
+        assert_eq!(sampled.ratio_permille, vec![1000, 1500]);
+    }
+
+    #[test]
+    fn summary_of_an_even_count_takes_the_upper_middle() {
+        let sampled = summarize(&[vec![40, 10, 30, 20], vec![40, 30, 30, 10]]);
+        assert_eq!(sampled.median_ns, vec![30, 30]);
+        // Pair ratios 1000, 3000, 1000, 500 ‰.
+        assert_eq!(sampled.ratio_permille, vec![1000, 1000]);
+    }
+
+    #[test]
+    fn summary_guards_a_zero_duration_reference() {
+        let sampled = summarize(&[vec![0], vec![3]]);
+        assert_eq!(sampled.median_ns, vec![0, 3]);
+        assert_eq!(sampled.ratio_permille, vec![0, 3000]);
+    }
+
+    #[test]
+    fn interleaved_warms_up_then_runs_every_side_per_sample() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut a = || order.borrow_mut().push('a');
+        let mut b = || order.borrow_mut().push('b');
+        let sampled = interleaved(2, &mut [&mut a as &mut dyn FnMut(), &mut b]);
+        assert_eq!(order.into_inner(), ['a', 'b', 'a', 'b', 'a', 'b']);
+        assert_eq!(sampled.median_ns.len(), 2);
+        assert_eq!(sampled.ratio_permille.len(), 2);
+    }
+
+    #[test]
+    fn sampled_rows_name_each_side() {
+        let sampled = Sampled { median_ns: vec![80, 160], ratio_permille: vec![1000, 2000] };
+        let rows = sampled.records("w", &["a", "b"]);
+        assert_eq!((rows[1].strategy.as_str(), rows[1].median_ns), ("b", 160));
+        let ratio = sampled.ratio_record("w", 1);
+        assert_eq!((ratio.strategy.as_str(), ratio.median_ns), (PAIRED_RATIO, 2000));
     }
 
     #[test]

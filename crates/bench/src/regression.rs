@@ -1,200 +1,71 @@
 //! Bench-regression gating over `BENCH_compile.json`.
 //!
-//! CI records fresh medians under the `current` label, then compares
-//! them against the committed `post` baseline of the same `(workload,
-//! strategy)` key: a median more than `max_ratio` times the baseline is
-//! a regression and fails the build. The comparison is deliberately
-//! coarse (medians, one-sided, generous ratio) because CI machines are
-//! noisy — the gate exists to catch order-of-magnitude scheduling
-//! regressions (e.g. work stealing silently degrading to contiguous
-//! chunking), not microsecond drift.
+//! CI records fresh rows under the `current` label, then holds each gated
+//! `(workload, strategy)` row to a [`Bound`]: a fixed ceiling (same-run
+//! [`PAIRED_RATIO`](crate::record::PAIRED_RATIO) rows, which cancel
+//! machine drift inside each pair, and absolute wall times), or a
+//! multiple of the committed `post` row of the same key. The checks are
+//! deliberately coarse because CI machines are noisy — they exist to
+//! catch order-of-magnitude regressions (e.g. work stealing silently
+//! degrading to contiguous chunking), not microsecond drift.
 
 use crate::record::BenchRecord;
 
-/// One gate: `(workload, strategy)` current-vs-baseline within ratio.
-#[derive(Debug, Clone)]
-pub struct Gate<'a> {
+/// How far a fresh `current` row may go.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// At most this value, in the row's unit (ns, or ‰ for ratio rows).
+    Ceiling(u128),
+    /// At most this multiple of the committed `post` row of the same key.
+    VsPost(f64),
+}
+
+/// One gate: the `current` row of `(workload, strategy)` within `bound`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Gate {
     /// Workload key in `BENCH_compile.json` (e.g. `skewed_batch`).
-    pub workload: &'a str,
-    /// Strategy key (e.g. `parallel`).
-    pub strategy: &'a str,
-    /// Label of the freshly measured record (usually `current`).
-    pub current_label: &'a str,
-    /// Label of the committed baseline record (usually `post`).
-    pub baseline_label: &'a str,
-    /// Maximum tolerated `current / baseline` ratio.
-    pub max_ratio: f64,
+    pub workload: &'static str,
+    /// Strategy key (e.g. `parallel` or `paired_ratio_permille`).
+    pub strategy: &'static str,
+    /// The bound the fresh row must meet.
+    pub bound: Bound,
 }
 
 /// Evaluates `gate` against `records`.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message when either record is missing, the
-/// baseline is zero, or the ratio exceeds `gate.max_ratio`.
-pub fn check(records: &[BenchRecord], gate: &Gate<'_>) -> Result<String, String> {
+/// Returns a human-readable message when a needed record is missing, a
+/// `post` baseline is zero, or the row exceeds its bound.
+pub fn check(records: &[BenchRecord], gate: &Gate) -> Result<String, String> {
     let find = |label: &str| {
         records.iter().find(|r| {
             r.workload == gate.workload && r.strategy == gate.strategy && r.label == label
         })
     };
-    let current = find(gate.current_label).ok_or_else(|| {
-        format!(
-            "no `{}` record for ({}, {}) — did the bench run?",
-            gate.current_label, gate.workload, gate.strategy
-        )
-    })?;
-    let baseline = find(gate.baseline_label).ok_or_else(|| {
-        format!(
-            "no `{}` baseline for ({}, {}) — commit one with BENCH_LABEL={}",
-            gate.baseline_label, gate.workload, gate.strategy, gate.baseline_label
-        )
-    })?;
-    if baseline.median_ns == 0 {
-        return Err(format!(
-            "baseline median for ({}, {}) is 0 ns — cannot gate against it",
-            gate.workload, gate.strategy
-        ));
-    }
-    let ratio = current.median_ns as f64 / baseline.median_ns as f64;
-    let summary = format!(
-        "({}, {}): current {} ns vs {} baseline {} ns — ratio {:.2} (limit {:.2})",
-        gate.workload,
-        gate.strategy,
-        current.median_ns,
-        gate.baseline_label,
-        baseline.median_ns,
-        ratio,
-        gate.max_ratio
-    );
-    if ratio > gate.max_ratio {
-        Err(format!("REGRESSION {summary}"))
-    } else {
-        Ok(summary)
-    }
-}
-
-/// A same-run relative gate: both strategies are measured under the
-/// **same label in the same bench run**, so the comparison is
-/// machine-independent — unlike the absolute [`Gate`], whose committed
-/// baseline necessarily reflects the hardware it was recorded on (the
-/// committed `post` medians come from a 1-core container, where stealing
-/// and chunking tie). On any machine, work stealing must not be
-/// meaningfully slower than contiguous chunking over the same jobs; if
-/// it is, the stealing dispatch has regressed.
-#[derive(Debug, Clone)]
-pub struct RelativeGate<'a> {
-    /// Workload key in `BENCH_compile.json`.
-    pub workload: &'a str,
-    /// The strategy that must keep up (e.g. `parallel`, the stealing
-    /// dispatch).
-    pub subject_strategy: &'a str,
-    /// The strategy it is measured against (e.g. `parallel_chunked`).
-    pub reference_strategy: &'a str,
-    /// Label both records were measured under (usually `current`).
-    pub label: &'a str,
-    /// Maximum tolerated `subject / reference` ratio.
-    pub max_ratio: f64,
-}
-
-/// Evaluates `gate` against `records`.
-///
-/// # Errors
-///
-/// Returns a human-readable message when either record is missing, the
-/// reference is zero, or the ratio exceeds `gate.max_ratio`.
-pub fn check_relative(
-    records: &[BenchRecord],
-    gate: &RelativeGate<'_>,
-) -> Result<String, String> {
-    let find = |strategy: &str| {
-        records.iter().find(|r| {
-            r.workload == gate.workload && r.strategy == strategy && r.label == gate.label
-        })
-    };
-    let subject = find(gate.subject_strategy).ok_or_else(|| {
-        format!(
-            "no `{}` record for ({}, {}) — did the bench run?",
-            gate.label, gate.workload, gate.subject_strategy
-        )
-    })?;
-    let reference = find(gate.reference_strategy).ok_or_else(|| {
-        format!(
-            "no `{}` record for ({}, {}) — did the bench run?",
-            gate.label, gate.workload, gate.reference_strategy
-        )
-    })?;
-    if reference.median_ns == 0 {
-        return Err(format!(
-            "reference median for ({}, {}) is 0 ns — cannot gate against it",
-            gate.workload, gate.reference_strategy
-        ));
-    }
-    let ratio = subject.median_ns as f64 / reference.median_ns as f64;
-    let summary = format!(
-        "({}): {} {} ns vs {} {} ns in the same `{}` run — ratio {:.2} (limit {:.2})",
-        gate.workload,
-        gate.subject_strategy,
-        subject.median_ns,
-        gate.reference_strategy,
-        reference.median_ns,
-        gate.label,
-        ratio,
-        gate.max_ratio
-    );
-    if ratio > gate.max_ratio {
-        Err(format!("REGRESSION {summary}"))
-    } else {
-        Ok(summary)
-    }
-}
-
-/// A same-run ceiling gate over a **derived statistic** record: the
-/// bench computes a machine-independent statistic itself (e.g. the
-/// median of per-pair partitioned/whole cold-compile ratios, stored in
-/// permille so it fits the integer `median_ns` field) and the gate
-/// simply bounds it. Pairing subject and reference measurements inside
-/// the bench makes the statistic robust to timing drift that skews the
-/// two independent medians a [`RelativeGate`] would compare.
-#[derive(Debug, Clone)]
-pub struct CeilingGate<'a> {
-    /// Workload key in `BENCH_compile.json`.
-    pub workload: &'a str,
-    /// Strategy key naming the derived statistic (and its unit), e.g.
-    /// `paired_ratio_permille`.
-    pub strategy: &'a str,
-    /// Label the record was measured under (usually `current`).
-    pub label: &'a str,
-    /// Maximum tolerated value of the statistic, in the record's unit.
-    pub max_value: u128,
-}
-
-/// Evaluates `gate` against `records`.
-///
-/// # Errors
-///
-/// Returns a human-readable message when the record is missing or its
-/// value exceeds `gate.max_value`.
-pub fn check_ceiling(
-    records: &[BenchRecord],
-    gate: &CeilingGate<'_>,
-) -> Result<String, String> {
-    let record = records
-        .iter()
-        .find(|r| {
-            r.workload == gate.workload && r.strategy == gate.strategy && r.label == gate.label
-        })
-        .ok_or_else(|| {
-            format!(
-                "no `{}` record for ({}, {}) — did the bench run?",
-                gate.label, gate.workload, gate.strategy
+    let key = format!("({}, {})", gate.workload, gate.strategy);
+    let current = find("current")
+        .ok_or_else(|| format!("no `current` record for {key} — did the bench run?"))?
+        .median_ns;
+    let (over, summary) = match gate.bound {
+        Bound::Ceiling(max) => (current > max, format!("{key}: {current} (ceiling {max})")),
+        Bound::VsPost(max) => {
+            let post = find("post")
+                .ok_or_else(|| {
+                    format!("no `post` baseline for {key} — commit one with BENCH_LABEL=post")
+                })?
+                .median_ns;
+            if post == 0 {
+                return Err(format!("`post` baseline for {key} is 0 — cannot gate against it"));
+            }
+            let ratio = current as f64 / post as f64;
+            (
+                ratio > max,
+                format!("{key}: {current} vs post {post} — ratio {ratio:.2} (limit {max:.2})"),
             )
-        })?;
-    let summary = format!(
-        "({}, {}): {} in the same `{}` run (ceiling {})",
-        gate.workload, gate.strategy, record.median_ns, gate.label, gate.max_value
-    );
-    if record.median_ns > gate.max_value {
+        }
+    };
+    if over {
         Err(format!("REGRESSION {summary}"))
     } else {
         Ok(summary)
@@ -214,57 +85,65 @@ mod tests {
         }
     }
 
-    fn gate(max_ratio: f64) -> Gate<'static> {
-        Gate {
-            workload: "skewed_batch",
-            strategy: "parallel",
-            current_label: "current",
-            baseline_label: "post",
-            max_ratio,
-        }
-    }
+    const VS_POST: Gate =
+        Gate { workload: "skewed_batch", strategy: "parallel", bound: Bound::VsPost(2.0) };
+
+    const CEILING: Gate = Gate {
+        workload: "scale256",
+        strategy: "paired_ratio_permille",
+        bound: Bound::Ceiling(900),
+    };
 
     #[test]
-    fn passes_within_ratio() {
+    fn vs_post_passes_within_ratio() {
         let records = vec![
             rec("skewed_batch", "parallel", "post", 100),
             rec("skewed_batch", "parallel", "current", 180),
         ];
-        let message = check(&records, &gate(2.0)).expect("within 2x");
+        let message = check(&records, &VS_POST).expect("within 2x");
         assert!(message.contains("ratio 1.80"));
     }
 
     #[test]
-    fn fails_beyond_ratio() {
+    fn vs_post_fails_beyond_ratio() {
         let records = vec![
             rec("skewed_batch", "parallel", "post", 100),
             rec("skewed_batch", "parallel", "current", 201),
         ];
-        let message = check(&records, &gate(2.0)).expect_err("beyond 2x");
+        let message = check(&records, &VS_POST).expect_err("beyond 2x");
         assert!(message.starts_with("REGRESSION"));
     }
 
     #[test]
-    fn boundary_ratio_passes() {
+    fn vs_post_boundary_passes() {
         let records = vec![
             rec("skewed_batch", "parallel", "post", 100),
             rec("skewed_batch", "parallel", "current", 200),
         ];
-        assert!(check(&records, &gate(2.0)).is_ok(), "exactly 2x is not a regression");
+        assert!(check(&records, &VS_POST).is_ok(), "exactly 2x is not a regression");
     }
 
     #[test]
     fn missing_current_is_an_error() {
         let records = vec![rec("skewed_batch", "parallel", "post", 100)];
-        let message = check(&records, &gate(2.0)).expect_err("no current record");
+        let message = check(&records, &VS_POST).expect_err("no current record");
         assert!(message.contains("did the bench run"));
     }
 
     #[test]
-    fn missing_baseline_is_an_error() {
+    fn missing_post_is_an_error() {
         let records = vec![rec("skewed_batch", "parallel", "current", 100)];
-        let message = check(&records, &gate(2.0)).expect_err("no baseline");
+        let message = check(&records, &VS_POST).expect_err("no baseline");
         assert!(message.contains("BENCH_LABEL=post"));
+    }
+
+    #[test]
+    fn zero_post_is_an_error() {
+        let records = vec![
+            rec("skewed_batch", "parallel", "post", 0),
+            rec("skewed_batch", "parallel", "current", 1),
+        ];
+        assert!(check(&records, &VS_POST).is_err());
     }
 
     #[test]
@@ -275,88 +154,23 @@ mod tests {
             rec("skewed_batch", "sequential", "current", 999_999),
             rec("xeb16", "parallel", "current", 999_999),
         ];
-        assert!(check(&records, &gate(2.0)).is_ok());
+        assert!(check(&records, &VS_POST).is_ok());
     }
 
     #[test]
-    fn zero_baseline_is_an_error() {
-        let records = vec![
-            rec("skewed_batch", "parallel", "post", 0),
-            rec("skewed_batch", "parallel", "current", 1),
-        ];
-        assert!(check(&records, &gate(2.0)).is_err());
-    }
-
-    fn relative_gate(max_ratio: f64) -> RelativeGate<'static> {
-        RelativeGate {
-            workload: "skewed_batch",
-            subject_strategy: "parallel",
-            reference_strategy: "parallel_chunked",
-            label: "current",
-            max_ratio,
-        }
+    fn ceiling_passes_at_the_ceiling_and_fails_above() {
+        let at = vec![rec("scale256", "paired_ratio_permille", "current", 900)];
+        assert!(check(&at, &CEILING).expect("at ceiling").contains("900"));
+        let above = vec![rec("scale256", "paired_ratio_permille", "current", 901)];
+        assert!(check(&above, &CEILING).expect_err("above").starts_with("REGRESSION"));
     }
 
     #[test]
-    fn relative_gate_passes_when_stealing_keeps_up() {
-        let records = vec![
-            rec("skewed_batch", "parallel", "current", 90),
-            rec("skewed_batch", "parallel_chunked", "current", 100),
-        ];
-        let message = check_relative(&records, &relative_gate(1.5)).expect("faster than ref");
-        assert!(message.contains("ratio 0.90"));
-    }
-
-    #[test]
-    fn relative_gate_fails_when_stealing_lags_chunking() {
-        let records = vec![
-            rec("skewed_batch", "parallel", "current", 200),
-            rec("skewed_batch", "parallel_chunked", "current", 100),
-        ];
-        let message = check_relative(&records, &relative_gate(1.5)).expect_err("2x slower");
-        assert!(message.starts_with("REGRESSION"));
-    }
-
-    fn ceiling_gate(max_value: u128) -> CeilingGate<'static> {
-        CeilingGate {
-            workload: "scale256",
-            strategy: "paired_ratio_permille",
-            label: "current",
-            max_value,
-        }
-    }
-
-    #[test]
-    fn ceiling_gate_passes_at_or_below_ceiling() {
-        let records = vec![rec("scale256", "paired_ratio_permille", "current", 900)];
-        let message = check_ceiling(&records, &ceiling_gate(900)).expect("at ceiling");
-        assert!(message.contains("900"));
-    }
-
-    #[test]
-    fn ceiling_gate_fails_above_ceiling() {
-        let records = vec![rec("scale256", "paired_ratio_permille", "current", 901)];
-        let message = check_ceiling(&records, &ceiling_gate(900)).expect_err("above ceiling");
-        assert!(message.starts_with("REGRESSION"));
-    }
-
-    #[test]
-    fn ceiling_gate_requires_same_label() {
+    fn ceiling_never_reads_the_committed_row() {
+        // Only the fresh run counts: a committed `post` row must never
+        // satisfy a ceiling gate.
         let records = vec![rec("scale256", "paired_ratio_permille", "post", 100)];
-        let message = check_ceiling(&records, &ceiling_gate(900)).expect_err("missing current");
-        assert!(message.contains("did the bench run"));
-    }
-
-    #[test]
-    fn relative_gate_ignores_other_labels() {
-        // Only same-run (same-label) records may be compared: the
-        // committed `post` rows must never satisfy a `current` gate.
-        let records = vec![
-            rec("skewed_batch", "parallel", "post", 1),
-            rec("skewed_batch", "parallel_chunked", "current", 100),
-        ];
-        let message =
-            check_relative(&records, &relative_gate(1.5)).expect_err("missing current");
+        let message = check(&records, &CEILING).expect_err("missing current");
         assert!(message.contains("did the bench run"));
     }
 }

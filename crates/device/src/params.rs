@@ -12,8 +12,7 @@
 /// ~50 ns the paper quotes (App. C). The paper's quoted bare capacitive
 /// coupling (`~30 MHz`) refers to the raw circuit element; using the
 /// effective resonance value keeps gate times, Fig. 2 magnitudes and
-/// crosstalk errors mutually consistent (see DESIGN.md, "Model
-/// substitutions").
+/// crosstalk errors mutually consistent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceParams {
     /// Effective qubit-qubit coupling at the reference frequency, GHz.

@@ -53,7 +53,7 @@ pub fn transition_probability(g: f64, t_ns: f64) -> f64 {
 /// has elapsed. For `delta_omega >> g0` this reduces to
 /// `A ~ (2 g0 / delta_omega)^2`, the same `1/delta_omega^2` suppression as
 /// composing the paper's Eq. 5 residual coupling with Eq. 6 at nominal
-/// gate times (see DESIGN.md "Model substitutions").
+/// gate times; the closed form stands in for simulating the channel.
 pub fn crosstalk_error(g0: f64, delta_omega: f64, t_ns: f64) -> f64 {
     assert!(g0 >= 0.0, "coupling must be non-negative, got {g0}");
     assert!(delta_omega >= 0.0, "detuning must be non-negative, got {delta_omega}");

@@ -84,7 +84,7 @@ fn every_malformed_corpus_entry_returns_a_structured_frame_and_the_connection_su
     }
 
     // At least the located families must actually carry line numbers on
-    // the wire (acceptance criterion: "with line number").
+    // the wire ("with line number").
     let err = client
         .submit("OPENQASM 2.0;\nqreg q[2];\nwarp q[0];", "ColorDynamic", "batch", None)
         .expect_err("unknown gate");
