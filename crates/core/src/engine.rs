@@ -25,6 +25,7 @@ use fastsc_ir::layering::{criticality_into, Dag};
 use fastsc_ir::optimize::peephole;
 use fastsc_ir::{Circuit, Gate};
 use fastsc_noise::{Cycle, CycleScratch, Schedule, ScheduledGate};
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -319,16 +320,100 @@ pub(crate) const NO_COUPLING: usize = usize::MAX;
 /// Sentinel: instruction has no second operand (single-qubit gate).
 const NO_QUBIT: usize = usize::MAX;
 
+/// Every buffer [`run_engine`] works in. One lives in each thread (see
+/// [`WORKSPACE`]); a run resizes the buffers it needs and leaves their
+/// capacity behind, so once a thread has run its largest compile, a run
+/// allocates nothing but the schedule it returns. `docs/ENGINE.md`
+/// ("Per-thread workspace") lists what each buffer holds.
+#[derive(Debug, Default)]
+struct Workspace {
+    dag: Dag,
+    /// `usize` lanes: `crit`, `remaining_preds`, `q0`, `q1`,
+    /// `coupling_of` (one slot per instruction each), then
+    /// `sub_index_of` (one slot per coupling).
+    words: Vec<usize>,
+    /// Flag lanes: `scheduled` (per instruction), then
+    /// `coupling_admitted` and `deferred_coupling` (per coupling).
+    flags: Vec<bool>,
+    /// ColorDynamic's per-cycle frequency of each admitted coupling.
+    freq_of_coupling: Vec<f64>,
+    /// The ready queue, sorted by `(Reverse(crit), index)`, and the
+    /// buffer the next cycle's queue is merged into.
+    ready: Vec<usize>,
+    ready_next: Vec<usize>,
+    /// Instructions that became ready this cycle.
+    newly_ready: Vec<usize>,
+    admitted: Vec<usize>,
+    admitted_couplings: Vec<usize>,
+    active_colors: Vec<usize>,
+    sub_degree: Vec<usize>,
+    sub_order: Vec<usize>,
+    sub_color: Vec<Option<usize>>,
+    sub_deferred: Vec<usize>,
+    used_colors: Vec<bool>,
+    wave_remaining: Vec<usize>,
+    /// This run's view of the context's SMT memo, indexed by color
+    /// count. Emptied at the end of every run: the values belong to one
+    /// context.
+    smt_local: Vec<Option<Arc<Vec<f64>>>>,
+    cycle_scratch: CycleScratch,
+    mult_scratch: frequency::MultiplicityScratch,
+}
+
+thread_local! {
+    /// The calling thread's [`Workspace`]. [`run_engine`] takes it out
+    /// for the length of a run and puts it back at the end; a run that
+    /// errors or panics part-way drops it instead, and the next run on
+    /// that thread starts from an empty one.
+    static WORKSPACE: Cell<Workspace> = Cell::new(Workspace::default());
+}
+
+/// Whether at least `limit` of a coupling's crosstalk `neighbors` are
+/// admitted this cycle. Stops counting as soon as the answer is known.
+fn crowded(neighbors: &[usize], coupling_admitted: &[bool], limit: usize) -> bool {
+    if limit == 0 {
+        return true;
+    }
+    let mut count = 0;
+    for &c in neighbors {
+        if coupling_admitted[c] {
+            count += 1;
+            if count == limit {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// Whether no two `admitted` instructions share a qubit. The ready set is
+/// qubit-disjoint by construction (`docs/ENGINE.md`), so the engine keeps
+/// no per-qubit busy lane; this pairwise check backs that in debug builds.
+fn qubit_disjoint(admitted: &[usize], q0: &[usize], q1: &[usize]) -> bool {
+    admitted.iter().enumerate().all(|(k, &i)| {
+        admitted[k + 1..].iter().all(|&j| {
+            let (a, b) = (q0[j], q1[j]);
+            a != q0[i] && a != q1[i] && (b == NO_QUBIT || (b != q0[i] && b != q1[i]))
+        })
+    })
+}
+
 /// The list-scheduling core shared by every strategy: schedules an
 /// already-routed-and-lowered circuit against a context's device.
 ///
-/// The working state lives in a per-compile bump arena — three backing
-/// allocations (`usize` words, flag bytes, `f64` lanes) carved into named
-/// regions with `split_at_mut` — and the per-instruction state is laid
-/// out struct-of-arrays (`q0`/`q1`/`coupling_of` lanes precomputed once)
-/// so the per-cycle admission loop does plain indexed loads: no `Vec`
-/// allocation, no hash lookup, no enum matching per instruction per
-/// cycle. `docs/ENGINE.md` documents the layout invariants.
+/// The working state lives in the calling thread's [`Workspace`], taken
+/// after the fallible statics lookups and put back at the end: on a warm
+/// thread a run allocates only the [`Schedule`] it returns (and, on
+/// wave-gated runs, the trace and per-instruction tables it hands back).
+/// Per-instruction state is laid out struct-of-arrays (`q0`/`q1`/
+/// `coupling_of` lanes resolved once per run), so the per-cycle
+/// admission loop does plain indexed loads: no hash lookup, no enum
+/// matching per instruction per cycle. The ready queue stays sorted by
+/// `(criticality desc, index asc)`: each cycle's newly ready
+/// instructions are sorted among themselves and merged with the
+/// survivors in one pass. `docs/ENGINE.md` documents the invariants, and
+/// `crates/core/tests/alloc_budget.rs` pins the allocation budget.
+///
 /// `trace`, when supplied, receives one entry per emitted cycle: the
 /// indices into `lowered` of that cycle's admitted instructions, in
 /// admission order (the partitioned merge uses this to map scheduled
@@ -383,13 +468,37 @@ pub(crate) fn run_engine(
         Strategy::ColorDynamic => 0,
     };
 
-    // 4-5. List scheduling. One DAG build serves both dependency
-    // tracking and criticality (the seed engine built it twice).
-    let dag = Dag::build(lowered);
+    let mut ws = WORKSPACE.try_with(Cell::take).unwrap_or_default();
+    let Workspace {
+        dag,
+        words,
+        flags,
+        freq_of_coupling,
+        ready,
+        ready_next,
+        newly_ready,
+        admitted,
+        admitted_couplings,
+        active_colors,
+        sub_degree,
+        sub_order,
+        sub_color,
+        sub_deferred,
+        used_colors,
+        wave_remaining,
+        smt_local,
+        cycle_scratch,
+        mult_scratch,
+    } = &mut ws;
 
-    // ---- Arena: every fixed-size working array of the compile comes out
-    // of three backing allocations, carved here and reset per cycle. ----
-    let mut words = vec![0usize; 5 * n_inst + n_couplings];
+    // 4-5. List scheduling. One DAG build serves both dependency
+    // tracking and criticality.
+    dag.rebuild(lowered);
+
+    // ---- Lanes: carved out of the workspace's three backing buffers,
+    // resized (never shrunk) per run. ----
+    words.clear();
+    words.resize(5 * n_inst + n_couplings, 0);
     let (crit, rest) = words.split_at_mut(n_inst);
     let (remaining_preds, rest) = rest.split_at_mut(n_inst);
     let (q0, rest) = rest.split_at_mut(n_inst);
@@ -399,17 +508,16 @@ pub(crate) fn run_engine(
     // index of an admitted coupling in the inline subgraph coloring
     // (valid only while its coupling_admitted bit is set).
     let (coupling_of, sub_index_of) = rest.split_at_mut(n_inst);
-    let mut flags = vec![false; n_inst + n_qubits + 2 * n_couplings];
+    flags.clear();
+    flags.resize(n_inst + 2 * n_couplings, false);
     let (scheduled, rest) = flags.split_at_mut(n_inst);
-    let (qubit_busy, rest) = rest.split_at_mut(n_qubits);
     let (coupling_admitted, deferred_coupling) = rest.split_at_mut(n_couplings);
-    let mut freq_of_coupling = vec![0.0f64; n_couplings];
+    freq_of_coupling.clear();
+    freq_of_coupling.resize(n_couplings, 0.0);
 
-    criticality_into(&dag, crit);
-    sub_index_of.fill(usize::MAX);
+    criticality_into(dag, crit);
     // Struct-of-arrays instruction lanes: operands and coupling index
-    // resolved once per compile (the seed resolved the coupling through a
-    // hash map per instruction per cycle).
+    // resolved once per run.
     for (i, inst) in lowered.instructions().iter().enumerate() {
         remaining_preds[i] = dag.preds(i).len();
         match inst.qubit_pair() {
@@ -428,20 +536,21 @@ pub(crate) fn run_engine(
     }
     let mut n_scheduled = 0usize;
 
-    // The ready queue is kept sorted by (criticality desc, index asc)
-    // incrementally: sorted once here, then maintained by binary-search
-    // insertion as successors become ready — never re-sorted. The key
-    // is a strict total order (ties broken by the unique index), so
-    // the admission order is exactly what a per-cycle re-sort yields.
+    // The ready queue is sorted by (criticality desc, index asc). The
+    // key is a strict total order (ties broken by the unique index), so
+    // merging each cycle's sorted newly ready instructions into the
+    // sorted survivors yields exactly the order a per-cycle re-sort
+    // would.
     let crit = &*crit;
     let ready_key = |i: usize| (std::cmp::Reverse(crit[i]), i);
-    let mut ready: Vec<usize> = (0..n_inst).filter(|&i| remaining_preds[i] == 0).collect();
-    ready.sort_by_key(|&i| ready_key(i));
+    ready.clear();
+    ready.extend((0..n_inst).filter(|&i| remaining_preds[i] == 0));
+    ready.sort_unstable_by_key(|&i| ready_key(i));
 
     // Wave gating: unscheduled-instruction count per wave and the
     // current (lowest unfinished) wave. The current wave only advances
     // between cycles, so no emitted cycle mixes waves.
-    let mut wave_remaining: Vec<usize> = Vec::new();
+    wave_remaining.clear();
     let mut wave_cur = 0usize;
     if let Some(w) = waves {
         debug_assert_eq!(w.len(), n_inst);
@@ -459,25 +568,10 @@ pub(crate) fn run_engine(
         if waves.is_some() { vec![f64::NAN; n_inst] } else { Vec::new() };
 
     let mut schedule = Schedule::new(n_qubits);
-    let mut cycle_scratch = CycleScratch::new();
-    // Per-compile view of the context's SMT memo, indexed directly by
-    // color count: one lock-free slot probe per colored cycle after the
-    // first lookup.
-    let mut smt_local: Vec<Option<Arc<Vec<f64>>>> = vec![None; n_couplings + 1];
-    let mut mult_scratch = frequency::MultiplicityScratch::default();
     let mut max_colors_used = static_color_count;
     let mut deferred_gates = 0usize;
     let params = *device.params();
-
-    // Growable per-cycle scratch, allocated once and reused.
-    let mut admitted: Vec<usize> = Vec::new();
-    let mut admitted_couplings: Vec<usize> = Vec::new();
-    let mut active_colors: Vec<usize> = Vec::new();
-    let mut sub_degree: Vec<usize> = Vec::new();
-    let mut sub_order: Vec<usize> = Vec::new();
-    let mut sub_color: Vec<Option<usize>> = Vec::new();
-    let mut sub_deferred: Vec<usize> = Vec::new();
-    let mut used_colors: Vec<bool> = Vec::new();
+    let threshold = config.conflict_threshold;
 
     // ColorDynamic's scheduling loop *is* its dynamic coloring phase;
     // the baselines run the same loop with precomputed colors.
@@ -491,7 +585,9 @@ pub(crate) fn run_engine(
         admitted_couplings.clear();
         let mut tile_color: Option<usize> = None;
 
-        for &i in &ready {
+        // The ready set is qubit-disjoint (`docs/ENGINE.md`), so no
+        // candidate can collide on a qubit with an admitted one.
+        for &i in ready.iter() {
             // Later-wave instructions wait for the barrier; not a
             // deferral — they were never candidates this cycle.
             if let Some(w) = waves {
@@ -499,14 +595,8 @@ pub(crate) fn run_engine(
                     continue;
                 }
             }
-            let (a, b) = (q0[i], q1[i]);
-            if qubit_busy[a] || (b != NO_QUBIT && qubit_busy[b]) {
-                continue;
-            }
-            if b != NO_QUBIT {
+            if q1[i] != NO_QUBIT {
                 let cpl = coupling_of[i];
-                let conflicts =
-                    xtalk.conflicts(cpl).iter().filter(|&&c| coupling_admitted[c]).count();
                 let postpone = match strategy {
                     // Serial scheduler (Table I): one two-qubit gate
                     // per cycle — the shared interaction frequency
@@ -520,11 +610,13 @@ pub(crate) fn run_engine(
                     // slack (criticality below the cycle's frontier)
                     // defers as soon as it conflicts at all; critical
                     // gates tolerate up to `conflict_threshold`
-                    // crowded neighbors before deferring.
+                    // crowded neighbors before deferring. Either way
+                    // only the first `limit` crowded neighbors matter.
                     Strategy::ColorDynamic | Strategy::BaselineS => {
                         let cycle_crit = admitted.first().map_or(crit[i], |&j| crit[j]);
-                        (conflicts >= 1 && crit[i] < cycle_crit)
-                            || conflicts >= config.conflict_threshold
+                        let limit =
+                            if crit[i] < cycle_crit { threshold.min(1) } else { threshold };
+                        crowded(xtalk.conflicts(cpl), coupling_admitted, limit)
                     }
                     // Tiling scheduler: a cycle only activates
                     // couplers from one color class.
@@ -546,9 +638,7 @@ pub(crate) fn run_engine(
                 }
                 admitted_couplings.push(cpl);
                 coupling_admitted[cpl] = true;
-                qubit_busy[b] = true;
             }
-            qubit_busy[a] = true;
             admitted.push(i);
         }
         assert!(
@@ -556,6 +646,7 @@ pub(crate) fn run_engine(
             "scheduler stalled with {} instructions pending",
             n_inst - n_scheduled
         );
+        debug_assert!(qubit_disjoint(admitted, q0, q1), "admitted gates share a qubit");
 
         // ColorDynamic: color the active subgraph, enforcing the
         // color budget by deferring uncolorable gates (Fig. 11).
@@ -582,14 +673,14 @@ pub(crate) fn run_engine(
             }));
             sub_order.clear();
             sub_order.extend(0..n_active);
-            sub_order.sort_by_key(|&v| (std::cmp::Reverse(sub_degree[v]), v));
+            sub_order.sort_unstable_by_key(|&v| (std::cmp::Reverse(sub_degree[v]), v));
 
             sub_color.clear();
             sub_color.resize(n_active, None);
             sub_deferred.clear();
             used_colors.clear();
             used_colors.resize(budget, false);
-            for &v in &sub_order {
+            for &v in sub_order.iter() {
                 used_colors.fill(false);
                 for &c in xtalk.conflicts(admitted_couplings[v]) {
                     if coupling_admitted[c] {
@@ -607,24 +698,27 @@ pub(crate) fn run_engine(
             if !sub_deferred.is_empty() {
                 // Remove the deferred gates from this cycle.
                 deferred_gates += sub_deferred.len();
-                for &v in &sub_deferred {
+                for &v in sub_deferred.iter() {
                     deferred_coupling[admitted_couplings[v]] = true;
                 }
                 admitted.retain(|&i| {
                     coupling_of[i] == NO_COUPLING || !deferred_coupling[coupling_of[i]]
                 });
-                for &v in &sub_deferred {
+                for &v in sub_deferred.iter() {
                     deferred_coupling[admitted_couplings[v]] = false;
                 }
             }
             active_colors.clear();
             active_colors.extend(sub_color.iter().flatten());
             if !active_colors.is_empty() {
-                let k = coloring::color_count(&active_colors);
+                let k = coloring::color_count(active_colors);
                 max_colors_used = max_colors_used.max(k);
                 // Borrow the memoized frequencies (no per-cycle clone
                 // of the value vector — only an Arc bump on misses,
                 // then a direct slot probe per cycle).
+                if smt_local.len() <= k {
+                    smt_local.resize(k + 1, None);
+                }
                 if smt_local[k].is_none() {
                     let mut smt_span = fastsc_telemetry::phase("smt");
                     let (values, missed) = ctx.smt_frequencies(k)?;
@@ -638,11 +732,11 @@ pub(crate) fn run_engine(
                 let values = smt_local[k].as_ref().expect("slot just filled");
                 // Rank colors by multiplicity: popular = fastest.
                 frequency::freq_of_color_by_multiplicity_into(
-                    &active_colors,
+                    active_colors,
                     values,
-                    &mut mult_scratch,
+                    mult_scratch,
                 );
-                for (&coupling, &color) in admitted_couplings.iter().zip(&sub_color) {
+                for (&coupling, &color) in admitted_couplings.iter().zip(sub_color.iter()) {
                     if let Some(c) = color {
                         freq_of_coupling[coupling] = mult_scratch.freq_of_color[c];
                     }
@@ -654,7 +748,7 @@ pub(crate) fn run_engine(
             // Wave-gated runs feed the partitioned merge, which rebuilds
             // global cycles from the trace — record the frequency each
             // two-qubit instruction resolved to and skip cycle assembly.
-            for &i in &admitted {
+            for &i in admitted.iter() {
                 if q1[i] != NO_QUBIT {
                     let cpl = coupling_of[i];
                     freq_of_inst[i] = match strategy {
@@ -664,14 +758,20 @@ pub(crate) fn run_engine(
                 }
             }
         } else {
-            // Assemble the cycle.
+            // Assemble the cycle: its gate list, frequency vector and
+            // (Baseline G only) active couplings are the only per-cycle
+            // allocations, each made once at its final size.
             let mut frequencies = ctx.parking().to_vec();
             let mut gates = Vec::with_capacity(admitted.len());
-            let mut active_couplings = Vec::new();
+            let mut active_couplings = if strategy == Strategy::BaselineG {
+                Vec::with_capacity(admitted_couplings.len())
+            } else {
+                Vec::new()
+            };
             let mut max_gate_ns: f64 = 0.0;
             let mut any_two_qubit = false;
 
-            for &i in &admitted {
+            for &i in admitted.iter() {
                 let inst = lowered.instructions()[i];
                 let interaction_freq = if q1[i] != NO_QUBIT {
                     let (a, b) = (q0[i], q1[i]);
@@ -704,39 +804,44 @@ pub(crate) fn run_engine(
                 max_gate_ns + if any_two_qubit { params.flux_settle_ns } else { 0.0 };
             schedule.push_cycle_with(
                 Cycle { gates, frequencies, active_couplings, duration_ns },
-                &mut cycle_scratch,
+                cycle_scratch,
             );
         }
         if let Some(t) = trace.as_deref_mut() {
             t.push(admitted.clone());
         }
 
-        // Reset the per-cycle bitsets. `qubit_busy` takes a full clear
-        // (budget-deferred gates left `admitted`, so their bits are not
-        // reachable sparsely); `coupling_admitted` clears sparsely via
-        // `admitted_couplings`, which still holds the deferred couplings.
-        qubit_busy.fill(false);
-        for &cpl in &admitted_couplings {
+        // `coupling_admitted` clears sparsely via `admitted_couplings`,
+        // which still holds any budget-deferred couplings.
+        for &cpl in admitted_couplings.iter() {
             coupling_admitted[cpl] = false;
         }
 
-        // Retire admitted instructions and surface newly ready ones at
-        // their sorted position.
-        for &i in &admitted {
+        // Retire admitted instructions, then merge the newly ready ones
+        // (sorted among themselves) with the survivors into the next
+        // queue.
+        newly_ready.clear();
+        for &i in admitted.iter() {
             scheduled[i] = true;
-            n_scheduled += 1;
             for &s in dag.succs(i) {
                 remaining_preds[s] -= 1;
                 if remaining_preds[s] == 0 {
-                    let at = match ready.binary_search_by_key(&ready_key(s), |&j| ready_key(j))
-                    {
-                        Ok(at) | Err(at) => at,
-                    };
-                    ready.insert(at, s);
+                    newly_ready.push(s);
                 }
             }
         }
-        ready.retain(|&i| !scheduled[i]);
+        n_scheduled += admitted.len();
+        newly_ready.sort_unstable_by_key(|&i| ready_key(i));
+        ready_next.clear();
+        let mut fresh = newly_ready.iter().copied().peekable();
+        for &i in ready.iter().filter(|&&i| !scheduled[i]) {
+            while let Some(s) = fresh.next_if(|&s| ready_key(s) < ready_key(i)) {
+                ready_next.push(s);
+            }
+            ready_next.push(i);
+        }
+        ready_next.extend(fresh);
+        std::mem::swap(ready, ready_next);
 
         if waves.is_some() {
             wave_of_cycle.push(wave_cur);
@@ -754,6 +859,8 @@ pub(crate) fn run_engine(
     drop(scheduling_span);
 
     let crit = if trace.is_some() { crit.to_vec() } else { Vec::new() };
+    smt_local.clear();
+    let _ = WORKSPACE.try_with(|slot| slot.set(ws));
     Ok(EngineOutput {
         schedule,
         max_colors_used,

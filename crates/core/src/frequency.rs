@@ -386,7 +386,7 @@ pub fn freq_of_color_by_multiplicity_into(
     scratch.order.clear();
     scratch.order.extend(0..k);
     let histogram = &scratch.histogram;
-    scratch.order.sort_by_key(|&c| (std::cmp::Reverse(histogram[c]), c));
+    scratch.order.sort_unstable_by_key(|&c| (std::cmp::Reverse(histogram[c]), c));
     scratch.freq_of_color.clear();
     scratch.freq_of_color.resize(k, 0.0);
     for (rank, &color) in scratch.order.iter().enumerate() {

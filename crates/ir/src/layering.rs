@@ -18,24 +18,56 @@ use crate::circuit::Circuit;
 /// struct-of-arrays layout — fixed two-slot rows plus a length byte per
 /// instruction — instead of one heap `Vec` per instruction per direction,
 /// which dominated the DAG-construction profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// [`rebuild`](Self::rebuild) refills a DAG in place, so a caller that
+/// keeps one (the scheduling engine keeps one per thread) reuses its
+/// buffers instead of allocating them per circuit.
+#[derive(Debug, Clone, Default)]
 pub struct Dag {
     preds: Vec<[usize; 2]>,
     pred_len: Vec<u8>,
     succs: Vec<[usize; 2]>,
     succ_len: Vec<u8>,
+    /// Build scratch: the last instruction seen on each qubit. Not part
+    /// of the graph (equality ignores it).
+    last_on_qubit: Vec<usize>,
 }
+
+impl PartialEq for Dag {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && (0..self.len())
+                .all(|i| self.preds(i) == other.preds(i) && self.succs(i) == other.succs(i))
+    }
+}
+
+impl Eq for Dag {}
 
 impl Dag {
     /// Builds the dependency DAG of `circuit`.
     pub fn build(circuit: &Circuit) -> Self {
-        let n = circuit.len();
-        let mut preds = vec![[0usize; 2]; n];
-        let mut pred_len = vec![0u8; n];
-        let mut succs = vec![[0usize; 2]; n];
-        let mut succ_len = vec![0u8; n];
+        let mut dag = Dag::default();
+        dag.rebuild(circuit);
+        dag
+    }
+
+    /// Replaces this DAG with the dependency DAG of `circuit`, reusing
+    /// its buffers: once they have grown to the largest circuit seen,
+    /// a rebuild allocates nothing.
+    pub fn rebuild(&mut self, circuit: &Circuit) {
         const NONE: usize = usize::MAX;
-        let mut last_on_qubit: Vec<usize> = vec![NONE; circuit.n_qubits()];
+        let n = circuit.len();
+        let Dag { preds, pred_len, succs, succ_len, last_on_qubit } = self;
+        preds.clear();
+        preds.resize(n, [0; 2]);
+        pred_len.clear();
+        pred_len.resize(n, 0);
+        succs.clear();
+        succs.resize(n, [0; 2]);
+        succ_len.clear();
+        succ_len.resize(n, 0);
+        last_on_qubit.clear();
+        last_on_qubit.resize(circuit.n_qubits(), NONE);
         for (i, inst) in circuit.instructions().iter().enumerate() {
             for q in inst.operands {
                 let p = last_on_qubit[q];
@@ -54,7 +86,6 @@ impl Dag {
                 last_on_qubit[q] = i;
             }
         }
-        Dag { preds, pred_len, succs, succ_len }
     }
 
     /// Direct predecessors of instruction `i`.
@@ -216,6 +247,20 @@ mod tests {
         c.push1(Gate::H, 2).expect("valid");
         let crit = criticality(&c);
         assert_eq!(crit[1], 1);
+    }
+
+    #[test]
+    fn rebuild_in_place_matches_a_fresh_build() {
+        let mut dag = Dag::build(&sample());
+        let mut c = Circuit::new(2);
+        c.push2(Gate::Cz, 0, 1).expect("valid");
+        c.push2(Gate::Cz, 0, 1).expect("valid");
+        dag.rebuild(&c);
+        assert_eq!(dag, Dag::build(&c));
+        assert_eq!(dag.len(), 2);
+        dag.rebuild(&sample());
+        assert_eq!(dag, Dag::build(&sample()));
+        assert_eq!(dag.succs(0), &[1]);
     }
 
     #[test]
