@@ -155,11 +155,24 @@ impl CompileContext {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::FrequencyBandExhausted`] when the parking
+    /// Returns [`CompileError::InvalidConfig`] when `conflict_threshold`
+    /// is 0, `max_colors` is `Some(0)`, or `smt_tolerance` is not
+    /// positive (NaN included); then
+    /// [`CompileError::FrequencyBandExhausted`] when the parking
     /// assignment cannot be solved or the reachable interaction band is
     /// empty — the same errors (in the same order) a direct compile
     /// would surface.
     pub fn new(device: Device, config: CompilerConfig) -> Result<Self, CompileError> {
+        let invalid = |field| Err(CompileError::InvalidConfig { field });
+        if config.conflict_threshold == 0 {
+            return invalid("conflict_threshold");
+        }
+        if config.max_colors == Some(0) {
+            return invalid("max_colors");
+        }
+        if config.smt_tolerance.is_nan() || config.smt_tolerance <= 0.0 {
+            return invalid("smt_tolerance");
+        }
         let tol = config.smt_tolerance;
         let parking = frequency::parking_assignment(&device, tol)?;
         let band = frequency::reachable_interaction_band(&device)?;
@@ -491,6 +504,39 @@ mod tests {
 
     fn ctx() -> CompileContext {
         CompileContext::new(Device::grid(3, 3, 7), CompilerConfig::default()).expect("builds")
+    }
+
+    /// Both the context and a compile under every strategy refuse
+    /// `config` with `InvalidConfig { field }` instead of panicking.
+    fn assert_invalid(config: CompilerConfig, field: &'static str) {
+        let device = Device::grid(3, 3, 7);
+        let want = CompileError::InvalidConfig { field };
+        assert_eq!(CompileContext::new(device.clone(), config).err(), Some(want.clone()));
+        let program = fastsc_workloads::Benchmark::Xeb(9, 3).build(7);
+        let compiler = crate::Compiler::new(device, config);
+        for strategy in crate::Strategy::all() {
+            assert_eq!(compiler.compile(&program, strategy).err(), Some(want.clone()));
+        }
+    }
+
+    #[test]
+    fn zero_conflict_threshold_is_an_invalid_config() {
+        let config = CompilerConfig { conflict_threshold: 0, ..CompilerConfig::default() };
+        assert_invalid(config, "conflict_threshold");
+    }
+
+    #[test]
+    fn zero_color_budget_is_an_invalid_config() {
+        let config = CompilerConfig { max_colors: Some(0), ..CompilerConfig::default() };
+        assert_invalid(config, "max_colors");
+    }
+
+    #[test]
+    fn non_positive_or_nan_smt_tolerance_is_an_invalid_config() {
+        for tol in [0.0, -0.0, -1e-3, f64::NAN] {
+            let config = CompilerConfig { smt_tolerance: tol, ..CompilerConfig::default() };
+            assert_invalid(config, "smt_tolerance");
+        }
     }
 
     #[test]

@@ -55,6 +55,15 @@ pub enum CompileError {
         /// Number of frequencies requested.
         colors: usize,
     },
+    /// A [`CompilerConfig`](crate::CompilerConfig) field holds a value no
+    /// strategy can compile with: `conflict_threshold` 0 (every
+    /// two-qubit gate would defer forever), `max_colors` `Some(0)`, or a
+    /// zero, negative or NaN `smt_tolerance`. Raised when the compile
+    /// context is built, before any program is looked at.
+    InvalidConfig {
+        /// The offending field's name.
+        field: &'static str,
+    },
     /// A compilation stage panicked. Only surfaced by the batch front end
     /// ([`crate::batch::BatchCompiler`]), which converts per-job panics
     /// into errors so one bad job cannot poison its batch.
@@ -103,8 +112,9 @@ impl CompileError {
     /// Whether a retry — on the same shard later, or on a different
     /// shard via failover — could plausibly succeed.
     ///
-    /// Deterministic program errors (too wide, unroutable, band
-    /// exhausted, no shard fits) reproduce identically anywhere, and
+    /// Deterministic program and config errors (too wide, unroutable,
+    /// band exhausted, invalid config, no shard fits) reproduce
+    /// identically anywhere, and
     /// queue outcomes (deadline, cancelled, queue full) are terminal by
     /// construction, so only [`Internal`](Self::Internal) — a panicked
     /// or fault-injected compile stage, i.e. a *shard* failure rather
@@ -127,6 +137,9 @@ impl fmt::Display for CompileError {
                 f,
                 "cannot place {colors} interaction frequencies in the configured band"
             ),
+            CompileError::InvalidConfig { field } => {
+                write!(f, "invalid compiler config: {field} must be positive")
+            }
             CompileError::Internal { ref message } => {
                 write!(f, "compilation stage panicked: {message}")
             }
@@ -176,6 +189,8 @@ mod tests {
         assert!(e.to_string().contains("disconnected"));
         let e = CompileError::FrequencyBandExhausted { colors: 12 };
         assert!(e.to_string().contains("12"));
+        let e = CompileError::InvalidConfig { field: "smt_tolerance" };
+        assert!(e.to_string().contains("smt_tolerance"));
         let e = CompileError::NoShardFits { program: 16, max_shard: 9 };
         assert!(e.to_string().contains("16") && e.to_string().contains("9"));
         assert!(CompileError::Deadline.to_string().contains("deadline"));
@@ -208,6 +223,7 @@ mod tests {
             CompileError::ProgramTooWide { program: 10, device: 9 },
             CompileError::Unroutable { a: 0, b: 1 },
             CompileError::FrequencyBandExhausted { colors: 3 },
+            CompileError::InvalidConfig { field: "conflict_threshold" },
             CompileError::NoShardFits { program: 16, max_shard: 9 },
             CompileError::Deadline,
             CompileError::Cancelled,

@@ -318,6 +318,7 @@ pub fn compile_error_code(err: &CompileError) -> &'static str {
         CompileError::ProgramTooWide { .. } => "program_too_wide",
         CompileError::Unroutable { .. } => "unroutable",
         CompileError::FrequencyBandExhausted { .. } => "band_exhausted",
+        CompileError::InvalidConfig { .. } => "invalid_config",
         CompileError::NoShardFits { .. } => "no_shard_fits",
         CompileError::Internal { .. } => "internal",
         CompileError::Exhausted { .. } => "exhausted",
@@ -744,6 +745,10 @@ mod tests {
         assert_eq!(
             compile_error_code(&CompileError::ProgramTooWide { program: 9, device: 4 }),
             "program_too_wide"
+        );
+        assert_eq!(
+            compile_error_code(&CompileError::InvalidConfig { field: "max_colors" }),
+            "invalid_config"
         );
     }
 
