@@ -299,7 +299,7 @@ pub(crate) struct EngineOutput {
     pub(crate) max_colors_used: usize,
     pub(crate) smt_calls: usize,
     pub(crate) deferred_gates: usize,
-    /// Per-instruction criticality, copied out of the arena only when a
+    /// Per-instruction criticality, copied out of the workspace only when a
     /// `trace` was requested (the partitioned merge keys on it; a second
     /// DAG build to recompute it would double the per-wave fixed cost).
     /// Empty on traceless runs.

@@ -319,7 +319,7 @@ pub(crate) fn run_partitioned(
     // wave gating (waves = segment indices) keeps each emitted cycle
     // inside one segment, so the merge can still interleave cut cycles
     // at segment boundaries. One run amortizes the engine's fixed cost
-    // (arena, DAG, ready queue) over the whole instruction stream
+    // (lane setup, DAG, ready queue) over the whole instruction stream
     // instead of paying it per (region, segment) pair.
     let mut jobs: Vec<(usize, Vec<usize>, Circuit, Vec<usize>)> = state
         .regions
