@@ -15,7 +15,7 @@ use fastsc_bench::regression::{check, Bound::*, Gate};
 /// Every gate CI holds the benches to. Ratio rows are the median of
 /// per-pair `subject / reference` times in permille, both sides measured
 /// back to back in the same run.
-const GATES: [Gate; 11] = [
+const GATES: [Gate; 13] = [
     // Work stealing must not regress toward serializing the heavy jobs.
     Gate { workload: "skewed_batch", strategy: "parallel", bound: VsPost(2.0) },
     // Work stealing vs emulated contiguous chunking over the same jobs.
@@ -28,9 +28,12 @@ const GATES: [Gate; 11] = [
     Gate { workload: "server_roundtrip", strategy: PAIRED_RATIO, bound: Ceiling(3000) },
     // Default `RetryPolicy` vs `RetryPolicy::none()` on a fault-free flood.
     Gate { workload: "fault_free_overhead", strategy: PAIRED_RATIO, bound: Ceiling(1200) },
-    // Partitioned vs whole cold compile at 256 qubits: partitioning must
-    // beat the monolithic path outright to be worth its stitch.
-    Gate { workload: "scale256", strategy: PAIRED_RATIO, bound: Ceiling(900) },
+    // Cold whole-device ColorDynamic compile at 1024 qubits: 10 ms.
+    Gate { workload: "scale1024", strategy: "whole", bound: Ceiling(10_000_000) },
+    // Cold partitioned compile at 256 qubits, while that path exists.
+    Gate { workload: "scale256", strategy: "partitioned", bound: VsPost(2.0) },
+    // Distance-1 crosstalk-graph build plus Welsh–Powell, 64x64 mesh: 40 ms.
+    Gate { workload: "xtalk_coloring", strategy: "4096", bound: Ceiling(40_000_000) },
     // Tracing and metrics fully on vs off on the same flood.
     Gate { workload: "observability_overhead", strategy: PAIRED_RATIO, bound: Ceiling(1100) },
     // A store-warmed restart vs the identical cold one: at most half.

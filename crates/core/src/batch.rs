@@ -134,8 +134,8 @@ impl BatchCompiler {
         BatchCompiler::from_compiler(Compiler::with_context(context))
     }
 
-    /// Caps the worker-thread count: every [`compile_batch`]
-    /// (Self::compile_batch) call dispatches at most `n` worker tasks
+    /// Caps the worker-thread count: every
+    /// [`compile_batch`](Self::compile_batch) call dispatches at most `n` worker tasks
     /// onto the persistent rayon pool, regardless of how this
     /// `BatchCompiler` was constructed ([`new`](Self::new),
     /// [`from_compiler`](Self::from_compiler), or

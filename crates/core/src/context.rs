@@ -113,11 +113,9 @@ impl SmtKey {
 pub struct CompileContext {
     device: Device,
     config: CompilerConfig,
-    /// The distance-`d` crosstalk graph, built lazily: its pairwise
-    /// coupling-distance sweep is the one device-wide structure that is
-    /// quadratic in coupling count, and the partitioned compile path for
-    /// 1000+-qubit devices never needs the whole-device version (regions
-    /// build their own small ones).
+    /// The distance-`d` crosstalk graph, built lazily: the partitioned
+    /// compile path never needs the whole-device version (regions build
+    /// their own small ones).
     xtalk: OnceLock<CrosstalkGraph>,
     parking: Vec<f64>,
     band: Band,
@@ -270,10 +268,9 @@ impl CompileContext {
         &self.config
     }
 
-    /// The distance-`d` crosstalk graph, built on first use. The
-    /// whole-device graph costs a pairwise sweep over couplings (the
-    /// dominant cold-start term on 1000+-qubit devices); partitioned
-    /// compiles never call this on the global context.
+    /// The distance-`d` crosstalk graph, built on first use (linear in
+    /// coupling count for a fixed `d`; see [`CrosstalkGraph::build`]).
+    /// Partitioned compiles never call this on the global context.
     pub fn xtalk(&self) -> &CrosstalkGraph {
         self.xtalk.get_or_init(|| self.device.crosstalk_graph(self.config.crosstalk_distance))
     }
@@ -363,8 +360,8 @@ impl CompileContext {
     /// solve produced them (`true` on a memo miss whose result this call
     /// installed, or handed back un-memoized because the memo is full).
     ///
-    /// Hits are retained up to [`smt_memo_capacity`]
-    /// (Self::smt_memo_capacity); beyond the cap, distinct keys are still
+    /// Hits are retained up to
+    /// [`smt_memo_capacity`](Self::smt_memo_capacity); beyond the cap, distinct keys are still
     /// solved correctly but not memoized. `smt_find` is a pure function
     /// of the key, so a warm hit is bit-identical to a fresh solve. The
     /// solver runs outside the lock; when several threads race on the

@@ -1,14 +1,13 @@
 //! Partition-and-stitch compilation for 1000+-qubit devices.
 //!
-//! Whole-device compilation carries two superlinear terms: the
-//! distance-`d` crosstalk graph costs a pairwise sweep over couplings,
-//! and every per-cycle admission pass walks device-wide conflict lists.
-//! Partition-and-stitch bounds both by cutting the coupling graph into
-//! connected regions of at most
+//! Whole-device compiles beat partitioned ones at every measured size,
+//! cold (the `scale*` rows of `BENCH_compile.json`) and warm, so this
+//! path stays only while a benchmark workload exercises it. It cuts the
+//! coupling graph into connected regions of at most
 //! [`max_region_qubits`](crate::config::PartitionConfig::max_region_qubits)
-//! qubits ([`fastsc_graph::regions::grow_regions`]), compiling each
+//! qubits ([`fastsc_graph::regions::grow_regions`]), compiles each
 //! region as an independent sub-problem on its own small sub-context,
-//! and stitching the results back into one schedule:
+//! and stitches the results back into one schedule:
 //!
 //! 1. **Classify** — each lowered instruction belongs to the region
 //!    owning its qubit(s), or is a *cut* instruction when its operands
@@ -97,7 +96,7 @@ struct CutState {
 /// Whole-device state of a partitioned compile: the region plan, the
 /// per-region and cut sub-contexts, and the global↔local qubit maps.
 /// Built lazily (and exactly once) by
-/// [`CompileContext::partitioned`], shared by every compile against the
+/// `CompileContext::partitioned`, shared by every compile against the
 /// context.
 #[derive(Debug)]
 pub struct PartitionedState {

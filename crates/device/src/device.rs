@@ -181,14 +181,13 @@ impl Device {
     /// The sub-device induced by `qubits`: local qubit `i` is global
     /// qubit `qubits[i]`, keeping that qubit's sampled spec, and the
     /// connectivity is the induced subgraph (local edge order follows
-    /// the global edge order restricted to in-set edges, so a local →
-    /// global coupling map is recoverable via
-    /// [`edge_between`](fastsc_graph::Graph::edge_between)). Coupler,
-    /// frequency partition, physical params, and the fabrication seed
-    /// carry over unchanged — the sub-device describes the *same*
-    /// hardware, restricted to a region, which is what the partitioned
-    /// compile path needs for region compiles to agree with whole-device
-    /// compiles.
+    /// the global edge order restricted to in-set edges, so local
+    /// coupling `i` is the `i`-th global coupling with both endpoints in
+    /// `qubits`). Coupler, frequency partition, physical params, and the
+    /// fabrication seed carry over unchanged — the sub-device describes
+    /// the *same* hardware, restricted to a region, which is what the
+    /// partitioned compile path needs for region compiles to agree with
+    /// whole-device compiles.
     ///
     /// # Panics
     ///

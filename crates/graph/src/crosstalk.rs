@@ -8,6 +8,11 @@
 //! coloring of `Gx` (or of its *active subgraph* for one circuit layer)
 //! yields a safe frequency assignment.
 //!
+//! [`CrosstalkGraph::build`] constructs `Gx` the same way for every `d`:
+//! one depth-`d` breadth-first ball per coupling, whose incident couplings
+//! are its conflicts. On a device of bounded degree that is linear in the
+//! number of couplings for a fixed `d` (`d = 0` gives the line graph).
+//!
 //! For the 2-D mesh the paper reports that 8 colors always suffice for the
 //! distance-1 crosstalk graph (Fig. 7); [`mesh_eight_coloring`] constructs
 //! that pattern explicitly.
@@ -27,9 +32,11 @@ use crate::Graph;
 /// let mesh = topology::grid(3, 3);
 /// let x = CrosstalkGraph::build(&mesh, 1);
 /// assert_eq!(x.graph().node_count(), mesh.edge_count());
-/// // In a 3x3 mesh every pair of couplings is within distance 1, except
-/// // opposite border edges.
-/// assert!(x.graph().edge_count() > mesh.line_graph().edge_count());
+/// // Distance 1 adds conflicts between couplings one hop apart to the
+/// // shared-qubit conflicts of distance 0 (the line graph).
+/// let line = CrosstalkGraph::build(&mesh, 0);
+/// assert!(x.graph().edge_count() > line.graph().edge_count());
+/// assert!(x.conflicts(0).windows(2).all(|w| w[0] < w[1]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CrosstalkGraph {
@@ -48,67 +55,56 @@ impl CrosstalkGraph {
     ///   when they share a qubit);
     /// * `d == 1` is the paper's default (nearest-neighbor crosstalk);
     /// * `d >= 2` also covers next-neighbor residual coupling (§IV-C-3).
+    ///
+    /// One pass for every `d`: for each coupling `e1`, a depth-`d`
+    /// breadth-first search from both endpoints collects the *ball* of
+    /// qubits within distance `d`; the couplings incident to the ball with
+    /// a larger index are `e1`'s conflicts, added in ascending order.
+    /// Visited qubits are stamped with `e1`, so nothing is cleared between
+    /// couplings. The cost is the sum of the ball sizes: linear in coupling
+    /// count for a fixed `d` on bounded-degree devices.
     pub fn build(connectivity: &Graph, d: usize) -> Self {
-        let mut graph = connectivity.line_graph();
         let couplings: Vec<(usize, usize)> =
             connectivity.edges().map(|(_, endpoints)| endpoints).collect();
-
-        if d == 1 {
-            // Distance 1 (the paper's default): two couplings are near
-            // exactly when some pair of their endpoints is equal or
-            // directly coupled — no BFS ball matrix needed, which keeps
-            // small region sub-devices of a partitioned compile from
-            // paying an `O(V·(V+E))` setup per region. The pairwise
-            // sweep over couplings remains (the device-wide superlinear
-            // term partition-and-stitch exists to avoid).
-            for e1 in 0..couplings.len() {
-                let (u1, v1) = couplings[e1];
-                let (n_u1, n_v1) = (connectivity.neighbors(u1), connectivity.neighbors(v1));
-                for (offset, &(u2, v2)) in couplings[e1 + 1..].iter().enumerate() {
-                    let e2 = e1 + 1 + offset;
-                    let near = u1 == u2
-                        || u1 == v2
-                        || v1 == u2
-                        || v1 == v2
-                        || n_u1.iter().any(|&w| w == u2 || w == v2)
-                        || n_v1.iter().any(|&w| w == u2 || w == v2);
-                    if near {
-                        // The line graph may already contain the edge.
-                        let _ = graph.add_edge(e1, e2);
-                    }
-                }
-            }
-        } else if d > 1 {
-            // Balls of radius d around every qubit, via depth-capped BFS.
-            let balls: Vec<Vec<u32>> = (0..connectivity.node_count())
-                .map(|q| {
-                    connectivity
-                        .bfs_distances(q)
-                        .into_iter()
-                        .map(|opt| opt.unwrap_or(u32::MAX))
-                        .collect()
-                })
-                .collect();
-            let d = d as u32;
-            for e1 in 0..couplings.len() {
-                let (u1, v1) = couplings[e1];
-                for (offset, &(u2, v2)) in couplings[e1 + 1..].iter().enumerate() {
-                    let e2 = e1 + 1 + offset;
-                    let near = balls[u1][u2] <= d
-                        || balls[u1][v2] <= d
-                        || balls[v1][u2] <= d
-                        || balls[v1][v2] <= d;
-                    if near {
-                        // The line graph may already contain the edge.
-                        let _ = graph.add_edge(e1, e2);
-                    }
-                }
-            }
-        }
         let mut by_qubit = vec![Vec::new(); connectivity.node_count()];
         for (i, &(u, v)) in couplings.iter().enumerate() {
             by_qubit[u].push((v, i));
             by_qubit[v].push((u, i));
+        }
+
+        let mut graph = Graph::new(couplings.len());
+        let mut stamp = vec![usize::MAX; connectivity.node_count()];
+        let mut ball = Vec::new();
+        let mut near = Vec::new();
+        for (e1, &(u1, v1)) in couplings.iter().enumerate() {
+            // `ball` doubles as the BFS queue: `ball[layer..]` is the
+            // deepest layer reached so far.
+            ball.clear();
+            ball.extend([u1, v1]);
+            stamp[u1] = e1;
+            stamp[v1] = e1;
+            let mut layer = 0;
+            for _ in 0..d {
+                let end = ball.len();
+                for i in layer..end {
+                    for &(w, _) in &by_qubit[ball[i]] {
+                        if stamp[w] != e1 {
+                            stamp[w] = e1;
+                            ball.push(w);
+                        }
+                    }
+                }
+                layer = end;
+            }
+            near.clear();
+            for &q in &ball {
+                near.extend(by_qubit[q].iter().map(|&(_, e2)| e2).filter(|&e2| e2 > e1));
+            }
+            near.sort_unstable();
+            near.dedup();
+            for &e2 in &near {
+                graph.add_edge(e1, e2).expect("ascending e2 > e1 pairs are new");
+            }
         }
         CrosstalkGraph { graph, couplings, by_qubit, distance: d }
     }
@@ -149,7 +145,8 @@ impl CrosstalkGraph {
     }
 
     /// Crosstalk-graph neighbors of coupling `i`: all couplings that must
-    /// not share interaction frequencies with it.
+    /// not share interaction frequencies with it, in strictly ascending
+    /// order.
     ///
     /// # Panics
     ///
@@ -202,11 +199,16 @@ mod tests {
 
     #[test]
     fn distance_zero_is_line_graph() {
+        // Couplings conflict at d = 0 exactly when they share a qubit.
         let g = topology::grid(3, 3);
         let x = CrosstalkGraph::build(&g, 0);
-        let lg = g.line_graph();
-        assert_eq!(x.graph().node_count(), lg.node_count());
-        assert_eq!(x.graph().edge_count(), lg.edge_count());
+        assert_eq!(x.graph().node_count(), g.edge_count());
+        for (e1, (u1, v1)) in g.edges() {
+            for (e2, (u2, v2)) in g.edges().skip(e1 + 1) {
+                let shared = u1 == u2 || u1 == v2 || v1 == u2 || v1 == v2;
+                assert_eq!(x.graph().has_edge(e1, e2), shared, "couplings {e1}, {e2}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use crate::GraphError;
@@ -20,21 +20,21 @@ use crate::GraphError;
 /// let e0 = g.add_edge(0, 1)?;
 /// let e1 = g.add_edge(1, 2)?;
 /// assert_eq!(g.endpoints(e0), (0, 1));
+/// assert_eq!(g.endpoints(e1), (1, 2));
 /// assert_eq!(g.degree(1), 2);
-/// assert_eq!(g.edge_between(2, 1), Some(e1));
+/// assert!(g.has_edge(2, 1));
 /// # Ok::<(), fastsc_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
     adjacency: Vec<Vec<usize>>,
     edges: Vec<(usize, usize)>,
-    edge_index: HashMap<(usize, usize), usize>,
 }
 
 impl Graph {
     /// Creates a graph with `n` isolated nodes and no edges.
     pub fn new(n: usize) -> Self {
-        Graph { adjacency: vec![Vec::new(); n], edges: Vec::new(), edge_index: HashMap::new() }
+        Graph { adjacency: vec![Vec::new(); n], edges: Vec::new() }
     }
 
     /// Creates a graph with `n` nodes and the given edges.
@@ -93,26 +93,24 @@ impl Graph {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        let key = (u.min(v), u.max(v));
-        if self.edge_index.contains_key(&key) {
-            return Err(GraphError::DuplicateEdge { u: key.0, v: key.1 });
+        if self.has_edge(u, v) {
+            return Err(GraphError::DuplicateEdge { u: u.min(v), v: u.max(v) });
         }
         let id = self.edges.len();
-        self.edges.push(key);
-        self.edge_index.insert(key, id);
+        self.edges.push((u.min(v), u.max(v)));
         self.adjacency[u].push(v);
         self.adjacency[v].push(u);
         Ok(id)
     }
 
-    /// Whether an edge between `u` and `v` exists.
+    /// Whether an edge between `u` and `v` exists (`false` when either
+    /// node does not). O(min degree): a scan of the smaller adjacency list.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.edge_index.contains_key(&(u.min(v), u.max(v)))
-    }
-
-    /// The index of the edge between `u` and `v`, if present.
-    pub fn edge_between(&self, u: usize, v: usize) -> Option<usize> {
-        self.edge_index.get(&(u.min(v), u.max(v))).copied()
+        match (self.adjacency.get(u), self.adjacency.get(v)) {
+            (Some(nu), Some(nv)) if nu.len() <= nv.len() => nu.contains(&v),
+            (Some(_), Some(nv)) => nv.contains(&u),
+            _ => false,
+        }
     }
 
     /// The `(min, max)` endpoints of edge `e`.
@@ -157,8 +155,8 @@ impl Graph {
         0..self.node_count()
     }
 
-    /// A stable 64-bit structural hash: [`StableHasher`]
-    /// (crate::hash::StableHasher) (pinned FNV-1a/64) over the node count
+    /// A stable 64-bit structural hash:
+    /// [`StableHasher`](crate::hash::StableHasher) (pinned FNV-1a/64) over the node count
     /// and the edge list in insertion order (endpoints normalized, as
     /// stored).
     ///
@@ -177,18 +175,6 @@ impl Graph {
             h.write_usize(v);
         }
         h.finish()
-    }
-
-    /// Edge indices incident to node `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= node_count()`.
-    pub fn incident_edges(&self, u: usize) -> Vec<usize> {
-        self.adjacency[u]
-            .iter()
-            .map(|&v| self.edge_between(u, v).expect("adjacency implies an edge"))
-            .collect()
     }
 
     /// Breadth-first distances (in hops) from `src` to every node.
@@ -319,27 +305,6 @@ impl Graph {
         components
     }
 
-    /// The line graph: one node per edge of `self`; two line-graph nodes are
-    /// adjacent when the corresponding edges share an endpoint.
-    ///
-    /// Line-graph node `i` corresponds to edge `i` of `self`.
-    pub fn line_graph(&self) -> Graph {
-        let mut lg = Graph::new(self.edge_count());
-        for u in self.nodes() {
-            let incident = self.incident_edges(u);
-            for (i, &e1) in incident.iter().enumerate() {
-                for &e2 in &incident[i + 1..] {
-                    // Two edges may share both endpoints only in a multigraph;
-                    // in a simple graph the pair is unique, but two edges can
-                    // still meet at both `u` and `v` via different vertices,
-                    // so tolerate duplicates.
-                    let _ = lg.add_edge(e1, e2);
-                }
-            }
-        }
-        lg
-    }
-
     /// The subgraph induced by `nodes`, together with the mapping from new
     /// node index to original node index.
     ///
@@ -445,7 +410,8 @@ mod tests {
         assert_eq!(g.endpoints(e), (0, 2));
         assert!(g.has_edge(0, 2));
         assert!(g.has_edge(2, 0));
-        assert_eq!(g.edge_between(0, 2), Some(e));
+        assert!(!g.has_edge(0, 1));
+        assert!(!g.has_edge(0, 9), "out-of-range nodes have no edges");
     }
 
     #[test]
@@ -495,13 +461,6 @@ mod tests {
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.max_degree(), 2);
-    }
-
-    #[test]
-    fn incident_edges_match_adjacency() {
-        let g = path3();
-        assert_eq!(g.incident_edges(1), vec![0, 1]);
-        assert_eq!(g.incident_edges(0), vec![0]);
     }
 
     #[test]
@@ -593,34 +552,6 @@ mod tests {
         let g = Graph::with_edges(5, [(0, 1), (3, 4)]).expect("valid");
         let comps = g.connected_components();
         assert_eq!(comps, vec![vec![0, 1], vec![2], vec![3, 4]]);
-    }
-
-    #[test]
-    fn line_graph_of_path_is_path() {
-        // P3 has 2 edges sharing node 1 => line graph is a single edge.
-        let lg = path3().line_graph();
-        assert_eq!(lg.node_count(), 2);
-        assert_eq!(lg.edge_count(), 1);
-        assert!(lg.has_edge(0, 1));
-    }
-
-    #[test]
-    fn line_graph_of_star_is_complete() {
-        let star = Graph::with_edges(4, [(0, 1), (0, 2), (0, 3)]).expect("star");
-        let lg = star.line_graph();
-        assert_eq!(lg.node_count(), 3);
-        assert_eq!(lg.edge_count(), 3); // K3
-    }
-
-    #[test]
-    fn line_graph_degree_identity() {
-        // deg_L(e=(u,v)) = deg(u) + deg(v) - 2 for simple graphs.
-        let g = Graph::with_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (2, 5)])
-            .expect("valid");
-        let lg = g.line_graph();
-        for (e, (u, v)) in g.edges() {
-            assert_eq!(lg.degree(e), g.degree(u) + g.degree(v) - 2, "edge {e}");
-        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! The paper's reference implementation used Python NetworkX; this crate is
 //! a from-scratch replacement providing exactly the operations the compiler
 //! needs: an undirected simple [`Graph`], standard topology builders
-//! ([`topology`]), line-graph and distance-*d* crosstalk-graph construction
-//! ([`crosstalk`]), and greedy / Welsh–Powell / color-bounded vertex coloring
-//! ([`coloring`]).
+//! ([`topology`]), distance-*d* crosstalk-graph construction
+//! ([`crosstalk`]; *d* = 0 is the line graph), and greedy / Welsh–Powell /
+//! color-bounded vertex coloring ([`coloring`]).
 //!
 //! # Example
 //!

@@ -3,6 +3,7 @@
 use fastsc_graph::crosstalk::CrosstalkGraph;
 use fastsc_graph::{coloring, topology, Graph};
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 /// Strategy: a random simple graph as (n, edge set).
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -12,6 +13,74 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
         proptest::sample::subsequence(all_pairs.clone(), 0..=all_pairs.len())
             .prop_map(move |edges| Graph::with_edges(n, edges).expect("subsequence is unique"))
     })
+}
+
+/// Strategy: a small device from one of the families the compiler sees —
+/// mesh, heavy-hex, 2-D express cube, or Erdős–Rényi (isolated nodes
+/// and disconnected components included).
+fn arb_device() -> impl Strategy<Value = Graph> {
+    (0usize..4, 1usize..7, 1usize..7, any::<u64>()).prop_map(
+        |(family, a, b, seed)| match family {
+            0 => topology::grid(a, b),
+            1 => topology::heavy_hex(a.min(3), b.min(3)),
+            2 => topology::express_2d(a, b, 2 + (seed % 3) as usize),
+            _ => {
+                let p = (seed % 7) as f64 / 10.0;
+                topology::erdos_renyi(a * b, p, &mut rand::rngs::StdRng::seed_from_u64(seed))
+            }
+        },
+    )
+}
+
+/// The distance-`d` crosstalk graph straight from its definition: couplings
+/// `e1 < e2` conflict when the minimum BFS distance between an endpoint of
+/// `e1` and an endpoint of `e2` is at most `d`. Edges are added in
+/// ascending `(e1, e2)` order, so every neighbor list is ascending.
+fn reference_crosstalk(g: &Graph, d: u32) -> Graph {
+    let dist: Vec<Vec<Option<u32>>> = g.nodes().map(|q| g.bfs_distances(q)).collect();
+    let couplings: Vec<(usize, usize)> = g.edges().map(|(_, endpoints)| endpoints).collect();
+    let mut x = Graph::new(couplings.len());
+    for (e1, &(u1, v1)) in couplings.iter().enumerate() {
+        for (e2, &(u2, v2)) in couplings.iter().enumerate().skip(e1 + 1) {
+            let min_d = [dist[u1][u2], dist[u1][v2], dist[v1][u2], dist[v1][v2]]
+                .into_iter()
+                .flatten()
+                .min();
+            if matches!(min_d, Some(m) if m <= d) {
+                x.add_edge(e1, e2).expect("each pair is visited once");
+            }
+        }
+    }
+    x
+}
+
+#[test]
+fn line_graph_of_path_is_path() {
+    // P3 has 2 edges sharing node 1 => line graph is a single edge.
+    let path3 = topology::linear(3);
+    let lg = CrosstalkGraph::build(&path3, 0);
+    assert_eq!(lg.graph().node_count(), 2);
+    assert_eq!(lg.graph().edge_count(), 1);
+    assert!(lg.graph().has_edge(0, 1));
+}
+
+#[test]
+fn line_graph_of_star_is_complete() {
+    let star = Graph::with_edges(4, [(0, 1), (0, 2), (0, 3)]).expect("star");
+    let lg = CrosstalkGraph::build(&star, 0);
+    assert_eq!(lg.graph().node_count(), 3);
+    assert_eq!(lg.graph().edge_count(), 3); // K3
+}
+
+#[test]
+fn line_graph_degree_identity() {
+    // deg_L(e=(u,v)) = deg(u) + deg(v) - 2 for simple graphs.
+    let g =
+        Graph::with_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (2, 5)]).expect("valid");
+    let lg = CrosstalkGraph::build(&g, 0);
+    for (e, (u, v)) in g.edges() {
+        assert_eq!(lg.graph().degree(e), g.degree(u) + g.degree(v) - 2, "edge {e}");
+    }
 }
 
 proptest! {
@@ -48,11 +117,26 @@ proptest! {
 
     #[test]
     fn line_graph_node_degree_identity(g in arb_graph(12)) {
-        let lg = g.line_graph();
-        prop_assert_eq!(lg.node_count(), g.edge_count());
+        let lg = CrosstalkGraph::build(&g, 0);
+        prop_assert_eq!(lg.graph().node_count(), g.edge_count());
         for (e, (u, v)) in g.edges() {
-            prop_assert_eq!(lg.degree(e), g.degree(u) + g.degree(v) - 2);
+            prop_assert_eq!(lg.graph().degree(e), g.degree(u) + g.degree(v) - 2);
         }
+    }
+
+    #[test]
+    fn crosstalk_build_matches_its_definition(g in arb_device(), d in 0usize..=3) {
+        let x = CrosstalkGraph::build(&g, d);
+        let reference = reference_crosstalk(&g, d as u32);
+        let built: Vec<_> = x.graph().edges().collect();
+        let expected: Vec<_> = reference.edges().collect();
+        prop_assert_eq!(built, expected);
+        for i in reference.nodes() {
+            prop_assert!(x.conflicts(i).windows(2).all(|w| w[0] < w[1]),
+                "conflicts({}) = {:?} is not strictly ascending", i, x.conflicts(i));
+            prop_assert_eq!(x.conflicts(i), reference.neighbors(i));
+        }
+        prop_assert_eq!(coloring::welsh_powell(x.graph()), coloring::welsh_powell(&reference));
     }
 
     #[test]
@@ -61,29 +145,6 @@ proptest! {
         let e1 = CrosstalkGraph::build(&g, 1).graph().edge_count();
         let e2 = CrosstalkGraph::build(&g, 2).graph().edge_count();
         prop_assert!(e0 <= e1 && e1 <= e2);
-    }
-
-    #[test]
-    fn crosstalk_edges_respect_definition(g in arb_graph(9)) {
-        // Every crosstalk edge (d = 1) corresponds to couplings with
-        // min endpoint distance <= 1, and vice versa.
-        let x = CrosstalkGraph::build(&g, 1);
-        for e1 in 0..x.coupling_count() {
-            let (u1, v1) = x.coupling(e1);
-            let du1 = g.bfs_distances(u1);
-            let dv1 = g.bfs_distances(v1);
-            for e2 in 0..x.coupling_count() {
-                if e1 == e2 { continue; }
-                let (u2, v2) = x.coupling(e2);
-                let min_d = [du1[u2], du1[v2], dv1[u2], dv1[v2]]
-                    .into_iter()
-                    .flatten()
-                    .min();
-                let near = matches!(min_d, Some(d) if d <= 1);
-                prop_assert_eq!(x.graph().has_edge(e1, e2), near,
-                    "couplings {} and {}", e1, e2);
-            }
-        }
     }
 
     #[test]

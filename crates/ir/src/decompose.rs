@@ -62,7 +62,7 @@ impl Strategy {
 /// gates.
 ///
 /// The output is allocated once, at its exact length: a first sweep sums
-/// each instruction's lowered length ([`lowered_len`]).
+/// each instruction's lowered length (`lowered_len`).
 pub fn decompose(circuit: &Circuit, strategy: Strategy) -> Circuit {
     let native = strategy.native_set();
     let budget = circuit

@@ -173,8 +173,8 @@ impl Gate {
     /// A stable `(tag, parameter-bits)` encoding for structural hashing.
     ///
     /// Tags are fixed forever (appending new gates gets new tags; existing
-    /// tags never change), so a [`Circuit::structural_hash`]
-    /// (crate::Circuit::structural_hash) computed today matches one
+    /// tags never change), so a
+    /// [`Circuit::structural_hash`](crate::Circuit::structural_hash) computed today matches one
     /// computed by any future build — the property the compile service's
     /// persistent result cache depends on. Non-parametric gates carry
     /// parameter bits `0`; rotations carry the IEEE-754 bits of their

@@ -117,8 +117,7 @@ impl std::str::FromStr for Priority {
 }
 
 /// One submission: the compile job plus its queueing metadata. Built
-/// fluently and handed to [`QueueService::submit`]
-/// (crate::QueueService::submit).
+/// fluently and handed to [`QueueService::submit`](crate::QueueService::submit).
 ///
 /// ```
 /// use fastsc_core::batch::CompileJob;
@@ -179,8 +178,8 @@ impl Submission {
     }
 
     /// Expires the job `timeout` from now: if no compile slot opens in
-    /// time, the job resolves to [`CompileError::Deadline`]
-    /// (fastsc_core::CompileError::Deadline) without compiling.
+    /// time, the job resolves to
+    /// [`CompileError::Deadline`](fastsc_core::CompileError::Deadline) without compiling.
     pub fn deadline_in(mut self, timeout: Duration) -> Self {
         self.deadline = Some(Instant::now() + timeout);
         self

@@ -25,8 +25,8 @@
 //!   (4:2:1) with per-client rotation inside each class: interactive
 //!   traffic dominates under load, but no class and no tenant starves.
 //! * A dispatcher thread drains fair micro-batches into
-//!   [`CompileService::compile_batch`]
-//!   (fastsc_service::CompileService::compile_batch), so shard routing,
+//!   [`CompileService::compile_batch`](fastsc_service::CompileService::compile_batch),
+//!   so shard routing,
 //!   duplicate coalescing, work stealing, and the whole-schedule result
 //!   cache keep working exactly as in the blocking API — queued
 //!   schedules are bit-identical to direct sequential compiles (the

@@ -1,7 +1,7 @@
 //! The queue service: admission, dispatch, and result delivery.
 //!
 //! One dispatcher thread sits between submitters and the sharded
-//! [`CompileService`]: submissions land in the [`AdmissionQueue`]
+//! [`CompileService`]: submissions land in the `AdmissionQueue`
 //! (bounded; the configured [`Backpressure`] decides what happens when
 //! it is full), the dispatcher drains weighted, client-fair
 //! micro-batches into [`CompileService::compile_batch`] (so shard

@@ -72,8 +72,7 @@ pub struct QueueStats {
     /// queue is backed up" from "compiles are slow".
     pub queue_wait: [LatencySummary; 3],
     /// Fleet-wide schedule-cache counters
-    /// ([`CompileService::cache_stats_total`]
-    /// (fastsc_service::CompileService::cache_stats_total)).
+    /// ([`CompileService::cache_stats_total`](fastsc_service::CompileService::cache_stats_total)).
     pub cache: CacheStats,
 }
 

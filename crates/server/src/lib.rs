@@ -28,8 +28,7 @@
 //!   frames carrying `line`/`column`/`token`; a malformed program never
 //!   costs the connection.
 //! * **Determinism over the wire** — result frames carry the schedule's
-//!   pinned digest ([`Schedule::stable_hash`]
-//!   (fastsc_noise::Schedule::stable_hash)), so a client can prove the
+//!   pinned digest (`fastsc_noise::Schedule::stable_hash`), so a client can prove the
 //!   schedule compiled behind the socket is bit-identical to a fresh
 //!   local sequential compile. The workspace determinism suite does
 //!   exactly that.

@@ -9,11 +9,10 @@
 //!
 //! * the **device** (fabrication seed + connectivity + coupler, see
 //!   [`device_fingerprint`]),
-//! * the **program** ([`Circuit::structural_hash`]
-//!   (fastsc_ir::Circuit::structural_hash)),
+//! * the **program** ([`Circuit::structural_hash`](fastsc_ir::Circuit::structural_hash)),
 //! * the **strategy** ([`Strategy::stable_code`]),
-//! * the **configuration** ([`CompilerConfig::fingerprint`]
-//!   (fastsc_core::CompilerConfig::fingerprint)).
+//! * the **configuration**
+//!   ([`CompilerConfig::fingerprint`](fastsc_core::CompilerConfig::fingerprint)).
 //!
 //! Compilation is a pure function of that key, so a hit is bit-identical
 //! to the cold compile that populated it (the determinism suite proves
@@ -61,8 +60,8 @@ pub struct CacheKey {
     pub program_hash: u64,
     /// [`Strategy::stable_code`] of the strategy.
     pub strategy_code: u8,
-    /// [`CompilerConfig::fingerprint`]
-    /// (fastsc_core::CompilerConfig::fingerprint) of the configuration.
+    /// [`CompilerConfig::fingerprint`](fastsc_core::CompilerConfig::fingerprint) of the
+    /// configuration.
     pub config_fingerprint: u64,
 }
 

@@ -9,7 +9,7 @@
 //! each independently testable:
 //!
 //! * [`router::CompileService`] — builds one shard per
-//!   [`ShardSpec`](router::ShardSpec) (device, config, cache capacity,
+//!   [`ShardSpec`] (device, config, cache capacity,
 //!   optional artifact store), routes each submitted
 //!   [`CompileJob`](fastsc_core::batch::CompileJob) to a shard via a
 //!   pluggable [`policy::ShardPolicy`], fans all routed jobs out over the
@@ -18,12 +18,12 @@
 //!   **dynamic**: `add_shard` / `drain_shard` / `remove_shard` are
 //!   `&self` and safe while batches are compiling.
 //! * [`telemetry`] — what placement decisions consume: an immutable
-//!   [`ShardProfile`](telemetry::ShardProfile) per shard (calibration
+//!   [`ShardProfile`] per shard (calibration
 //!   summary + static `estimated_success` score from the device's noise
-//!   characteristics) plus live [`ShardView`](telemetry::ShardView)
+//!   characteristics) plus live [`ShardView`]
 //!   snapshots (lifecycle state, load, EWMA compile latency, cache
 //!   counters). Policies read them through `RouteRequest::shards`;
-//!   [`Composite`](policy::Composite) — the one ranking engine, with
+//!   [`Composite`] — the one ranking engine, with
 //!   least-loaded, capacity-aware, and fidelity-aware presets — filters
 //!   and ranks shards by them.
 //! * [`cache::ScheduleCache`] — a bounded whole-schedule result cache

@@ -99,8 +99,8 @@ const STATE_QUARANTINED: u8 = 2;
 /// * **Closed** — the shard is [`ShardState::Active`]; every transient
 ///   failure (panicked or fault-injected compile) extends its
 ///   consecutive-failure streak, any success resets it.
-/// * **Open** — the streak reached [`failure_threshold`]
-///   (Self::failure_threshold): the shard is
+/// * **Open** — the streak reached
+///   [`failure_threshold`](Self::failure_threshold): the shard is
 ///   [`ShardState::Quarantined`], so policies stop routing to it, and a
 ///   cooldown starts — counted in **jobs the fleet routes elsewhere**,
 ///   not wall time, so recovery timing is a pure function of the

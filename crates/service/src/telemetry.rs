@@ -106,8 +106,8 @@ impl ShardProfile {
         }
     }
 
-    /// Compares two profiles by [`estimated_success`]
-    /// (Self::estimated_success), **ascending** (so `max_by` picks the
+    /// Compares two profiles by [`estimated_success`](Self::estimated_success),
+    /// **ascending** (so `max_by` picks the
     /// best shard). This is a total order on *any* pair of profiles:
     /// non-finite scores (NaN, infinities — impossible from
     /// [`from_context`](Self::from_context), but arbitrary under

@@ -12,7 +12,7 @@
 //!   (context build, SMT, coloring, partition, stitch) attach through a
 //!   thread-local context installed around the compile, so the engine
 //!   itself never threads tracer handles through its hot loop.
-//! * [`metrics`] — fixed-instrument atomic counters, gauges, and
+//! * [`metrics`](mod@metrics) — fixed-instrument atomic counters, gauges, and
 //!   fixed-bucket histograms covering queue wait, per-strategy compile
 //!   latency, SMT solve time, retries, breaker transitions, cache
 //!   hits, and bytes on the wire, snapshot-able for embedders
