@@ -33,17 +33,7 @@ fn main() {
     println!();
     println!(
         "{}",
-        row(
-            &[
-                "benchmark".into(),
-                "lowering".into(),
-                "P_success".into(),
-                "depth".into(),
-                "duration".into(),
-                "2q gates".into(),
-            ],
-            &widths
-        )
+        row(&["benchmark", "lowering", "P_success", "depth", "duration", "2q gates"], &widths)
     );
     for b in benchmarks {
         let mut best: Option<(&str, f64)> = None;

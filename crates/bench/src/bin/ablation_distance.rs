@@ -30,17 +30,7 @@ fn main() {
     println!();
     println!(
         "{}",
-        row(
-            &[
-                "benchmark".into(),
-                "d".into(),
-                "P_success".into(),
-                "depth".into(),
-                "colors".into(),
-                "xtalk err".into(),
-            ],
-            &widths
-        )
+        row(&["benchmark", "d", "P_success", "depth", "colors", "xtalk err"], &widths)
     );
     for b in benchmarks {
         for d in [0usize, 1, 2] {

@@ -46,7 +46,10 @@ const GATES: [Gate; 13] = [
 
 fn main() {
     let path = record::default_path();
-    let records = record::read_records(&path);
+    let records = record::read_records(&path).unwrap_or_else(|e| {
+        eprintln!("bench_guard FAILED: cannot read {}: {e}", path.display());
+        std::process::exit(1);
+    });
     let mut failed = false;
     for gate in &GATES {
         match check(&records, gate) {
@@ -71,7 +74,8 @@ mod tests {
     fn every_gate_names_a_committed_post_row() {
         let committed = record::read_records(
             &Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_compile.json"),
-        );
+        )
+        .expect("the committed BENCH_compile.json parses");
         for gate in &GATES {
             assert!(
                 committed.iter().any(|r| {

@@ -27,19 +27,7 @@ fn main() {
 
     println!("Extension — ColorDynamic on gmon hardware (paper §VIII future work)");
     println!();
-    println!(
-        "{}",
-        row(
-            &[
-                "benchmark".into(),
-                "r".into(),
-                "G (tiling)".into(),
-                "CD on gmon".into(),
-                "gain".into(),
-            ],
-            &widths
-        )
-    );
+    println!("{}", row(&["benchmark", "r", "G (tiling)", "CD on gmon", "gain"], &widths));
     for b in benchmarks {
         for &r in &residuals {
             let base = device_for(b.n_qubits(), SEED);

@@ -6,50 +6,27 @@
 //! cargo run -p fastsc-bench --release --bin fig09_success_rates
 //! ```
 
-use fastsc_bench::{fmt_p, geomean, row, run_cell};
-use fastsc_core::{CompilerConfig, Strategy};
-use fastsc_workloads::Benchmark;
+use fastsc_bench::{fig09_cd_vs_g, fig09_success_rates, fmt_p, geomean, row};
+use fastsc_core::CompilerConfig;
 
 fn main() {
-    let config = CompilerConfig::default();
     let widths = [12usize, 10, 10, 10, 10, 12];
     println!("Fig. 9 — worst-case program success rate (higher is better)");
     println!("Baseline G assumes perfectly deactivatable couplers (residual = 0),");
     println!("as in the paper's conservative estimate.");
     println!();
-    println!(
-        "{}",
-        row(
-            &[
-                "benchmark".into(),
-                "N".into(),
-                "G".into(),
-                "U".into(),
-                "S".into(),
-                "ColorDynamic".into(),
-            ],
-            &widths
-        )
-    );
+    println!("{}", row(&["benchmark", "N", "G", "U", "S", "ColorDynamic"], &widths));
 
+    let rows = fig09_success_rates(&CompilerConfig::default()).expect("compiles");
     let mut cd_over_u: Vec<f64> = Vec::new();
-    let mut cd_vs_g: Vec<f64> = Vec::new();
-    for benchmark in Benchmark::fig9_suite() {
-        let mut cells = vec![benchmark.label()];
-        let mut per_strategy = Vec::new();
-        for strategy in Strategy::all() {
-            let cell = run_cell(benchmark, strategy, &config, 0.0).expect("compiles");
-            cells.push(fmt_p(cell.report.p_success));
-            per_strategy.push(cell.report.p_success);
-        }
+    for (benchmark, success) in &rows {
+        let cells: Vec<String> =
+            std::iter::once(benchmark.label()).chain(success.map(fmt_p)).collect();
         println!("{}", row(&cells, &widths));
-        let (g, u, cd) = (per_strategy[1], per_strategy[2], per_strategy[4]);
+        let (u, cd) = (success[2], success[4]);
         // The paper excludes points below its 1e-4 success floor.
         if cd >= 1e-4 && u >= 0.0 {
             cd_over_u.push(cd / u.max(1e-6));
-        }
-        if g > 1e-4 && cd > 1e-4 {
-            cd_vs_g.push(cd / g);
         }
     }
 
@@ -64,7 +41,7 @@ fn main() {
     );
     println!(
         "ColorDynamic vs idealized Baseline G: geomean ratio = {:.2}x (paper: ~parity)",
-        geomean(&cd_vs_g, 1e-6)
+        fig09_cd_vs_g(&rows)
     );
     println!();
     println!("Shape notes vs the paper: ColorDynamic wins or ties every cell, the");

@@ -20,15 +20,7 @@ fn main() {
     println!(
         "{}",
         row(
-            &[
-                "benchmark".into(),
-                "depth G".into(),
-                "depth U".into(),
-                "depth CD".into(),
-                "decoh G".into(),
-                "decoh U".into(),
-                "decoh CD".into(),
-            ],
+            &["benchmark", "depth G", "depth U", "depth CD", "decoh G", "decoh U", "decoh CD"],
             &widths
         )
     );

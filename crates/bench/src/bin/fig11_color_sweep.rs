@@ -24,10 +24,7 @@ fn main() {
     let widths = [12usize, 10, 10, 10, 10];
     println!("Fig. 11 — success rate vs max number of colors (ColorDynamic)");
     println!();
-    println!(
-        "{}",
-        row(&["benchmark".into(), "1".into(), "2".into(), "3".into(), "4".into()], &widths)
-    );
+    println!("{}", row(&["benchmark", "1", "2", "3", "4"], &widths));
     for b in benchmarks {
         let mut cells = vec![b.label()];
         let mut best = (0usize, f64::MIN);

@@ -31,14 +31,7 @@ fn main() {
         println!(
             "{}",
             row(
-                &[
-                    "topology".into(),
-                    "colors".into(),
-                    "compile ms".into(),
-                    "P(U)".into(),
-                    "P(CD)".into(),
-                    "CD/U".into(),
-                ],
+                &["topology", "colors", "compile ms", "P(U)", "P(CD)", "CD/U"],
                 &[10, 8, 12, 10, 10, 8]
             )
         );

@@ -30,13 +30,7 @@ fn main() {
     println!(
         "{}",
         row(
-            &[
-                "benchmark".into(),
-                "strategy".into(),
-                "heuristic".into(),
-                "simulated".into(),
-                "stderr".into(),
-            ],
+            &["benchmark", "strategy", "heuristic", "simulated", "stderr"],
             &[12, 14, 11, 11, 9]
         )
     );
@@ -112,5 +106,5 @@ fn main() {
     println!("compilation strategies without full noisy simulation. (The paper's");
     println!("product-form decoherence is milder than the simulator's physical");
     println!("amplitude-damping + dephasing channels, so absolute values differ on");
-    println!("long programs; see EXPERIMENTS.md.)");
+    println!("long programs; see the README, \"Paper figures\".)");
 }

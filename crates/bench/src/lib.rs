@@ -99,6 +99,39 @@ pub fn run_cell(
     Ok(CellResult { strategy, compiled, report })
 }
 
+/// Fig. 9's cells: the estimated worst-case success of each strategy, in
+/// [`Strategy::all`] order (N, G, U, S, ColorDynamic), on each benchmark
+/// of [`Benchmark::fig9_suite`], Baseline G with ideal couplers.
+///
+/// # Errors
+///
+/// The first compile error of any cell.
+pub fn fig09_success_rates(
+    config: &CompilerConfig,
+) -> Result<Vec<(Benchmark, [f64; 5])>, CompileError> {
+    let mut rows = Vec::new();
+    for benchmark in Benchmark::fig9_suite() {
+        let mut success = [0.0; 5];
+        for (p, strategy) in success.iter_mut().zip(Strategy::all()) {
+            *p = run_cell(benchmark, strategy, config, 0.0)?.report.p_success;
+        }
+        rows.push((benchmark, success));
+    }
+    Ok(rows)
+}
+
+/// The geomean of ColorDynamic's success over idealised Baseline G's
+/// across [`fig09_success_rates`] rows, skipping rows where either falls
+/// below the paper's 1e-4 plot floor (the paper reports ~parity).
+pub fn fig09_cd_vs_g(rows: &[(Benchmark, [f64; 5])]) -> f64 {
+    let ratios: Vec<f64> = rows
+        .iter()
+        .filter(|(_, p)| p[1] > 1e-4 && p[4] > 1e-4)
+        .map(|(_, p)| p[4] / p[1])
+        .collect();
+    geomean(&ratios, 1e-6)
+}
+
 /// Geometric mean of strictly positive values; zeros/negatives are clamped
 /// to `floor` first (the paper excludes points below its 1e-4 plot floor).
 pub fn geomean(values: &[f64], floor: f64) -> f64 {
@@ -122,11 +155,11 @@ pub fn fmt_p(p: f64) -> String {
 }
 
 /// Prints a Markdown-style table row.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
+pub fn row<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
     cells
         .iter()
         .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
+        .map(|(c, w)| format!("{:>w$}", c.as_ref(), w = w))
         .collect::<Vec<_>>()
         .join("  ")
 }

@@ -13,13 +13,15 @@
 //! a free-form `label` (`BENCH_LABEL` env var, default `current`)
 //! distinguishing e.g. the `pre`/`post` halves of an optimization PR.
 //!
-//! The file format is a JSON array with exactly one record object per
-//! line — machine-readable by any JSON parser, and re-readable by
-//! [`read_records`] (which only understands this module's own output; it
-//! is not a general JSON parser). Re-recording a `(workload, strategy,
-//! label)` key replaces the old record in place, so repeated bench runs
-//! converge instead of growing the file.
+//! The file is a JSON array with one record object per line, written and
+//! read with the workspace's one codec ([`Json`]). Re-recording a
+//! `(workload, strategy, label)` key replaces the old record in place, so
+//! repeated bench runs converge instead of growing the file. A file that
+//! exists but does not parse is an error, never an empty table: rewriting
+//! it would silently drop the rows it holds.
 
+use fastsc_telemetry::json::Json;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -30,7 +32,8 @@ pub struct BenchRecord {
     pub workload: String,
     /// Strategy identifier, e.g. `ColorDynamic` or `sequential`.
     pub strategy: String,
-    /// Median wall-clock nanoseconds per run.
+    /// Median wall-clock nanoseconds per run (a JSON number in the file,
+    /// so exact up to 2^53 ns, about 104 days).
     pub median_ns: u128,
     /// Run label (`BENCH_LABEL` env var), e.g. `pre` / `post`.
     pub label: String,
@@ -51,34 +54,24 @@ impl BenchRecord {
         (&self.workload, &self.strategy, &self.label)
     }
 
-    fn to_json_line(&self) -> String {
-        format!(
-            "  {{\"workload\": \"{}\", \"strategy\": \"{}\", \"median_ns\": {}, \"label\": \"{}\"}}",
-            escape(&self.workload),
-            escape(&self.strategy),
-            self.median_ns,
-            escape(&self.label)
-        )
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("workload", Json::str(&self.workload)),
+            ("strategy", Json::str(&self.strategy)),
+            ("median_ns", Json::num(self.median_ns as f64)),
+            ("label", Json::str(&self.label)),
+        ])
     }
-}
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            if let Some(next) = chars.next() {
-                out.push(next);
-            }
-        } else {
-            out.push(c);
-        }
+    fn from_json(row: &Json) -> Option<BenchRecord> {
+        let text = |key| row.get(key).and_then(Json::as_str).map(str::to_owned);
+        Some(BenchRecord {
+            workload: text("workload")?,
+            strategy: text("strategy")?,
+            median_ns: row.get("median_ns")?.as_u64()?.into(),
+            label: text("label")?,
+        })
     }
-    out
 }
 
 /// The label stamped on new records: `BENCH_LABEL`, default `current`.
@@ -186,9 +179,16 @@ fn summarize(times: &[Vec<u128>]) -> Sampled {
 }
 
 /// Merges `records` into the file at [`default_path`] and prints them.
+///
+/// # Panics
+///
+/// Panics, naming the file, when [`record_at`] fails: a bench whose rows
+/// cannot land must not pass.
 pub fn record(records: &[BenchRecord]) {
     let path = default_path();
-    record_at(&path, records);
+    if let Err(e) = record_at(&path, records) {
+        panic!("cannot record to {}: {e}", path.display());
+    }
     for r in records {
         println!("{}/{}: {} ({})", r.workload, r.strategy, r.median_ns, r.label);
     }
@@ -197,9 +197,14 @@ pub fn record(records: &[BenchRecord]) {
 
 /// Merges `records` into `path`: existing records with the same
 /// `(workload, strategy, label)` key are replaced, others are kept, and
-/// the result is written sorted by key.
-pub fn record_at(path: &Path, records: &[BenchRecord]) {
-    let mut all = read_records(path);
+/// the result is written sorted by key, one record per line.
+///
+/// # Errors
+///
+/// Whatever [`read_records`] reports, in which case the file is left
+/// untouched, or the write's I/O error.
+pub fn record_at(path: &Path, records: &[BenchRecord]) -> io::Result<()> {
+    let mut all = read_records(path)?;
     for r in records {
         match all.iter_mut().find(|existing| existing.key() == r.key()) {
             Some(slot) => *slot = r.clone(),
@@ -207,61 +212,41 @@ pub fn record_at(path: &Path, records: &[BenchRecord]) {
         }
     }
     all.sort_by(|a, b| a.key().cmp(&b.key()));
-    let body: Vec<String> = all.iter().map(BenchRecord::to_json_line).collect();
-    let text = format!("[\n{}\n]\n", body.join(",\n"));
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("warning: cannot write {}: {e}", path.display());
-    }
+    let body: Vec<String> = all.iter().map(|r| format!("  {}", r.to_json().encode())).collect();
+    std::fs::write(path, format!("[\n{}\n]\n", body.join(",\n")))
 }
 
-/// Reads records previously written by [`record_at`]. Returns an empty
-/// vector for a missing or unreadable file.
-pub fn read_records(path: &Path) -> Vec<BenchRecord> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
+/// Reads the records file at `path`. A missing file reads as empty.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when the file is not an array of
+/// records; when it is not JSON at all, the inner error is the codec's
+/// [`JsonError`](fastsc_telemetry::json::JsonError), carrying the byte
+/// offset. Other read failures pass through.
+pub fn read_records(path: &Path) -> io::Result<Vec<BenchRecord>> {
+    let text = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        text => text?,
     };
-    text.lines().filter_map(parse_record_line).collect()
-}
-
-fn parse_record_line(line: &str) -> Option<BenchRecord> {
-    Some(BenchRecord {
-        workload: str_field(line, "workload")?,
-        strategy: str_field(line, "strategy")?,
-        median_ns: num_field(line, "median_ns")?,
-        label: str_field(line, "label")?,
-    })
-}
-
-fn str_field(line: &str, name: &str) -> Option<String> {
-    let rest = field_rest(line, name)?;
-    let rest = rest.strip_prefix('"')?;
-    // First unescaped quote ends the value.
-    let mut escaped = false;
-    for (at, c) in rest.char_indices() {
-        match c {
-            '\\' if !escaped => escaped = true,
-            '"' if !escaped => return Some(unescape(&rest[..at])),
-            _ => escaped = false,
-        }
-    }
-    None
-}
-
-fn num_field(line: &str, name: &str) -> Option<u128> {
-    let rest = field_rest(line, name)?;
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-fn field_rest<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let marker = format!("\"{name}\": ");
-    let at = line.find(&marker)?;
-    Some(&line[at + marker.len()..])
+    let invalid = |e: Box<dyn std::error::Error + Send + Sync>| {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    };
+    let doc = Json::parse(&text).map_err(|e| invalid(e.into()))?;
+    let rows = doc.as_array().ok_or_else(|| invalid("not an array of records".into()))?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            BenchRecord::from_json(row)
+                .ok_or_else(|| invalid(format!("row {i} is not a record").into()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastsc_telemetry::json::JsonError;
 
     fn tmp_file(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("fastsc_record_{name}_{}.json", std::process::id()))
@@ -284,8 +269,8 @@ mod tests {
                 label: "post".into(),
             },
         ];
-        record_at(&path, &records);
-        let mut read = read_records(&path);
+        record_at(&path, &records).unwrap();
+        let mut read = read_records(&path).unwrap();
         read.sort_by(|a, b| a.workload.cmp(&b.workload));
         assert_eq!(read.len(), 2);
         assert_eq!(read[0].workload, "batch32_mixed");
@@ -302,9 +287,9 @@ mod tests {
             median_ns: ns,
             label: "l".into(),
         };
-        record_at(&path, &[mk(1)]);
-        record_at(&path, &[mk(2)]);
-        let read = read_records(&path);
+        record_at(&path, &[mk(1)]).unwrap();
+        record_at(&path, &[mk(2)]).unwrap();
+        let read = read_records(&path).unwrap();
         assert_eq!(read.len(), 1);
         assert_eq!(read[0].median_ns, 2);
         std::fs::remove_file(&path).ok();
@@ -320,9 +305,9 @@ mod tests {
             label: "pre".into(),
         };
         let b = BenchRecord { workload: "b".into(), ..a.clone() };
-        record_at(&path, &[a]);
-        record_at(&path, &[b]);
-        assert_eq!(read_records(&path).len(), 2);
+        record_at(&path, &[a]).unwrap();
+        record_at(&path, &[b]).unwrap();
+        assert_eq!(read_records(&path).unwrap().len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -337,11 +322,13 @@ mod tests {
                 median_ns: 7,
                 label: "l".into(),
             }],
-        );
+        )
+        .unwrap();
         let text = std::fs::read_to_string(&path).expect("written");
         assert!(text.starts_with("[\n"));
         assert!(text.ends_with("\n]\n"));
-        assert!(text.contains("\"median_ns\": 7"));
+        assert!(text.contains("\"median_ns\":7"));
+        assert!(Json::parse(&text).is_ok());
         std::fs::remove_file(&path).ok();
     }
 
@@ -354,10 +341,10 @@ mod tests {
             median_ns: 5,
             label: "pre\"post".into(),
         };
-        record_at(&path, std::slice::from_ref(&tricky));
+        record_at(&path, std::slice::from_ref(&tricky)).unwrap();
         // Re-recording the same key replaces, never duplicates.
-        record_at(&path, std::slice::from_ref(&tricky));
-        let read = read_records(&path);
+        record_at(&path, std::slice::from_ref(&tricky)).unwrap();
+        let read = read_records(&path).unwrap();
         assert_eq!(read, vec![tricky]);
         std::fs::remove_file(&path).ok();
     }
@@ -406,7 +393,30 @@ mod tests {
     }
 
     #[test]
+    fn a_garbled_row_is_an_error_and_the_file_is_left_untouched() {
+        let path = tmp_file("garbled");
+        let good = r#"  {"workload": "w", "strategy": "s", "median_ns": 1, "label": "post"}"#;
+        let text = format!("[\n{good},\n  {{\"workload\": \"x\", \"strategy\" 2}}\n]\n");
+        std::fs::write(&path, &text).unwrap();
+        let row = BenchRecord::new("w2", "s", 3);
+        let err = record_at(&path, &[row]).expect_err("garbled file");
+        let json = err.into_inner().and_then(|e| e.downcast::<JsonError>().ok());
+        assert_eq!(json.map(|e| e.offset), text.find("2}"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_row_missing_a_field_is_an_error() {
+        let path = tmp_file("missing_field");
+        std::fs::write(&path, r#"[{"workload": "w", "strategy": "s", "label": "l"}]"#).unwrap();
+        let err = read_records(&path).expect_err("row without median_ns");
+        assert_eq!(err.to_string(), "row 0 is not a record");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn missing_file_reads_empty() {
-        assert!(read_records(Path::new("/nonexistent/fastsc.json")).is_empty());
+        assert!(read_records(Path::new("/nonexistent/fastsc.json")).unwrap().is_empty());
     }
 }

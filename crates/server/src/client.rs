@@ -5,7 +5,7 @@
 //! request/response call never swallows them.
 
 use crate::frame::{read_frame, write_frame};
-use crate::json::Json;
+use crate::Json;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -118,6 +118,22 @@ fn field_u64(frame: &Json, key: &str) -> Result<u64, ClientError> {
         .ok_or_else(|| ClientError::Protocol(format!("frame missing integer \"{key}\"")))
 }
 
+fn field_str<'a>(frame: &'a Json, key: &str) -> Result<&'a str, ClientError> {
+    frame
+        .get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| ClientError::Protocol(format!("frame missing string \"{key}\"")))
+}
+
+/// A `poll`/`wait` reply: `None` for `pending`, the outcome for `result`.
+fn outcome(reply: &Json) -> Result<Option<JobOutcome>, ClientError> {
+    match reply.get("type").and_then(Json::as_str) {
+        Some("pending") => Ok(None),
+        Some("result") => JobOutcome::from_frame(reply).map(Some),
+        other => Err(ClientError::Protocol(format!("expected result/pending, got {other:?}"))),
+    }
+}
+
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
     stream: TcpStream,
@@ -141,12 +157,8 @@ impl Client {
     /// and returns the direct response frame with that `seq`, buffering
     /// streamed frames encountered along the way. An `error` frame with
     /// that `seq` becomes [`ClientError::Server`].
-    pub fn call(&mut self, mut fields: Vec<(&str, Json)>) -> Result<Json, ClientError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        fields.push(("seq", Json::num(seq as f64)));
-        let frame = Json::obj(fields).encode();
-        write_frame(&mut self.stream, &frame)?;
+    pub fn call(&mut self, fields: Vec<(&str, Json)>) -> Result<Json, ClientError> {
+        let seq = self.send(fields)?;
         loop {
             let frame = self.read()?;
             if frame.get("seq").and_then(Json::as_u64) == Some(seq) {
@@ -162,15 +174,21 @@ impl Client {
         }
     }
 
+    /// Sends a request built from `fields` with a fresh `seq` appended;
+    /// returns that `seq`.
+    fn send(&mut self, mut fields: Vec<(&str, Json)>) -> Result<u64, ClientError> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        fields.push(("seq", Json::num(seq as f64)));
+        write_frame(&mut self.stream, &Json::obj(fields).encode())?;
+        Ok(seq)
+    }
+
     /// Authenticates; returns the tenant name from `hello_ok`.
     pub fn hello(&mut self, token: &str) -> Result<String, ClientError> {
         let reply =
             self.call(vec![("type", Json::str("hello")), ("token", Json::str(token))])?;
-        reply
-            .get("tenant")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ClientError::Protocol("hello_ok without tenant name".into()))
+        field_str(&reply, "tenant").map(str::to_string)
     }
 
     /// Liveness check.
@@ -234,11 +252,7 @@ impl Client {
     /// registry (the `metrics` frame's `body`).
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
         let reply = self.call(vec![("type", Json::str("metrics"))])?;
-        reply
-            .get("body")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ClientError::Protocol("metrics frame without body".into()))
+        field_str(&reply, "body").map(str::to_string)
     }
 
     /// Exports the fleet's compile artifacts as a store-format bundle
@@ -247,11 +261,7 @@ impl Client {
     /// that fleet.
     pub fn cache_export(&mut self) -> Result<Vec<u8>, ClientError> {
         let reply = self.call(vec![("type", Json::str("cache_export"))])?;
-        let hex = reply
-            .get("bundle")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ClientError::Protocol("cache_export frame without bundle".into()))?;
-        crate::protocol::hex_decode(hex)
+        crate::protocol::hex_decode(field_str(&reply, "bundle")?)
             .ok_or_else(|| ClientError::Protocol("cache_export bundle is not hex".into()))
     }
 
@@ -272,15 +282,7 @@ impl Client {
 
     /// Non-blocking result check; `None` while the job is outstanding.
     pub fn poll(&mut self, job: u64) -> Result<Option<JobOutcome>, ClientError> {
-        let reply =
-            self.call(vec![("type", Json::str("poll")), ("job", Json::num(job as f64))])?;
-        match reply.get("type").and_then(Json::as_str) {
-            Some("pending") => Ok(None),
-            Some("result") => JobOutcome::from_frame(&reply).map(Some),
-            other => {
-                Err(ClientError::Protocol(format!("expected result/pending, got {other:?}")))
-            }
-        }
+        outcome(&self.call(vec![("type", Json::str("poll")), ("job", Json::num(job as f64))])?)
     }
 
     /// Blocking result wait; `None` when the server answered `pending`
@@ -290,18 +292,11 @@ impl Client {
         job: u64,
         timeout_ms: u64,
     ) -> Result<Option<JobOutcome>, ClientError> {
-        let reply = self.call(vec![
+        outcome(&self.call(vec![
             ("type", Json::str("wait")),
             ("job", Json::num(job as f64)),
             ("timeout_ms", Json::num(timeout_ms as f64)),
-        ])?;
-        match reply.get("type").and_then(Json::as_str) {
-            Some("pending") => Ok(None),
-            Some("result") => JobOutcome::from_frame(&reply).map(Some),
-            other => {
-                Err(ClientError::Protocol(format!("expected result/pending, got {other:?}")))
-            }
-        }
+        ])?)
     }
 
     /// Cancels a queued job; `true` when the cancellation won.
@@ -328,16 +323,11 @@ impl Client {
         count: u64,
         interval_ms: u64,
     ) -> Result<Vec<Json>, ClientError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let frame = Json::obj(vec![
+        let seq = self.send(vec![
             ("type", Json::str("telemetry")),
             ("count", Json::num(count as f64)),
             ("interval_ms", Json::num(interval_ms as f64)),
-            ("seq", Json::num(seq as f64)),
-        ])
-        .encode();
-        write_frame(&mut self.stream, &frame)?;
+        ])?;
         let mut snapshots = Vec::new();
         loop {
             let frame = self.read()?;

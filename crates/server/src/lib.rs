@@ -8,8 +8,8 @@
 //! behind a socket without changing any of its semantics:
 //!
 //! * **Wire protocol** — every message is one JSON object behind a
-//!   4-byte length prefix ([`frame`]), hand-rolled encoder/parser
-//!   included ([`json`]) so the workspace stays std-only. The request
+//!   4-byte length prefix ([`frame`]), encoded with the workspace's
+//!   std-only codec ([`Json`], from [`fastsc_telemetry::json`]). The request
 //!   vocabulary ([`protocol`]) covers `submit` (OpenQASM 2.0 source +
 //!   strategy + priority + deadline + opt-in span trace), `poll`/`wait`,
 //!   `cancel`, `subscribe` (streamed completion frames), `telemetry`
@@ -69,14 +69,13 @@
 
 pub mod client;
 pub mod frame;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod session;
 
 pub use client::{Client, ClientError, JobOutcome};
+pub use fastsc_telemetry::json::{Json, JsonError};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
-pub use json::{Json, JsonError};
-pub use protocol::{metrics_frame, span_tree_json, ProtocolError, Request};
+pub use protocol::{metrics_frame, ProtocolError, Request};
 pub use server::Server;
 pub use session::{RateLimiter, SessionRegistry, Tenant, TenantConfig};

@@ -9,11 +9,11 @@
 //! and typed results back into [`Json`] frames, and never touches a
 //! socket.
 
-use crate::json::Json;
+use crate::Json;
 use fastsc_core::{CompileError, Strategy};
 use fastsc_ir::qasm::QasmError;
 use fastsc_queue::{JobResult, Priority};
-use fastsc_telemetry::{AttrValue, SpanNode, SpanTree};
+use fastsc_telemetry::SpanTree;
 
 /// Upper bound on `wait`'s `timeout_ms` (5 minutes) — a lost client
 /// cannot park a reader thread forever.
@@ -264,25 +264,29 @@ fn optional_bool(frame: &Json, key: &str) -> Result<Option<bool>, ProtocolError>
 // Frame builders (server → client)
 // ---------------------------------------------------------------------
 
+/// A server frame: `type`, the echoed `seq`, then `fields` in order.
+pub(crate) fn reply(ty: &str, seq: u64, fields: Vec<(&str, Json)>) -> Json {
+    let mut pairs = vec![("type", Json::str(ty)), ("seq", Json::num(seq as f64))];
+    pairs.extend(fields);
+    Json::obj(pairs)
+}
+
 /// A generic error frame: `{type:"error", seq, code, message}`.
 pub fn error_frame(seq: u64, code: &str, message: &str) -> Json {
-    Json::obj(vec![
-        ("type", Json::str("error")),
-        ("seq", Json::num(seq as f64)),
-        ("code", Json::str(code)),
-        ("message", Json::str(message)),
-    ])
+    reply("error", seq, vec![("code", Json::str(code)), ("message", Json::str(message))])
 }
 
 /// A rate-limit error frame carrying the retry hint.
 pub fn rate_limited_frame(seq: u64, retry_after_ms: u64) -> Json {
-    Json::obj(vec![
-        ("type", Json::str("error")),
-        ("seq", Json::num(seq as f64)),
-        ("code", Json::str("rate_limited")),
-        ("message", Json::str("per-tenant rate limit exceeded")),
-        ("retry_after_ms", Json::num(retry_after_ms as f64)),
-    ])
+    reply(
+        "error",
+        seq,
+        vec![
+            ("code", Json::str("rate_limited")),
+            ("message", Json::str("per-tenant rate limit exceeded")),
+            ("retry_after_ms", Json::num(retry_after_ms as f64)),
+        ],
+    )
 }
 
 /// The error frame for a QASM parse failure: `code:"qasm"`, the typed
@@ -290,8 +294,6 @@ pub fn rate_limited_frame(seq: u64, retry_after_ms: u64) -> Json {
 /// 1-based `line`/`column` and the offending `token`.
 pub fn qasm_error_frame(seq: u64, err: &QasmError) -> Json {
     let mut pairs = vec![
-        ("type", Json::str("error")),
-        ("seq", Json::num(seq as f64)),
         ("code", Json::str("qasm")),
         ("qasm_code", Json::str(err.code())),
         ("message", Json::str(err.to_string())),
@@ -305,7 +307,7 @@ pub fn qasm_error_frame(seq: u64, err: &QasmError) -> Json {
     if let Some(token) = err.token() {
         pairs.push(("token", Json::str(token)));
     }
-    Json::obj(pairs)
+    reply("error", seq, pairs)
 }
 
 /// The stable wire code of a [`CompileError`] (used in `result` and
@@ -334,15 +336,13 @@ pub fn compile_error_code(err: &CompileError) -> &'static str {
 /// quarantined fleet.
 pub fn submit_error_frame(seq: u64, err: &CompileError) -> Json {
     let mut pairs = vec![
-        ("type", Json::str("error")),
-        ("seq", Json::num(seq as f64)),
         ("code", Json::str(compile_error_code(err))),
         ("message", Json::str(err.to_string())),
     ];
     if let CompileError::FleetUnhealthy { retry_after } = err {
         pairs.push(("retry_after_ms", Json::num(retry_after.as_millis() as f64)));
     }
-    Json::obj(pairs)
+    reply("error", seq, pairs)
 }
 
 /// The `result` frame delivered by `poll`/`wait`, and (as `completion`)
@@ -350,7 +350,7 @@ pub fn submit_error_frame(seq: u64, err: &CompileError) -> Json {
 /// schedule's pinned 64-bit digest as 16 hex digits — enough for a
 /// client to prove bit-identity with a local compile without shipping
 /// the schedule. A traced job's frame additionally carries its span
-/// tree under `"trace"` (see [`span_tree_json`]).
+/// tree under `"trace"` (see [`SpanTree::to_json`]).
 pub fn result_frame(
     frame_type: &str,
     seq: u64,
@@ -358,13 +358,9 @@ pub fn result_frame(
     result: &JobResult,
     trace: Option<&SpanTree>,
 ) -> Json {
-    let mut pairs = vec![
-        ("type", Json::str(frame_type)),
-        ("seq", Json::num(seq as f64)),
-        ("job", Json::num(job as f64)),
-    ];
+    let mut pairs = vec![("job", Json::num(job as f64))];
     if let Some(tree) = trace {
-        pairs.push(("trace", span_tree_json(tree)));
+        pairs.push(("trace", tree.to_json()));
     }
     match result {
         Ok(reply) => {
@@ -411,89 +407,49 @@ pub fn result_frame(
             }
         }
     }
-    Json::obj(pairs)
-}
-
-/// A finished span tree as nested JSON: each node is
-/// `{name, start_ns, dur_ns, attrs?, children?}` with timestamps in
-/// nanoseconds since the trace epoch. The well-formed (single-root)
-/// case serializes the root directly; a degenerate multi-root tree
-/// serializes as `{roots: [...]}` so nothing is silently dropped.
-pub fn span_tree_json(tree: &SpanTree) -> Json {
-    match tree.roots.as_slice() {
-        [root] => span_node_json(root),
-        roots => {
-            Json::obj(vec![("roots", Json::Arr(roots.iter().map(span_node_json).collect()))])
-        }
-    }
-}
-
-fn span_node_json(node: &SpanNode) -> Json {
-    let mut pairs = vec![
-        ("name".to_string(), Json::str(node.name)),
-        ("start_ns".to_string(), Json::num(node.start_ns as f64)),
-        ("dur_ns".to_string(), Json::num((node.end_ns - node.start_ns) as f64)),
-    ];
-    if !node.attrs.is_empty() {
-        let attrs = node
-            .attrs
-            .iter()
-            .map(|(key, value)| {
-                let json = match value {
-                    AttrValue::Str(s) => Json::str(s.clone()),
-                    AttrValue::U64(v) => Json::num(*v as f64),
-                    AttrValue::F64(v) if v.is_finite() => Json::num(*v),
-                    AttrValue::F64(_) => Json::Null,
-                    AttrValue::Bool(b) => Json::Bool(*b),
-                };
-                (key.to_string(), json)
-            })
-            .collect();
-        pairs.push(("attrs".to_string(), Json::Obj(attrs)));
-    }
-    if !node.children.is_empty() {
-        pairs.push((
-            "children".to_string(),
-            Json::Arr(node.children.iter().map(span_node_json).collect()),
-        ));
-    }
-    Json::Obj(pairs)
+    reply(frame_type, seq, pairs)
 }
 
 /// The `metrics` frame: one Prometheus text-exposition scrape of the
 /// process-global registry, carried in `"body"` with its content type
 /// alongside so an HTTP gateway can proxy it verbatim.
 pub fn metrics_frame(seq: u64, body: &str) -> Json {
-    Json::obj(vec![
-        ("type", Json::str("metrics")),
-        ("seq", Json::num(seq as f64)),
-        ("content_type", Json::str("text/plain; version=0.0.4")),
-        ("body", Json::str(body)),
-    ])
+    reply(
+        "metrics",
+        seq,
+        vec![
+            ("content_type", Json::str("text/plain; version=0.0.4")),
+            ("body", Json::str(body)),
+        ],
+    )
 }
 
 /// The `cache_export` frame: the fleet's artifact bundle as lower-case
 /// hex in `"bundle"`, with the decoded byte count alongside.
 pub fn cache_export_frame(seq: u64, bundle: &[u8]) -> Json {
-    Json::obj(vec![
-        ("type", Json::str("cache_export")),
-        ("seq", Json::num(seq as f64)),
-        ("bytes", Json::num(bundle.len() as f64)),
-        ("bundle", Json::str(hex_encode(bundle))),
-    ])
+    reply(
+        "cache_export",
+        seq,
+        vec![
+            ("bytes", Json::num(bundle.len() as f64)),
+            ("bundle", Json::str(hex_encode(bundle))),
+        ],
+    )
 }
 
 /// The `cache_import` frame: per-class adoption counts for an imported
 /// bundle.
 pub fn cache_import_frame(seq: u64, report: &fastsc_service::ImportReport) -> Json {
-    Json::obj(vec![
-        ("type", Json::str("cache_import")),
-        ("seq", Json::num(seq as f64)),
-        ("statics", Json::num(report.statics as f64)),
-        ("smt", Json::num(report.smt as f64)),
-        ("schedules", Json::num(report.schedules as f64)),
-        ("skipped", Json::num(report.skipped as f64)),
-    ])
+    reply(
+        "cache_import",
+        seq,
+        vec![
+            ("statics", Json::num(report.statics as f64)),
+            ("smt", Json::num(report.smt as f64)),
+            ("schedules", Json::num(report.schedules as f64)),
+            ("skipped", Json::num(report.skipped as f64)),
+        ],
+    )
 }
 
 /// One streamed `telemetry` frame: per-shard views plus the queue
@@ -540,41 +496,43 @@ pub fn telemetry_frame(seq: u64, snapshot: &fastsc_queue::FleetSnapshot) -> Json
     let queue_wait =
         Priority::all().iter().map(|p| summarize(stats.queue_wait(*p), *p)).collect();
     let delta = &snapshot.delta;
-    Json::obj(vec![
-        ("type", Json::str("telemetry")),
-        ("seq", Json::num(seq as f64)),
-        ("shards", Json::Arr(shards)),
-        (
-            "stats",
-            Json::obj(vec![
-                ("depth", Json::num(stats.depth as f64)),
-                ("inflight", Json::num(stats.inflight as f64)),
-                ("admitted", Json::num(stats.admitted as f64)),
-                ("rejected", Json::num(stats.rejected as f64)),
-                ("shed", Json::num(stats.shed as f64)),
-                ("expired", Json::num(stats.expired as f64)),
-                ("cancelled", Json::num(stats.cancelled as f64)),
-                ("completed", Json::num(stats.completed as f64)),
-                ("retried", Json::num(stats.retried as f64)),
-                ("cache_hits", Json::num(stats.cache.hits as f64)),
-                ("cache_misses", Json::num(stats.cache.misses as f64)),
-                ("latency", Json::Arr(latency)),
-                ("queue_wait", Json::Arr(queue_wait)),
-            ]),
-        ),
-        (
-            "delta",
-            Json::obj(vec![
-                ("admitted", Json::num(delta.admitted as f64)),
-                ("rejected", Json::num(delta.rejected as f64)),
-                ("shed", Json::num(delta.shed as f64)),
-                ("expired", Json::num(delta.expired as f64)),
-                ("cancelled", Json::num(delta.cancelled as f64)),
-                ("completed", Json::num(delta.completed as f64)),
-                ("retried", Json::num(delta.retried as f64)),
-            ]),
-        ),
-    ])
+    reply(
+        "telemetry",
+        seq,
+        vec![
+            ("shards", Json::Arr(shards)),
+            (
+                "stats",
+                Json::obj(vec![
+                    ("depth", Json::num(stats.depth as f64)),
+                    ("inflight", Json::num(stats.inflight as f64)),
+                    ("admitted", Json::num(stats.admitted as f64)),
+                    ("rejected", Json::num(stats.rejected as f64)),
+                    ("shed", Json::num(stats.shed as f64)),
+                    ("expired", Json::num(stats.expired as f64)),
+                    ("cancelled", Json::num(stats.cancelled as f64)),
+                    ("completed", Json::num(stats.completed as f64)),
+                    ("retried", Json::num(stats.retried as f64)),
+                    ("cache_hits", Json::num(stats.cache.hits as f64)),
+                    ("cache_misses", Json::num(stats.cache.misses as f64)),
+                    ("latency", Json::Arr(latency)),
+                    ("queue_wait", Json::Arr(queue_wait)),
+                ]),
+            ),
+            (
+                "delta",
+                Json::obj(vec![
+                    ("admitted", Json::num(delta.admitted as f64)),
+                    ("rejected", Json::num(delta.rejected as f64)),
+                    ("shed", Json::num(delta.shed as f64)),
+                    ("expired", Json::num(delta.expired as f64)),
+                    ("cancelled", Json::num(delta.cancelled as f64)),
+                    ("completed", Json::num(delta.completed as f64)),
+                    ("retried", Json::num(delta.retried as f64)),
+                ]),
+            ),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -788,31 +746,6 @@ mod tests {
         assert_eq!(attempts[0].get("code").unwrap().as_str(), Some("internal"));
         assert!(matches!(attempts[1].get("shard"), Some(Json::Null)));
         assert_eq!(attempts[1].get("code").unwrap().as_str(), Some("no_shard_fits"));
-    }
-
-    #[test]
-    fn span_trees_serialize_as_nested_frames() {
-        use fastsc_telemetry::Tracer;
-        let tracer = Tracer::new();
-        let mut job = tracer.span("job", None);
-        job.attr("priority", "interactive");
-        job.attr("cache_hit", false);
-        let mut compile = tracer.span("compile", Some(job.id()));
-        compile.attr("waves", 3usize);
-        drop(compile);
-        drop(job);
-        let json = span_tree_json(&tracer.finish());
-        assert_eq!(json.get("name").unwrap().as_str(), Some("job"));
-        let attrs = json.get("attrs").expect("root attrs");
-        assert_eq!(attrs.get("priority").unwrap().as_str(), Some("interactive"));
-        assert_eq!(attrs.get("cache_hit").unwrap().as_bool(), Some(false));
-        let children = json.get("children").unwrap().as_array().unwrap();
-        assert_eq!(children[0].get("name").unwrap().as_str(), Some("compile"));
-        assert_eq!(children[0].get("attrs").unwrap().get("waves").unwrap().as_u64(), Some(3));
-        assert!(children[0].get("dur_ns").unwrap().as_u64().is_some());
-        // The encoded form must survive this crate's own parser.
-        let reparsed = Json::parse(&json.encode()).expect("wire round trip");
-        assert_eq!(reparsed.get("name").unwrap().as_str(), Some("job"));
     }
 
     #[test]

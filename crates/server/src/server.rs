@@ -30,12 +30,12 @@
 //! admitted is ever dropped on the floor.
 
 use crate::frame::{read_frame, write_frame};
-use crate::json::Json;
 use crate::protocol::{
-    error_frame, metrics_frame, qasm_error_frame, rate_limited_frame, result_frame,
+    error_frame, metrics_frame, qasm_error_frame, rate_limited_frame, reply, result_frame,
     telemetry_frame, Request, MAX_WAIT_MS,
 };
 use crate::session::{AdmitError, SessionRegistry, Tenant, TenantConfig};
+use crate::Json;
 use fastsc_ir::qasm::from_qasm;
 use fastsc_queue::{
     ClientId, Completions, JobHandle, JobId, JobResult, QueueService, Submission,
@@ -399,10 +399,7 @@ impl Connection {
     /// Handles one request. `false` closes the connection.
     fn handle(&mut self, seq: u64, request: Request) -> bool {
         match request {
-            Request::Ping => self.send(Json::obj(vec![
-                ("type", Json::str("pong")),
-                ("seq", Json::num(seq as f64)),
-            ])),
+            Request::Ping => self.send(reply("pong", seq, vec![])),
             Request::Hello { token } => self.hello(seq, &token),
             _ if self.tenant.is_none() => {
                 // Everything else requires a session; tell the client
@@ -444,12 +441,14 @@ impl Connection {
         }
         match self.shared.registry.authenticate(token) {
             Some(tenant) => {
-                let frame = Json::obj(vec![
-                    ("type", Json::str("hello_ok")),
-                    ("seq", Json::num(seq as f64)),
-                    ("tenant", Json::str(tenant.config.name.clone())),
-                    ("client", Json::num(tenant.config.client as f64)),
-                ]);
+                let frame = reply(
+                    "hello_ok",
+                    seq,
+                    vec![
+                        ("tenant", Json::str(tenant.config.name.clone())),
+                        ("client", Json::num(tenant.config.client as f64)),
+                    ],
+                );
                 self.tenant = Some(tenant);
                 self.send(frame)
             }
@@ -525,19 +524,7 @@ impl Connection {
             }
         }
         self.pending.insert(id.as_u64(), handle);
-        self.send(Json::obj(vec![
-            ("type", Json::str("submitted")),
-            ("seq", Json::num(seq as f64)),
-            ("job", Json::num(id.as_u64() as f64)),
-        ]))
-    }
-
-    fn pending_frame(&self, seq: u64, job: u64) -> Json {
-        Json::obj(vec![
-            ("type", Json::str("pending")),
-            ("seq", Json::num(seq as f64)),
-            ("job", Json::num(job as f64)),
-        ])
+        self.send(reply("submitted", seq, vec![("job", Json::num(id.as_u64() as f64))]))
     }
 
     fn unknown_job(&self, seq: u64, job: u64) -> bool {
@@ -552,14 +539,8 @@ impl Connection {
         let Some(handle) = self.pending.get(&job) else {
             return self.unknown_job(seq, job);
         };
-        match handle.poll() {
-            None => self.send(self.pending_frame(seq, job)),
-            Some(result) => {
-                let trace = self.queue.take_trace(handle.id());
-                self.pending.remove(&job);
-                self.send(result_frame("result", seq, job, &result, trace.as_ref()))
-            }
-        }
+        let result = handle.poll();
+        self.answer(seq, job, result)
     }
 
     fn wait(&mut self, seq: u64, job: u64, timeout_ms: Option<u64>) -> bool {
@@ -577,14 +558,18 @@ impl Connection {
                 break Some(result);
             }
         };
-        match result {
-            None => self.send(self.pending_frame(seq, job)),
-            Some(result) => {
-                let trace = self.queue.take_trace(handle.id());
-                self.pending.remove(&job);
-                self.send(result_frame("result", seq, job, &result, trace.as_ref()))
-            }
-        }
+        self.answer(seq, job, result)
+    }
+
+    /// Answers `poll`/`wait`: `pending`, or the `result` frame (with the
+    /// job's trace, when it has one) that retires the handle.
+    fn answer(&mut self, seq: u64, job: u64, result: Option<JobResult>) -> bool {
+        let Some(result) = result else {
+            return self.send(reply("pending", seq, vec![("job", Json::num(job as f64))]));
+        };
+        let handle = self.pending.remove(&job).expect("answered jobs are pending");
+        let trace = self.queue.take_trace(handle.id());
+        self.send(result_frame("result", seq, job, &result, trace.as_ref()))
     }
 
     fn cancel(&mut self, seq: u64, job: u64) -> bool {
@@ -595,12 +580,11 @@ impl Connection {
         // is still delivered through poll/wait, and the router still
         // releases the quota slot.
         let cancelled = handle.cancel();
-        self.send(Json::obj(vec![
-            ("type", Json::str("cancelled")),
-            ("seq", Json::num(seq as f64)),
-            ("job", Json::num(job as f64)),
-            ("ok", Json::Bool(cancelled)),
-        ]))
+        self.send(reply(
+            "cancelled",
+            seq,
+            vec![("job", Json::num(job as f64)), ("ok", Json::Bool(cancelled))],
+        ))
     }
 
     fn subscribe(&mut self, seq: u64) -> bool {
@@ -610,10 +594,7 @@ impl Connection {
             seq,
             sender: self.out.clone(),
         });
-        self.send(Json::obj(vec![
-            ("type", Json::str("subscribed")),
-            ("seq", Json::num(seq as f64)),
-        ]))
+        self.send(reply("subscribed", seq, vec![]))
     }
 
     fn telemetry(&mut self, seq: u64, count: u64, interval_ms: u64) -> bool {
@@ -627,10 +608,7 @@ impl Connection {
                 break;
             }
         }
-        self.send(Json::obj(vec![
-            ("type", Json::str("telemetry_end")),
-            ("seq", Json::num(seq as f64)),
-        ]))
+        self.send(reply("telemetry_end", seq, vec![]))
     }
 
     /// Sleeps in poll ticks; `false` when shutdown interrupted it.

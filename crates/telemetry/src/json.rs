@@ -19,7 +19,7 @@ use std::fmt;
 /// Nesting depth beyond which [`Json::parse`] rejects the document. Real
 /// protocol frames nest three levels deep; 64 leaves slack without
 /// letting a hostile frame exhaust the stack.
-const MAX_DEPTH: usize = 64;
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,17 +7,21 @@
 //! * [`span`] — a lightweight [`Tracer`]/[`SpanGuard`] API that records
 //!   one tree of timed, attributed spans per job
 //!   (`job → admission/queue_wait/route/attempt{compile{…}}/respond`),
-//!   exportable as a nested [`SpanTree`] or as Chrome `trace_event`
-//!   JSON that opens directly in Perfetto. Engine-internal phases
-//!   (context build, SMT, coloring, partition, stitch) attach through a
-//!   thread-local context installed around the compile, so the engine
-//!   itself never threads tracer handles through its hot loop.
+//!   exportable as nested wire JSON ([`SpanTree::to_json`]) or as
+//!   Chrome `trace_event` JSON that opens directly in Perfetto.
+//!   Engine-internal phases (context build, SMT, coloring, partition,
+//!   stitch) attach through a thread-local context installed around the
+//!   compile, so the engine itself never threads tracer handles through
+//!   its hot loop.
 //! * [`metrics`](mod@metrics) — fixed-instrument atomic counters, gauges, and
 //!   fixed-bucket histograms covering queue wait, per-strategy compile
 //!   latency, SMT solve time, retries, breaker transitions, cache
 //!   hits, and bytes on the wire, snapshot-able for embedders
 //!   ([`MetricsSnapshot`]) and renderable as Prometheus text
 //!   exposition format for scrapes.
+//!
+//! Both span exports, the server's wire frames and the bench records
+//! encode through the workspace's one JSON codec, [`json`].
 //!
 //! **Zero-cost when off** is a hard requirement: the disabled tracing
 //! path is a single branch on a relaxed atomic ([`tracing_active`]),
@@ -29,9 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod span;
 
+pub use json::{Json, JsonError};
 pub use metrics::{
     metrics, metrics_enabled, set_metrics_enabled, Counter, Gauge, Histogram,
     HistogramSnapshot, Metrics, MetricsSnapshot, STRATEGY_LABELS,

@@ -425,7 +425,7 @@ impl MetricsSnapshot {
     /// durations in seconds.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        histogram(
+        histogram_labeled(
             &mut out,
             "fastsc_queue_wait_seconds",
             "Time jobs spent queued before dispatch.",
@@ -476,7 +476,7 @@ impl MetricsSnapshot {
             "Real compile latency by strategy (cache hits excluded).",
             &compile_refs,
         );
-        histogram(
+        histogram_labeled(
             &mut out,
             "fastsc_smt_solve_seconds",
             "SMT frequency-solve time (memo misses only).",
@@ -556,10 +556,6 @@ fn gauge(out: &mut String, name: &str, help: &str, value: i64) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} gauge");
     let _ = writeln!(out, "{name} {value}");
-}
-
-fn histogram(out: &mut String, name: &str, help: &str, series: &[(&str, &HistogramSnapshot)]) {
-    histogram_labeled(out, name, help, series);
 }
 
 /// Emits one histogram family; each entry in `series` is a

@@ -11,8 +11,8 @@
 //! only, and the whole layer is behind one relaxed-atomic branch
 //! ([`tracing_active`]) when no tracer is live.
 
+use crate::json::Json;
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -258,7 +258,19 @@ impl Tracer {
         self.inner.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn push(&self, record: SpanRecord) {
+    /// Records a closed span, clamping its end to its start.
+    fn close(
+        &self,
+        id: SpanId,
+        parent: Option<SpanId>,
+        name: &'static str,
+        start: Instant,
+        end: Instant,
+        attrs: Vec<(&'static str, AttrValue)>,
+    ) {
+        let start_ns = self.ns_since_epoch(start);
+        let end_ns = self.ns_since_epoch(end).max(start_ns);
+        let record = SpanRecord { id, parent, name, start_ns, end_ns, attrs };
         self.inner.spans.lock().unwrap_or_else(PoisonError::into_inner).push(record);
     }
 
@@ -288,16 +300,7 @@ impl Tracer {
         attrs: Vec<(&'static str, AttrValue)>,
     ) -> SpanId {
         let id = self.alloc_id();
-        let start_ns = self.ns_since_epoch(start);
-        let record = SpanRecord {
-            id,
-            parent,
-            name,
-            start_ns,
-            end_ns: self.ns_since_epoch(end).max(start_ns),
-            attrs,
-        };
-        self.push(record);
+        self.close(id, parent, name, start, end, attrs);
         id
     }
 
@@ -373,16 +376,8 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let start_ns = self.tracer.ns_since_epoch(self.start);
-        let record = SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            name: self.name,
-            start_ns,
-            end_ns: self.tracer.ns_since_epoch(Instant::now()).max(start_ns),
-            attrs: std::mem::take(&mut self.attrs),
-        };
-        self.tracer.push(record);
+        let attrs = std::mem::take(&mut self.attrs);
+        self.tracer.close(self.id, self.parent, self.name, self.start, Instant::now(), attrs);
     }
 }
 
@@ -457,81 +452,94 @@ impl SpanTree {
         self.roots.iter().map(SpanNode::span_count).sum()
     }
 
+    /// The tree as nested wire JSON: each node is
+    /// `{name, start_ns, dur_ns, attrs?, children?}` with timestamps in
+    /// nanoseconds since the trace epoch. The well-formed (single-root)
+    /// case serializes the root directly; a degenerate multi-root tree
+    /// serializes as `{roots: [...]}` so nothing is silently dropped.
+    pub fn to_json(&self) -> Json {
+        match self.roots.as_slice() {
+            [root] => root.to_json(),
+            roots => Json::obj(vec![(
+                "roots",
+                Json::Arr(roots.iter().map(SpanNode::to_json).collect()),
+            )]),
+        }
+    }
+
     /// Renders the tree as Chrome `trace_event` JSON (complete `"X"`
     /// events, timestamps in fractional microseconds) — load the
     /// string as a file in Perfetto / `chrome://tracing` to see the
     /// job's flame chart.
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
+        let mut events = Vec::with_capacity(self.span_count());
         for root in &self.roots {
-            write_chrome_events(&mut out, root, &mut first);
+            root.chrome_events(&mut events);
         }
-        out.push_str("]}");
-        out
+        Json::obj(vec![("traceEvents", Json::Arr(events))]).encode()
     }
 }
 
-fn write_chrome_events(out: &mut String, node: &SpanNode, first: &mut bool) {
-    if !*first {
-        out.push(',');
+impl SpanNode {
+    fn attrs_json(&self) -> Option<Json> {
+        (!self.attrs.is_empty()).then(|| {
+            Json::Obj(
+                self.attrs.iter().map(|(key, value)| (key.to_string(), value.into())).collect(),
+            )
+        })
     }
-    *first = false;
-    let ts = node.start_ns as f64 / 1_000.0;
-    let dur = (node.end_ns - node.start_ns) as f64 / 1_000.0;
-    let _ = write!(
-        out,
-        "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{ts:?},\"dur\":{dur:?}",
-        escape_json(node.name)
-    );
-    if !node.attrs.is_empty() {
-        out.push_str(",\"args\":{");
-        for (i, (key, value)) in node.attrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:", escape_json(key));
-            match value {
-                AttrValue::Str(s) => out.push_str(&escape_json(s)),
-                AttrValue::U64(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                AttrValue::F64(v) if v.is_finite() => {
-                    let _ = write!(out, "{v:?}");
-                }
-                AttrValue::F64(_) => out.push_str("null"),
-                AttrValue::Bool(v) => {
-                    let _ = write!(out, "{v}");
-                }
-            }
+
+    fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("name".to_string(), Json::str(self.name)),
+            ("start_ns".to_string(), Json::num(self.start_ns as f64)),
+            ("dur_ns".to_string(), Json::num((self.end_ns - self.start_ns) as f64)),
+        ];
+        if let Some(attrs) = self.attrs_json() {
+            pairs.push(("attrs".to_string(), attrs));
         }
-        out.push('}');
+        if !self.children.is_empty() {
+            pairs.push((
+                "children".to_string(),
+                Json::Arr(self.children.iter().map(SpanNode::to_json).collect()),
+            ));
+        }
+        Json::Obj(pairs)
     }
-    out.push('}');
-    for child in &node.children {
-        write_chrome_events(out, child, first);
+
+    /// Appends this subtree's complete events in pre-order.
+    fn chrome_events(&self, events: &mut Vec<Json>) {
+        let mut event = vec![
+            ("name", Json::str(self.name)),
+            ("ph", Json::str("X")),
+            ("pid", Json::num(1.0)),
+            ("tid", Json::num(1.0)),
+            ("ts", Json::num(self.start_ns as f64 / 1_000.0)),
+            ("dur", Json::num((self.end_ns - self.start_ns) as f64 / 1_000.0)),
+        ];
+        if let Some(args) = self.attrs_json() {
+            event.push(("args", args));
+        }
+        events.push(Json::obj(event));
+        for child in &self.children {
+            child.chrome_events(events);
+        }
     }
 }
 
-/// JSON string literal (quotes included) with the mandatory escapes.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The one attribute mapping both exports share. JSON has no NaN or
+/// infinity, so a non-finite `F64` becomes `null`; a `U64` travels as
+/// a JSON number, exact below 2^53 (see [`crate::json`]).
+impl From<&AttrValue> for Json {
+    fn from(value: &AttrValue) -> Json {
+        match value {
+            AttrValue::Str(s) => Json::str(s.clone()),
+            AttrValue::U64(v) => Json::num(*v as f64),
+            AttrValue::F64(v) if v.is_finite() => Json::num(*v),
+            AttrValue::F64(_) => Json::Null,
+            AttrValue::Bool(b) => Json::Bool(*b),
         }
     }
-    out.push('"');
-    out
 }
 
 /// Assembles flat records into nested nodes. Parents always carry
@@ -636,34 +644,16 @@ pub fn phase(name: &'static str) -> PhaseGuard {
         let Some(ctx) = borrow.as_mut() else {
             return PhaseGuard(None);
         };
-        let parent = ctx.stack.last().copied();
-        let id = ctx.tracer.alloc_id();
-        ctx.stack.push(id);
-        PhaseGuard(Some(PhaseInner {
-            tracer: ctx.tracer.clone(),
-            id,
-            parent,
-            name,
-            start: Instant::now(),
-            attrs: Vec::new(),
-        }))
+        let span = ctx.tracer.span(name, ctx.stack.last().copied());
+        ctx.stack.push(span.id());
+        PhaseGuard(Some(span))
     })
-}
-
-#[derive(Debug)]
-struct PhaseInner {
-    tracer: Tracer,
-    id: SpanId,
-    parent: Option<SpanId>,
-    name: &'static str,
-    start: Instant,
-    attrs: Vec<(&'static str, AttrValue)>,
 }
 
 /// An open engine phase (see [`phase`]); records itself on drop, or
 /// does nothing at all when tracing was off at open.
 #[derive(Debug)]
-pub struct PhaseGuard(Option<PhaseInner>);
+pub struct PhaseGuard(Option<SpanGuard>);
 
 impl PhaseGuard {
     /// Whether this phase is actually recording — gate any non-trivial
@@ -674,32 +664,24 @@ impl PhaseGuard {
 
     /// Attaches a typed attribute (no-op when inactive).
     pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
-        if let Some(inner) = &mut self.0 {
-            inner.attrs.push((key, value.into()));
+        if let Some(span) = &mut self.0 {
+            span.attr(key, value);
         }
     }
 }
 
 impl Drop for PhaseGuard {
+    /// Pops the phase off the thread's open chain; the inner span then
+    /// records itself as it drops.
     fn drop(&mut self) {
-        let Some(inner) = self.0.take() else { return };
+        let Some(span) = &self.0 else { return };
         LOCAL.with(|l| {
             if let Some(ctx) = l.borrow_mut().as_mut() {
-                if ctx.stack.last() == Some(&inner.id) {
+                if ctx.stack.last() == Some(&span.id) {
                     ctx.stack.pop();
                 }
             }
         });
-        let start_ns = inner.tracer.ns_since_epoch(inner.start);
-        let record = SpanRecord {
-            id: inner.id,
-            parent: inner.parent,
-            name: inner.name,
-            start_ns,
-            end_ns: inner.tracer.ns_since_epoch(Instant::now()).max(start_ns),
-            attrs: inner.attrs,
-        };
-        inner.tracer.push(record);
     }
 }
 
@@ -835,6 +817,30 @@ mod tests {
         assert!(json.contains("\\\"quoted\\\""));
         assert!(json.contains("\"cache_hit\":true"));
         assert!(json.contains("\"waves\":7"));
+    }
+
+    #[test]
+    fn span_trees_serialize_as_nested_frames() {
+        let tracer = Tracer::new();
+        let mut job = tracer.span("job", None);
+        job.attr("priority", "interactive");
+        job.attr("cache_hit", false);
+        let mut compile = tracer.span("compile", Some(job.id()));
+        compile.attr("waves", 3usize);
+        drop(compile);
+        drop(job);
+        let json = tracer.finish().to_json();
+        assert_eq!(json.get("name").unwrap().as_str(), Some("job"));
+        let attrs = json.get("attrs").expect("root attrs");
+        assert_eq!(attrs.get("priority").unwrap().as_str(), Some("interactive"));
+        assert_eq!(attrs.get("cache_hit").unwrap().as_bool(), Some(false));
+        let children = json.get("children").unwrap().as_array().unwrap();
+        assert_eq!(children[0].get("name").unwrap().as_str(), Some("compile"));
+        assert_eq!(children[0].get("attrs").unwrap().get("waves").unwrap().as_u64(), Some(3));
+        assert!(children[0].get("dur_ns").unwrap().as_u64().is_some());
+        // The encoded form must survive the codec's own parser.
+        let reparsed = Json::parse(&json.encode()).expect("wire round trip");
+        assert_eq!(reparsed.get("name").unwrap().as_str(), Some("job"));
     }
 
     #[test]

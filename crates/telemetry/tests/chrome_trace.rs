@@ -1,14 +1,9 @@
 //! The Chrome `trace_event` export must be real JSON — not merely
 //! Perfetto-tolerated JSON — so these tests round-trip
-//! [`SpanTree::to_chrome_trace`] through this crate's own hand-rolled
-//! parser ([`Json::parse`]), the strictest consumer in the workspace.
-//! The parser lives here rather than in `fastsc-telemetry` precisely
-//! so the telemetry crate stays dependency-free; crossing the crate
-//! boundary in a test is the cheapest way to keep the two in
-//! agreement.
+//! [`SpanTree::to_chrome_trace`] through [`Json::parse`], the strict
+//! parser of the same codec that encodes the export.
 
-use fastsc_server::Json;
-use fastsc_telemetry::{AttrValue, Tracer};
+use fastsc_telemetry::{AttrValue, Json, Tracer};
 use proptest::prelude::*;
 
 /// Characters chosen to stress the escaper: every mandatory JSON

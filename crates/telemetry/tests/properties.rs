@@ -9,11 +9,16 @@
 //! retroactive recording API with randomized nesting scripts — not
 //! hand-assembled records — so the guarantees hold for the API as the
 //! queue, router, and engine actually use it.
+//!
+//! The JSON codec both span exports encode through is checked here too:
+//! every value it can build survives `encode` then `parse`.
 
 use std::time::Instant;
 
+use fastsc_telemetry::json::{self, Json};
 use fastsc_telemetry::{AttrValue, SpanId, SpanNode, Tracer};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 /// Phase names drawn from the real span vocabulary (span names are
 /// `&'static str` by design, so scripts pick from a fixed pool).
@@ -120,7 +125,110 @@ proptest! {
         // Every span becomes exactly one complete ("X") event.
         let events = chrome.matches("\"ph\":\"X\"").count();
         prop_assert_eq!(events, tree.span_count());
+
+        // The export parses, and its pre-order events agree with the
+        // wire tree node for node on name, duration and attributes.
+        let parsed = Json::parse(&chrome).expect("chrome export is valid JSON");
+        let events = parsed.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+        let wire = tree.to_json();
+        let mut nodes = Vec::new();
+        preorder(&wire, &mut nodes);
+        prop_assert_eq!(events.len(), nodes.len());
+        for (event, node) in events.iter().zip(nodes) {
+            prop_assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
+            prop_assert_eq!(event.get("name"), node.get("name"));
+            let dur_ns = node.get("dur_ns").and_then(Json::as_f64).expect("dur_ns");
+            prop_assert_eq!(event.get("dur").and_then(Json::as_f64), Some(dur_ns / 1_000.0));
+            prop_assert_eq!(event.get("args"), node.get("attrs"));
+        }
     }
+
+    #[test]
+    fn json_values_round_trip_through_encode_and_parse(
+        value in (0..=json::MAX_DEPTH).prop_flat_map(|depth| Nested { depth }),
+        deepest in Nested { depth: json::MAX_DEPTH },
+        too_deep in Nested { depth: json::MAX_DEPTH + 1 },
+    ) {
+        for v in [value, deepest] {
+            prop_assert_eq!(Json::parse(&v.encode()), Ok(v.clone()));
+        }
+        let err = Json::parse(&too_deep.encode()).expect_err("one level past MAX_DEPTH");
+        prop_assert!(err.message.contains("nesting"), "{}", err);
+    }
+}
+
+/// The wire tree's nodes in pre-order (each node, then its children).
+fn preorder<'a>(node: &'a Json, out: &mut Vec<&'a Json>) {
+    out.push(node);
+    for child in node.get("children").and_then(Json::as_array).unwrap_or(&[]) {
+        preorder(child, out);
+    }
+}
+
+/// A JSON value whose innermost scalar sits inside exactly `depth`
+/// arrays and objects, each level holding a few shallow siblings
+/// (scalars and empty containers, which nest no deeper).
+struct Nested {
+    depth: usize,
+}
+
+impl Strategy for Nested {
+    type Value = Json;
+
+    fn generate(&self, rng: &mut TestRng) -> Json {
+        let mut value = scalar(rng);
+        for _ in 0..self.depth {
+            let mut items: Vec<Json> = (0..(0usize..3).generate(rng))
+                .map(|_| match (0u8..6).generate(rng) {
+                    0 => Json::Arr(Vec::new()),
+                    1 => Json::Obj(Vec::new()),
+                    _ => scalar(rng),
+                })
+                .collect();
+            items.insert((0..=items.len()).generate(rng), value);
+            value = if any::<bool>().generate(rng) {
+                Json::Arr(items)
+            } else {
+                Json::Obj(items.into_iter().map(|v| (string(rng), v)).collect())
+            };
+        }
+        value
+    }
+}
+
+fn scalar(rng: &mut TestRng) -> Json {
+    match (0u8..5).generate(rng) {
+        0 => Json::Null,
+        1 => Json::Bool(any::<bool>().generate(rng)),
+        // Any finite double, from raw bits: subnormals, huge exponents,
+        // negative zero.
+        2 => Json::Num(
+            Some(f64::from_bits(any::<u64>().generate(rng)))
+                .filter(|x| x.is_finite())
+                .unwrap_or(0.0),
+        ),
+        3 => Json::Num((-1_000i64..1_000).generate(rng) as f64),
+        _ => Json::Str(string(rng)),
+    }
+}
+
+/// Up to a dozen characters, drawn to stress the escaper: quotes,
+/// backslashes, every control character, BMP and non-BMP code points.
+fn string(rng: &mut TestRng) -> String {
+    (0..(0usize..12).generate(rng))
+        .map(|_| {
+            let code = match (0u8..5).generate(rng) {
+                0 => (0x20u32..0x7f).generate(rng),
+                1 => (0u32..0x20).generate(rng),
+                2 => {
+                    [u32::from('"'), u32::from('\\'), u32::from('/')][(0usize..3).generate(rng)]
+                }
+                3 => (0x80u32..0xd800).generate(rng),
+                _ => (0x1_0000u32..0x11_0000).generate(rng),
+            };
+            char::from_u32(code).expect("ranges exclude surrogates")
+        })
+        .collect()
 }
 
 #[test]
