@@ -68,16 +68,21 @@ impl Priority {
             Priority::Speculative => 1,
         }
     }
+
+    /// The class's wire, trace and metric-label name (also its
+    /// [`Display`](std::fmt::Display) form).
+    pub fn name(self) -> &'static str {
+        match self {
+            Priority::Interactive => "interactive",
+            Priority::Batch => "batch",
+            Priority::Speculative => "speculative",
+        }
+    }
 }
 
 impl std::fmt::Display for Priority {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            Priority::Interactive => "interactive",
-            Priority::Batch => "batch",
-            Priority::Speculative => "speculative",
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 

@@ -23,9 +23,7 @@ use crate::stats::{QueueDelta, QueueStats, StatsState};
 use fastsc_core::batch::CompileJob;
 use fastsc_core::{CompileError, FailedAttempt};
 use fastsc_service::{CompileService, ServiceReply, ShardOutcome, ShardView};
-use fastsc_telemetry::{
-    metrics, should_trace, AttrValue, SpanGuard, SpanTree, TraceHandle, Tracer,
-};
+use fastsc_telemetry::{should_trace, AttrValue, SpanGuard, SpanTree, TraceHandle, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -257,14 +255,6 @@ struct State {
     finished_traces: TraceStore,
 }
 
-/// Mirrors queue depth and in-flight count into the process-wide gauges
-/// (no-ops while metrics are disabled).
-fn sync_gauges(state: &State) {
-    let registry = metrics();
-    registry.queue_depth.set(i64::try_from(state.queue.len()).unwrap_or(i64::MAX));
-    registry.queue_inflight.set(i64::try_from(state.inflight).unwrap_or(i64::MAX));
-}
-
 #[derive(Debug)]
 struct Shared {
     state: Mutex<State>,
@@ -356,9 +346,7 @@ fn expire_if_due(state: &mut State, id: JobId, now: Instant) -> bool {
         _ => return false,
     }
     state.stats.expired += 1;
-    metrics().jobs_expired.inc();
     complete(state, id, Err(CompileError::Deadline));
-    sync_gauges(state);
     true
 }
 
@@ -461,14 +449,7 @@ impl QueueService {
             let mut root = tracer.span("job", None);
             root.attr("client", client);
             // Static names, not `to_string()`: no allocation per job.
-            root.attr(
-                "priority",
-                match priority {
-                    Priority::Interactive => "interactive",
-                    Priority::Batch => "batch",
-                    Priority::Speculative => "speculative",
-                },
-            );
+            root.attr("priority", priority.name());
             Some((tracer, root))
         } else {
             None
@@ -479,7 +460,6 @@ impl QueueService {
         }
         if self.service.fleet_unhealthy() {
             state.stats.rejected += 1;
-            metrics().jobs_rejected.inc();
             return Err(CompileError::FleetUnhealthy {
                 retry_after: self.config.unhealthy_retry_after,
             });
@@ -501,14 +481,12 @@ impl QueueService {
                 }
                 Backpressure::RejectWhenFull => {
                     state.stats.rejected += 1;
-                    metrics().jobs_rejected.inc();
                     return Err(CompileError::QueueFull);
                 }
                 Backpressure::ShedOldest => {
                     match state.queue.shed_oldest_at_most(priority) {
                         Some(victim) => {
                             state.stats.shed += 1;
-                            metrics().jobs_shed.inc();
                             complete(&mut state, victim.id, Err(CompileError::QueueFull));
                             self.shared.done.notify_all();
                         }
@@ -523,7 +501,6 @@ impl QueueService {
         let id = JobId(state.next_id);
         state.next_id += 1;
         state.stats.admitted += 1;
-        metrics().jobs_admitted.inc();
         if let Some((tracer, mut root)) = pending_trace {
             // The id only exists now; the `admission` interval covers
             // everything from submit entry, including any blocking wait
@@ -540,7 +517,6 @@ impl QueueService {
         }
         if shed_self {
             state.stats.shed += 1;
-            metrics().jobs_shed.inc();
             state.slots.insert(id, Slot::Queued { client, priority, deadline: None });
             complete(&mut state, id, Err(CompileError::QueueFull));
             self.shared.done.notify_all();
@@ -559,7 +535,6 @@ impl QueueService {
             });
             self.shared.work.notify_all();
         }
-        sync_gauges(&state);
         Ok(JobHandle { id, shared: Arc::clone(&self.shared) })
     }
 
@@ -805,7 +780,6 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
             for entry in due {
                 if entry.deadline.is_some_and(|deadline| deadline <= now) {
                     state.stats.expired += 1;
-                    metrics().jobs_expired.inc();
                     complete(&mut state, entry.id, Err(CompileError::Deadline));
                     continue;
                 }
@@ -831,7 +805,6 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
             for queued in drained {
                 if queued.deadline.is_some_and(|deadline| deadline <= now) {
                     state.stats.expired += 1;
-                    metrics().jobs_expired.inc();
                     complete(&mut state, queued.id, Err(CompileError::Deadline));
                 } else {
                     // Only a live slot advances; an `Abandoned` marker
@@ -842,7 +815,6 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
                     }
                     let wait = now.saturating_duration_since(queued.submitted);
                     state.stats.record_queue_wait(queued.priority, wait);
-                    metrics().queue_wait.observe(wait);
                     if let Some(trace) = state.traces.get(&queued.id) {
                         trace.tracer.record(
                             "queue_wait",
@@ -868,7 +840,6 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
                 }
             }
             state.inflight += batch.len();
-            sync_gauges(&state);
             batch
         };
         // Depth dropped; unblock submitters. Expired jobs completed.
@@ -933,7 +904,6 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
                         *slot = Slot::Retrying { deadline: item.deadline };
                     }
                     state.stats.retried += 1;
-                    metrics().retries.inc();
                     let backoff = policy.backoff_for(retry_index);
                     let not_before = now + backoff;
                     if let Some(trace) = state.traces.get(&item.id) {
@@ -991,11 +961,9 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
                     }
                 }
                 state.stats.completed += 1;
-                metrics().jobs_completed.inc();
                 state.stats.record_latency(item.priority, item.submitted.elapsed());
                 complete(&mut state, item.id, result);
             }
-            sync_gauges(&state);
         }
         shared.done.notify_all();
     }
@@ -1042,35 +1010,7 @@ impl JobHandle {
     /// [`CompileError::Deadline`] — the wait wakes **at** the deadline
     /// instead of blocking until the dispatcher next drains.
     pub fn wait(&self) -> JobResult {
-        let mut state = self.shared.lock();
-        loop {
-            if expire_if_due(&mut state, self.id, Instant::now()) {
-                self.shared.space.notify_all();
-                self.shared.done.notify_all();
-            }
-            let job_deadline = match state.slots.get(&self.id) {
-                Some(Slot::Done(result)) => return result.clone(),
-                // The slot is gone or the drain already passed the job
-                // by: resolve rather than hang. Unreachable under the
-                // normal lifecycle.
-                None => return Err(CompileError::Cancelled),
-                Some(Slot::Queued { deadline, .. } | Slot::Retrying { deadline }) => *deadline,
-                _ => None,
-            };
-            state = match job_deadline {
-                // Wake at the job's own deadline so expiry is prompt
-                // even when nothing else signals `done`.
-                Some(at) => {
-                    let left = at.saturating_duration_since(Instant::now());
-                    self.shared
-                        .done
-                        .wait_timeout(state, left)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
-                None => self.shared.done.wait(state).unwrap_or_else(PoisonError::into_inner),
-            };
-        }
+        self.wait_until(None).expect("an unbounded wait ends only with a result")
     }
 
     /// [`wait`](Self::wait) bounded by `timeout`; `None` when the job is
@@ -1078,7 +1018,13 @@ impl JobHandle {
     /// falls inside `timeout` resolves promptly to
     /// [`CompileError::Deadline`] at that deadline.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobResult> {
-        let until = Instant::now() + timeout;
+        self.wait_until(Some(Instant::now() + timeout))
+    }
+
+    /// The one wait loop behind [`wait`](Self::wait) and
+    /// [`wait_timeout`](Self::wait_timeout): the job's result, or `None`
+    /// once `until` passes (`None` never passes).
+    fn wait_until(&self, until: Option<Instant>) -> Option<JobResult> {
         let mut state = self.shared.lock();
         loop {
             if expire_if_due(&mut state, self.id, Instant::now()) {
@@ -1087,27 +1033,30 @@ impl JobHandle {
             }
             let job_deadline = match state.slots.get(&self.id) {
                 Some(Slot::Done(result)) => return Some(result.clone()),
+                // The slot is gone or the drain already passed the job
+                // by: resolve rather than hang. Unreachable under the
+                // normal lifecycle.
                 None => return Some(Err(CompileError::Cancelled)),
                 Some(Slot::Queued { deadline, .. } | Slot::Retrying { deadline }) => *deadline,
                 _ => None,
             };
             let now = Instant::now();
-            let left = until.saturating_duration_since(now);
-            if left.is_zero() {
+            if until.is_some_and(|at| at <= now) {
                 return None;
             }
-            // Sleep to whichever comes first: the caller's timeout or
-            // the job's own deadline.
-            let sleep = match job_deadline {
-                Some(at) => left.min(at.saturating_duration_since(now)),
-                None => left,
+            // Sleep to whichever comes first: the caller's bound or the
+            // job's own deadline, so expiry is prompt even when nothing
+            // else signals `done`.
+            state = match until.into_iter().chain(job_deadline).min() {
+                Some(wake) => {
+                    self.shared
+                        .done
+                        .wait_timeout(state, wake.saturating_duration_since(now))
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => self.shared.done.wait(state).unwrap_or_else(PoisonError::into_inner),
             };
-            let (guard, _) = self
-                .shared
-                .done
-                .wait_timeout(state, sleep)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
         }
     }
 
@@ -1133,9 +1082,7 @@ impl JobHandle {
             _ => return false,
         }
         state.stats.cancelled += 1;
-        metrics().jobs_cancelled.inc();
         complete(&mut state, self.id, Err(CompileError::Cancelled));
-        sync_gauges(&state);
         self.shared.space.notify_all();
         self.shared.done.notify_all();
         true
@@ -1167,7 +1114,14 @@ impl Completions {
     /// The next completion, or `None` after `timeout` with nothing
     /// delivered (the subscription stays live — keep calling).
     pub fn next_timeout(&mut self, timeout: Duration) -> Option<(JobId, JobResult)> {
-        let deadline = Instant::now() + timeout;
+        self.next_until(Some(Instant::now() + timeout))
+    }
+
+    /// The one completion loop behind [`next`](Iterator::next) and
+    /// [`next_timeout`](Self::next_timeout): the next completion, or
+    /// `None` once no more can arrive or `until` passes (`None` never
+    /// passes).
+    fn next_until(&mut self, until: Option<Instant>) -> Option<(JobId, JobResult)> {
         let mut state = self.shared.lock();
         loop {
             if let Some(item) = self.pop(&mut state) {
@@ -1176,16 +1130,20 @@ impl Completions {
             if self.finished(&state) {
                 return None;
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (guard, _) = self
-                .shared
-                .done
-                .wait_timeout(state, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
+            state = match until {
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.shared
+                        .done
+                        .wait_timeout(state, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => self.shared.done.wait(state).unwrap_or_else(PoisonError::into_inner),
+            };
         }
     }
 
@@ -1218,16 +1176,7 @@ impl Iterator for Completions {
     /// Blocks until the next completion; ends (`None`) only when the
     /// service has shut down and everything admitted has resolved.
     fn next(&mut self) -> Option<Self::Item> {
-        let mut state = self.shared.lock();
-        loop {
-            if let Some(item) = self.pop(&mut state) {
-                return Some(item);
-            }
-            if self.finished(&state) {
-                return None;
-            }
-            state = self.shared.done.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
+        self.next_until(None)
     }
 }
 

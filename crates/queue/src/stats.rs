@@ -1,8 +1,10 @@
 //! Queue observability: lifecycle counters and per-priority latency
-//! percentiles.
+//! percentiles — the queue's one record of its own events, which
+//! [`QueueStats::to_prometheus`] also renders for scrapes.
 
 use crate::job::Priority;
 use fastsc_service::CacheStats;
+use fastsc_telemetry::metrics::{counter_family, gauge, summary, SummarySeries};
 use std::time::Duration;
 
 /// How many of the most recent end-to-end latencies each priority class
@@ -19,6 +21,8 @@ pub const LATENCY_WINDOW: usize = 1024;
 pub struct LatencySummary {
     /// Samples ever recorded for the class (not capped by the window).
     pub count: u64,
+    /// Sum of every sample ever recorded (not capped by the window).
+    pub sum: Duration,
     /// Fastest sample in the window.
     pub min: Duration,
     /// Median latency over the window.
@@ -85,6 +89,68 @@ impl QueueStats {
     /// The queue-wait summary of one priority class.
     pub fn queue_wait(&self, priority: Priority) -> LatencySummary {
         self.queue_wait[priority.rank()]
+    }
+
+    /// Renders the queue's families in Prometheus text exposition
+    /// format (version 0.0.4): the `fastsc_queue_depth` and
+    /// `fastsc_queue_inflight` gauges, the `fastsc_queue_jobs_total`
+    /// (by `event`) and `fastsc_queue_retries_total` counters, and
+    /// `fastsc_queue_wait_seconds` — a summary per priority class with
+    /// the window's p50/p90/p99 as quantiles 0.5/0.9/0.99 and the
+    /// lifetime `_sum`/`_count` (classes with no samples are omitted).
+    /// Scraped next to [`fastsc_telemetry::Metrics::to_prometheus`],
+    /// which holds no queue family.
+    pub fn to_prometheus(&self) -> String {
+        let mut out = String::with_capacity(1024);
+        gauge(
+            &mut out,
+            "fastsc_queue_depth",
+            "Jobs admitted and still waiting.",
+            self.depth as u64,
+        );
+        gauge(
+            &mut out,
+            "fastsc_queue_inflight",
+            "Jobs dispatched and not yet completed.",
+            self.inflight as u64,
+        );
+        counter_family(
+            &mut out,
+            "fastsc_queue_jobs_total",
+            "Queue lifecycle events by outcome.",
+            &[
+                ("{event=\"admitted\"}", self.admitted),
+                ("{event=\"rejected\"}", self.rejected),
+                ("{event=\"shed\"}", self.shed),
+                ("{event=\"expired\"}", self.expired),
+                ("{event=\"cancelled\"}", self.cancelled),
+                ("{event=\"completed\"}", self.completed),
+            ],
+        );
+        counter_family(
+            &mut out,
+            "fastsc_queue_retries_total",
+            "Transient failures re-queued for another attempt.",
+            &[("", self.retried)],
+        );
+        let waits: Vec<SummarySeries> = Priority::all()
+            .into_iter()
+            .map(|p| (p, self.queue_wait(p)))
+            .filter(|(_, wait)| wait.count > 0)
+            .map(|(p, wait)| SummarySeries {
+                labels: format!("priority=\"{}\"", p.name()),
+                quantiles: vec![("0.5", wait.p50), ("0.9", wait.p90), ("0.99", wait.p99)],
+                sum: wait.sum,
+                count: wait.count,
+            })
+            .collect();
+        summary(
+            &mut out,
+            "fastsc_queue_wait_seconds",
+            "Time jobs spent queued before first dispatch, by priority.",
+            &waits,
+        );
+        out
     }
 
     /// The lifecycle-counter movement from `earlier` to `self` — what a
@@ -185,12 +251,14 @@ impl StatsState {
     }
 }
 
-/// A bounded ring of recent latency samples.
+/// A bounded ring of recent latency samples, plus the lifetime count
+/// and sum.
 #[derive(Debug, Default)]
 struct LatencyWindow {
     samples: Vec<Duration>,
     next: usize,
     count: u64,
+    sum: Duration,
 }
 
 impl LatencyWindow {
@@ -202,6 +270,7 @@ impl LatencyWindow {
         }
         self.next = (self.next + 1) % LATENCY_WINDOW;
         self.count += 1;
+        self.sum = self.sum.saturating_add(latency);
     }
 
     fn summary(&self) -> LatencySummary {
@@ -212,6 +281,7 @@ impl LatencyWindow {
         sorted.sort_unstable();
         LatencySummary {
             count: self.count,
+            sum: self.sum,
             min: sorted[0],
             p50: percentile(&sorted, 0.50),
             p90: percentile(&sorted, 0.90),
@@ -327,5 +397,49 @@ mod tests {
         let total = stats.latency(Priority::Interactive);
         assert_eq!((total.count, total.min, total.max), (1, ms(50), ms(50)));
         assert_eq!(stats.queue_wait(Priority::Batch), LatencySummary::default());
+    }
+
+    #[test]
+    fn prometheus_renders_counters_gauges_and_per_priority_wait_summaries() {
+        let mut state = StatsState {
+            admitted: 7,
+            rejected: 1,
+            shed: 2,
+            completed: 3,
+            retried: 4,
+            ..StatsState::default()
+        };
+        state.record_queue_wait(Priority::Interactive, ms(2));
+        state.record_queue_wait(Priority::Interactive, ms(8));
+        state.record_queue_wait(Priority::Speculative, ms(500));
+        let text = state.snapshot(5, 1, CacheStats::zero()).to_prometheus();
+        for line in [
+            "# TYPE fastsc_queue_depth gauge",
+            "fastsc_queue_depth 5",
+            "fastsc_queue_inflight 1",
+            "# TYPE fastsc_queue_jobs_total counter",
+            "fastsc_queue_jobs_total{event=\"admitted\"} 7",
+            "fastsc_queue_jobs_total{event=\"rejected\"} 1",
+            "fastsc_queue_jobs_total{event=\"shed\"} 2",
+            "fastsc_queue_jobs_total{event=\"expired\"} 0",
+            "fastsc_queue_jobs_total{event=\"cancelled\"} 0",
+            "fastsc_queue_jobs_total{event=\"completed\"} 3",
+            "fastsc_queue_retries_total 4",
+            "# TYPE fastsc_queue_wait_seconds summary",
+            // Nearest rank over two samples: p50 rounds up to the second.
+            "fastsc_queue_wait_seconds{priority=\"interactive\",quantile=\"0.5\"} 0.008",
+            "fastsc_queue_wait_seconds{priority=\"interactive\",quantile=\"0.99\"} 0.008",
+            "fastsc_queue_wait_seconds_sum{priority=\"interactive\"} 0.01",
+            "fastsc_queue_wait_seconds_count{priority=\"interactive\"} 2",
+            "fastsc_queue_wait_seconds{priority=\"speculative\",quantile=\"0.9\"} 0.5",
+            "fastsc_queue_wait_seconds_sum{priority=\"speculative\"} 0.5",
+            "fastsc_queue_wait_seconds_count{priority=\"speculative\"} 1",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing {line:?} in:\n{text}");
+        }
+        assert!(!text.contains("priority=\"batch\""), "empty classes are omitted:\n{text}");
+        for line in text.lines() {
+            assert!(line.starts_with('#') || line.split(' ').count() == 2, "bad line: {line}");
+        }
     }
 }

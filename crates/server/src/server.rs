@@ -418,7 +418,11 @@ impl Connection {
                 self.telemetry(seq, count, interval_ms)
             }
             Request::Metrics => {
-                self.send(metrics_frame(seq, &metrics().snapshot().to_prometheus()))
+                // This server's queue, then the process registry (which
+                // holds no queue family): each family appears once.
+                let mut body = self.queue.stats().to_prometheus();
+                body.push_str(&metrics().to_prometheus());
+                self.send(metrics_frame(seq, &body))
             }
             Request::CacheExport => {
                 let bundle = self.queue.service().export_artifacts();

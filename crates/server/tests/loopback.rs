@@ -320,7 +320,7 @@ fn metrics_request_returns_prometheus_exposition() {
 
     let text = client.metrics_text().expect("metrics scrape");
     for family in [
-        "# TYPE fastsc_queue_wait_seconds histogram",
+        "# TYPE fastsc_queue_wait_seconds summary",
         "# TYPE fastsc_queue_jobs_total counter",
         "fastsc_queue_jobs_total{event=\"admitted\"}",
         "# TYPE fastsc_server_connections_total counter",
@@ -328,11 +328,37 @@ fn metrics_request_returns_prometheus_exposition() {
     ] {
         assert!(text.contains(family), "missing {family:?} in scrape:\n{text}");
     }
-    // Valid exposition shape: every line is a comment or `name value`.
+    // Valid exposition shape: every line is a comment or `name value`,
+    // and the queue and registry halves declare each family once.
+    let mut declared = std::collections::HashSet::new();
     for line in text.lines() {
         assert!(line.starts_with('#') || line.split(' ').count() == 2, "bad line: {line}");
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let name = rest.split(' ').next().expect("TYPE names a family");
+            assert!(declared.insert(name), "family {name} declared twice:\n{text}");
+        }
     }
     server.shutdown();
+}
+
+#[test]
+fn each_server_scrapes_only_its_own_queue() {
+    let mut a = start_server(one_tenant());
+    let mut b = start_server(one_tenant());
+    let mut client_a = connect(&a, "alpha-token");
+    for _ in 0..2 {
+        let job = client_a.submit(DEMO_QASM, "ColorDynamic", "batch", None).expect("submit");
+        assert!(client_a.wait(job, 30_000).expect("wait").expect("finishes").ok);
+    }
+    let text_a = client_a.metrics_text().expect("scrape A");
+    let text_b = connect(&b, "alpha-token").metrics_text().expect("scrape B");
+    let has = |text: &str, line: &str| text.lines().any(|l| l == line);
+    assert!(has(&text_a, "fastsc_queue_jobs_total{event=\"admitted\"} 2"), "{text_a}");
+    assert!(has(&text_a, "fastsc_queue_jobs_total{event=\"completed\"} 2"), "{text_a}");
+    assert!(has(&text_b, "fastsc_queue_jobs_total{event=\"admitted\"} 0"), "{text_b}");
+    assert!(has(&text_b, "fastsc_queue_depth 0"), "{text_b}");
+    a.shutdown();
+    b.shutdown();
 }
 
 #[test]

@@ -13,12 +13,15 @@
 //!   stitch) attach through a thread-local context installed around the
 //!   compile, so the engine itself never threads tracer handles through
 //!   its hot loop.
-//! * [`metrics`](mod@metrics) — fixed-instrument atomic counters, gauges, and
-//!   fixed-bucket histograms covering queue wait, per-strategy compile
-//!   latency, SMT solve time, retries, breaker transitions, cache
-//!   hits, and bytes on the wire, snapshot-able for embedders
-//!   ([`MetricsSnapshot`]) and renderable as Prometheus text
-//!   exposition format for scrapes.
+//! * [`metrics`](mod@metrics) — fixed-instrument atomic counters and
+//!   fixed-bucket histograms covering per-strategy compile latency,
+//!   SMT solve time, breaker transitions, cache and store hits, and
+//!   bytes on the wire, rendered as Prometheus text exposition format
+//!   by [`Metrics::to_prometheus`]. The module's writers
+//!   ([`counter_family`](metrics::counter_family),
+//!   [`gauge`](metrics::gauge), [`summary`](metrics::summary)) also
+//!   render the queue families, which each queue keeps in its own
+//!   `QueueStats` rather than in this process-global registry.
 //!
 //! Both span exports, the server's wire frames and the bench records
 //! encode through the workspace's one JSON codec, [`json`].
@@ -39,8 +42,8 @@ pub mod span;
 
 pub use json::{Json, JsonError};
 pub use metrics::{
-    metrics, metrics_enabled, set_metrics_enabled, Counter, Gauge, Histogram,
-    HistogramSnapshot, Metrics, MetricsSnapshot, STRATEGY_LABELS,
+    metrics, metrics_enabled, set_metrics_enabled, Counter, Histogram, HistogramSnapshot,
+    Metrics, STRATEGY_LABELS,
 };
 pub use span::{
     install_engine_trace, phase, set_trace_mode, should_trace, trace_mode, tracing_active,

@@ -1,17 +1,18 @@
 //! The process-global metrics registry: a fixed set of atomic
-//! counters, gauges, and fixed-bucket histograms covering the whole
-//! serving stack, snapshot-able for embedders and renderable as
-//! Prometheus text exposition format for scrapes.
+//! counters and fixed-bucket histograms covering the compile and
+//! serving stack, renderable as Prometheus text exposition format for
+//! scrapes, plus the exposition writers every other family source (the
+//! queue's `QueueStats`) renders through.
 //!
 //! The registry is deliberately *not* generic: every instrument the
 //! stack records is a named field on [`Metrics`], so call sites are
 //! `metrics().cache_hits.inc()` — no string lookup, no hashing, no
 //! allocation on the hot path. Recording is a relaxed atomic op behind
 //! one enabled branch ([`set_metrics_enabled`]); disabling stops the
-//! counters where they stand (gauges included, so re-enabling after
-//! traffic may leave gauges stale until their next update).
+//! instruments where they stand.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -35,10 +36,6 @@ pub fn set_metrics_enabled(enabled: bool) {
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -57,50 +54,10 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that goes up and down (queue depth, jobs in
-/// flight).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Subtracts one.
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
-    /// Adds `delta` (no-op while the registry is disabled).
-    pub fn add(&self, delta: i64) {
-        if metrics_enabled() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Sets the value outright (no-op while the registry is disabled).
-    pub fn set(&self, value: i64) {
-        if metrics_enabled() {
-            self.0.store(value, Ordering::Relaxed);
-        }
-    }
-
-    /// The current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// The shared latency ladder, in nanoseconds: 1µs → 10s in 1–5 steps.
 /// One ladder for every duration histogram keeps exposition and
 /// cross-metric comparison simple, and spans both the ~10µs engine
-/// hot path and multi-second queue waits.
+/// hot path and multi-second compiles.
 pub const LATENCY_BUCKETS_NS: [u64; 15] = [
     1_000,
     5_000,
@@ -124,7 +81,7 @@ const BUCKETS: usize = LATENCY_BUCKETS_NS.len();
 /// A fixed-bucket duration histogram over [`LATENCY_BUCKETS_NS`], with
 /// cumulative-on-read Prometheus semantics (each stored bucket counts
 /// only its own range; [`HistogramSnapshot`] accumulates).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Histogram {
     /// Per-bucket counts; index `BUCKETS` is the overflow (+Inf) bucket.
     counts: [AtomicU64; BUCKETS + 1],
@@ -132,23 +89,7 @@ pub struct Histogram {
     count: AtomicU64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
 impl Histogram {
-    const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        Histogram {
-            counts: [ZERO; BUCKETS + 1],
-            sum_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
     /// Records one duration (no-op while the registry is disabled).
     pub fn observe(&self, d: Duration) {
         self.observe_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
@@ -211,36 +152,13 @@ pub const STRATEGY_LABELS: [&str; 5] =
 /// The process-global instrument set (obtain via [`metrics`]).
 ///
 /// Naming follows the Prometheus exposition
-/// ([`MetricsSnapshot::to_prometheus`]): one field here is one metric
-/// family there, with labels flattened into arrays where the label set
-/// is fixed (e.g. [`compile_duration`](Self::compile_duration) is
-/// `fastsc_compile_duration_seconds{strategy=...}`).
+/// ([`to_prometheus`](Self::to_prometheus)): one field here is one
+/// metric family there, with labels flattened into arrays where the
+/// label set is fixed (e.g. [`compile_duration`](Self::compile_duration)
+/// is `fastsc_compile_duration_seconds{strategy=...}`). Queue families
+/// are not here: each queue renders its own from `QueueStats`.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    // --- queue ---
-    /// Time jobs spent queued before each dispatch
-    /// (`fastsc_queue_wait_seconds`).
-    pub queue_wait: Histogram,
-    /// Jobs admitted and still waiting (`fastsc_queue_depth`).
-    pub queue_depth: Gauge,
-    /// Jobs dispatched and not yet completed (`fastsc_queue_inflight`).
-    pub queue_inflight: Gauge,
-    /// Jobs accepted into the queue
-    /// (`fastsc_queue_jobs_total{event="admitted"}`).
-    pub jobs_admitted: Counter,
-    /// Submissions refused outright (`…{event="rejected"}`).
-    pub jobs_rejected: Counter,
-    /// Jobs evicted by backpressure (`…{event="shed"}`).
-    pub jobs_shed: Counter,
-    /// Jobs whose deadline passed in queue (`…{event="expired"}`).
-    pub jobs_expired: Counter,
-    /// Jobs cancelled by their submitter (`…{event="cancelled"}`).
-    pub jobs_cancelled: Counter,
-    /// Jobs that delivered a result (`…{event="completed"}`).
-    pub jobs_completed: Counter,
-    /// Transient failures re-queued for another attempt
-    /// (`fastsc_queue_retries_total`).
-    pub retries: Counter,
     // --- service / engine ---
     /// Real compile latency per strategy, indexed by
     /// `Strategy::stable_code()`
@@ -288,68 +206,90 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const HIST: Histogram = Histogram::new();
-        Metrics {
-            queue_wait: Histogram::new(),
-            queue_depth: Gauge::new(),
-            queue_inflight: Gauge::new(),
-            jobs_admitted: Counter::new(),
-            jobs_rejected: Counter::new(),
-            jobs_shed: Counter::new(),
-            jobs_expired: Counter::new(),
-            jobs_cancelled: Counter::new(),
-            jobs_completed: Counter::new(),
-            retries: Counter::new(),
-            compile_duration: [HIST; 5],
-            smt_solve: Histogram::new(),
-            smt_memo_hits: Counter::new(),
-            smt_solves: Counter::new(),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            store_hits: Counter::new(),
-            store_misses: Counter::new(),
-            store_bytes_written: Counter::new(),
-            breaker_opened: Counter::new(),
-            breaker_half_open: Counter::new(),
-            breaker_closed: Counter::new(),
-            bytes_read: Counter::new(),
-            bytes_written: Counter::new(),
-            connections: Counter::new(),
-        }
-    }
-
-    /// A structured point-in-time copy of every instrument — the
-    /// embedder-facing equivalent of a Prometheus scrape.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            queue_wait: self.queue_wait.snapshot(),
-            queue_depth: self.queue_depth.get(),
-            queue_inflight: self.queue_inflight.get(),
-            jobs_admitted: self.jobs_admitted.get(),
-            jobs_rejected: self.jobs_rejected.get(),
-            jobs_shed: self.jobs_shed.get(),
-            jobs_expired: self.jobs_expired.get(),
-            jobs_cancelled: self.jobs_cancelled.get(),
-            jobs_completed: self.jobs_completed.get(),
-            retries: self.retries.get(),
-            compile_duration: [0, 1, 2, 3, 4].map(|i| self.compile_duration[i].snapshot()),
-            smt_solve: self.smt_solve.snapshot(),
-            smt_memo_hits: self.smt_memo_hits.get(),
-            smt_solves: self.smt_solves.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            store_hits: self.store_hits.get(),
-            store_misses: self.store_misses.get(),
-            store_bytes_written: self.store_bytes_written.get(),
-            breaker_opened: self.breaker_opened.get(),
-            breaker_half_open: self.breaker_half_open.get(),
-            breaker_closed: self.breaker_closed.get(),
-            bytes_read: self.bytes_read.get(),
-            bytes_written: self.bytes_written.get(),
-            connections: self.connections.get(),
-        }
+    /// Renders every instrument in Prometheus text exposition format
+    /// (version 0.0.4): `# HELP`/`# TYPE` headers, `_total` suffixes on
+    /// counters, histogram `_bucket{le=...}`/`_sum`/`_count` series,
+    /// durations in seconds. Each instrument is read individually, so a
+    /// scrape racing a recording may be off by the in-flight sample.
+    pub fn to_prometheus(&self) -> String {
+        let mut out = String::with_capacity(4096);
+        let compile: Vec<(String, HistogramSnapshot)> = STRATEGY_LABELS
+            .iter()
+            .zip(&self.compile_duration)
+            .filter(|(_, h)| h.count() > 0)
+            .map(|(label, h)| (format!("strategy=\"{label}\""), h.snapshot()))
+            .collect();
+        histogram(
+            &mut out,
+            "fastsc_compile_duration_seconds",
+            "Real compile latency by strategy (cache hits excluded).",
+            &compile,
+        );
+        histogram(
+            &mut out,
+            "fastsc_smt_solve_seconds",
+            "SMT frequency-solve time (memo misses only).",
+            &[(String::new(), self.smt_solve.snapshot())],
+        );
+        counter_family(
+            &mut out,
+            "fastsc_smt_memo_total",
+            "SMT frequency-memo lookups by outcome.",
+            &[
+                ("{result=\"hit\"}", self.smt_memo_hits.get()),
+                ("{result=\"solve\"}", self.smt_solves.get()),
+            ],
+        );
+        counter_family(
+            &mut out,
+            "fastsc_cache_requests_total",
+            "Schedule-cache lookups by outcome (coalesced hits included).",
+            &[
+                ("{result=\"hit\"}", self.cache_hits.get()),
+                ("{result=\"miss\"}", self.cache_misses.get()),
+            ],
+        );
+        counter_family(
+            &mut out,
+            "fastsc_store_requests_total",
+            "Persistent artifact-store lookups by outcome.",
+            &[
+                ("{result=\"hit\"}", self.store_hits.get()),
+                ("{result=\"miss\"}", self.store_misses.get()),
+            ],
+        );
+        counter_family(
+            &mut out,
+            "fastsc_store_bytes_written_total",
+            "Bytes appended to the on-disk artifact store.",
+            &[("", self.store_bytes_written.get())],
+        );
+        counter_family(
+            &mut out,
+            "fastsc_breaker_transitions_total",
+            "Circuit-breaker state transitions by destination state.",
+            &[
+                ("{to=\"open\"}", self.breaker_opened.get()),
+                ("{to=\"half_open\"}", self.breaker_half_open.get()),
+                ("{to=\"closed\"}", self.breaker_closed.get()),
+            ],
+        );
+        counter_family(
+            &mut out,
+            "fastsc_server_bytes_total",
+            "Frame bytes moved over client sockets.",
+            &[
+                ("{direction=\"read\"}", self.bytes_read.get()),
+                ("{direction=\"written\"}", self.bytes_written.get()),
+            ],
+        );
+        counter_family(
+            &mut out,
+            "fastsc_server_connections_total",
+            "Client connections accepted.",
+            &[("", self.connections.get())],
+        );
+        out
     }
 }
 
@@ -358,183 +298,67 @@ static METRICS: OnceLock<Metrics> = OnceLock::new();
 /// The process-global registry. First call initializes it; recording
 /// through it is lock-free thereafter.
 pub fn metrics() -> &'static Metrics {
-    METRICS.get_or_init(Metrics::new)
+    METRICS.get_or_init(Metrics::default)
 }
 
-/// A structured copy of the registry (see [`Metrics::snapshot`]), plus
-/// the Prometheus renderer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Queue-wait histogram.
-    pub queue_wait: HistogramSnapshot,
-    /// Queue depth gauge.
-    pub queue_depth: i64,
-    /// In-flight gauge.
-    pub queue_inflight: i64,
-    /// Lifetime admitted count.
-    pub jobs_admitted: u64,
-    /// Lifetime rejected count.
-    pub jobs_rejected: u64,
-    /// Lifetime shed count.
-    pub jobs_shed: u64,
-    /// Lifetime expired count.
-    pub jobs_expired: u64,
-    /// Lifetime cancelled count.
-    pub jobs_cancelled: u64,
-    /// Lifetime completed count.
-    pub jobs_completed: u64,
-    /// Lifetime retry count.
-    pub retries: u64,
-    /// Per-strategy compile-latency histograms (see
-    /// [`STRATEGY_LABELS`]).
-    pub compile_duration: [HistogramSnapshot; 5],
-    /// SMT solve-time histogram.
-    pub smt_solve: HistogramSnapshot,
-    /// Frequency-memo hit count.
-    pub smt_memo_hits: u64,
-    /// Frequency-memo solve count.
-    pub smt_solves: u64,
-    /// Schedule-cache hit count.
-    pub cache_hits: u64,
-    /// Schedule-cache miss count.
-    pub cache_misses: u64,
-    /// Artifact-store hit count.
-    pub store_hits: u64,
-    /// Artifact-store miss count.
-    pub store_misses: u64,
-    /// Bytes appended to the artifact store.
-    pub store_bytes_written: u64,
-    /// Breaker open-transition count.
-    pub breaker_opened: u64,
-    /// Breaker half-open-transition count.
-    pub breaker_half_open: u64,
-    /// Breaker close-transition count.
-    pub breaker_closed: u64,
-    /// Socket bytes read.
-    pub bytes_read: u64,
-    /// Socket bytes written.
-    pub bytes_written: u64,
-    /// Connections accepted.
-    pub connections: u64,
+fn header(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-impl MetricsSnapshot {
-    /// Renders the snapshot in Prometheus text exposition format
-    /// (version 0.0.4): `# HELP`/`# TYPE` headers, `_total` suffixes on
-    /// counters, histogram `_bucket{le=...}`/`_sum`/`_count` series,
-    /// durations in seconds.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        histogram_labeled(
-            &mut out,
-            "fastsc_queue_wait_seconds",
-            "Time jobs spent queued before dispatch.",
-            &[("", &self.queue_wait)],
-        );
-        gauge(
-            &mut out,
-            "fastsc_queue_depth",
-            "Jobs admitted and still waiting.",
-            self.queue_depth,
-        );
-        gauge(
-            &mut out,
-            "fastsc_queue_inflight",
-            "Jobs dispatched and not yet completed.",
-            self.queue_inflight,
-        );
-        counter_family(
-            &mut out,
-            "fastsc_queue_jobs_total",
-            "Queue lifecycle events by outcome.",
-            &[
-                ("{event=\"admitted\"}", self.jobs_admitted),
-                ("{event=\"rejected\"}", self.jobs_rejected),
-                ("{event=\"shed\"}", self.jobs_shed),
-                ("{event=\"expired\"}", self.jobs_expired),
-                ("{event=\"cancelled\"}", self.jobs_cancelled),
-                ("{event=\"completed\"}", self.jobs_completed),
-            ],
-        );
-        counter_family(
-            &mut out,
-            "fastsc_queue_retries_total",
-            "Transient failures re-queued for another attempt.",
-            &[("", self.retries)],
-        );
-        let compile_series: Vec<(String, &HistogramSnapshot)> = STRATEGY_LABELS
-            .iter()
-            .zip(self.compile_duration.iter())
-            .filter(|(_, h)| h.count > 0)
-            .map(|(label, h)| (format!("strategy=\"{label}\""), h))
-            .collect();
-        let compile_refs: Vec<(&str, &HistogramSnapshot)> =
-            compile_series.iter().map(|(l, h)| (l.as_str(), *h)).collect();
-        histogram_labeled(
-            &mut out,
-            "fastsc_compile_duration_seconds",
-            "Real compile latency by strategy (cache hits excluded).",
-            &compile_refs,
-        );
-        histogram_labeled(
-            &mut out,
-            "fastsc_smt_solve_seconds",
-            "SMT frequency-solve time (memo misses only).",
-            &[("", &self.smt_solve)],
-        );
-        counter_family(
-            &mut out,
-            "fastsc_smt_memo_total",
-            "SMT frequency-memo lookups by outcome.",
-            &[
-                ("{result=\"hit\"}", self.smt_memo_hits),
-                ("{result=\"solve\"}", self.smt_solves),
-            ],
-        );
-        counter_family(
-            &mut out,
-            "fastsc_cache_requests_total",
-            "Schedule-cache lookups by outcome (coalesced hits included).",
-            &[("{result=\"hit\"}", self.cache_hits), ("{result=\"miss\"}", self.cache_misses)],
-        );
-        counter_family(
-            &mut out,
-            "fastsc_store_requests_total",
-            "Persistent artifact-store lookups by outcome.",
-            &[("{result=\"hit\"}", self.store_hits), ("{result=\"miss\"}", self.store_misses)],
-        );
-        counter_family(
-            &mut out,
-            "fastsc_store_bytes_written_total",
-            "Bytes appended to the on-disk artifact store.",
-            &[("", self.store_bytes_written)],
-        );
-        counter_family(
-            &mut out,
-            "fastsc_breaker_transitions_total",
-            "Circuit-breaker state transitions by destination state.",
-            &[
-                ("{to=\"open\"}", self.breaker_opened),
-                ("{to=\"half_open\"}", self.breaker_half_open),
-                ("{to=\"closed\"}", self.breaker_closed),
-            ],
-        );
-        counter_family(
-            &mut out,
-            "fastsc_server_bytes_total",
-            "Frame bytes moved over client sockets.",
-            &[
-                ("{direction=\"read\"}", self.bytes_read),
-                ("{direction=\"written\"}", self.bytes_written),
-            ],
-        );
-        counter_family(
-            &mut out,
-            "fastsc_server_connections_total",
-            "Client connections accepted.",
-            &[("", self.connections)],
-        );
-        out
+/// Writes one counter family. Each series is a braced label set
+/// (`{event="shed"}`, or empty for unlabeled) and its value.
+pub fn counter_family(out: &mut String, name: &str, help: &str, series: &[(&str, u64)]) {
+    header(out, name, help, "counter");
+    for (labels, value) in series {
+        let _ = writeln!(out, "{name}{labels} {value}");
+    }
+}
+
+/// Writes one unlabeled gauge.
+pub fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
+    header(out, name, help, "gauge");
+    let _ = writeln!(out, "{name} {value}");
+}
+
+/// One series of a [`summary`] family.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SummarySeries {
+    /// Label fragment: comma-joinable, without braces, empty for an
+    /// unlabeled series (`priority="batch"`).
+    pub labels: String,
+    /// `(quantile, value)` pairs, each quantile as written (`"0.99"`).
+    pub quantiles: Vec<(&'static str, Duration)>,
+    /// Sum of every observation.
+    pub sum: Duration,
+    /// Number of observations.
+    pub count: u64,
+}
+
+/// Writes one summary family, durations in seconds.
+pub fn summary(out: &mut String, name: &str, help: &str, series: &[SummarySeries]) {
+    header(out, name, help, "summary");
+    for SummarySeries { labels, quantiles, sum, count } in series {
+        let (sep, wrap) = label_forms(labels);
+        for (quantile, value) in quantiles {
+            let _ = writeln!(
+                out,
+                "{name}{{{sep}quantile=\"{quantile}\"}} {:?}",
+                value.as_secs_f64()
+            );
+        }
+        let _ = writeln!(out, "{name}_sum{wrap} {:?}", sum.as_secs_f64());
+        let _ = writeln!(out, "{name}_count{wrap} {count}");
+    }
+}
+
+/// `labels` ready to take one more label (`a="b",`) and as a whole
+/// braced set (`{a="b"}`); both empty for an unlabeled series.
+fn label_forms(labels: &str) -> (String, String) {
+    if labels.is_empty() {
+        (String::new(), String::new())
+    } else {
+        (format!("{labels},"), format!("{{{labels}}}"))
     }
 }
 
@@ -542,35 +366,12 @@ fn seconds(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
 
-fn counter_family(out: &mut String, name: &str, help: &str, series: &[(&str, u64)]) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    for (labels, value) in series {
-        let _ = writeln!(out, "{name}{labels} {value}");
-    }
-}
-
-fn gauge(out: &mut String, name: &str, help: &str, value: i64) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// Emits one histogram family; each entry in `series` is a
-/// comma-joinable label fragment (no braces) or empty for unlabeled.
-fn histogram_labeled(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    series: &[(&str, &HistogramSnapshot)],
-) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
+/// Writes one histogram family; each series is a label fragment
+/// (comma-joinable, no braces; empty for unlabeled) and its snapshot.
+fn histogram(out: &mut String, name: &str, help: &str, series: &[(String, HistogramSnapshot)]) {
+    header(out, name, help, "histogram");
     for (labels, snap) in series {
-        let sep = if labels.is_empty() { String::new() } else { format!("{labels},") };
+        let (sep, wrap) = label_forms(labels);
         for (bound_ns, cumulative) in &snap.buckets {
             let _ = writeln!(
                 out,
@@ -579,7 +380,6 @@ fn histogram_labeled(
             );
         }
         let _ = writeln!(out, "{name}_bucket{{{sep}le=\"+Inf\"}} {}", snap.count);
-        let wrap = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
         let _ = writeln!(out, "{name}_sum{wrap} {:?}", seconds(snap.sum_ns));
         let _ = writeln!(out, "{name}_count{wrap} {}", snap.count);
     }
@@ -600,24 +400,18 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_move() {
+    fn counters_move() {
         let _serial = lock();
-        let m = Metrics::new();
-        m.jobs_admitted.inc();
-        m.jobs_admitted.add(2);
-        assert_eq!(m.jobs_admitted.get(), 3);
-        m.queue_depth.inc();
-        m.queue_depth.inc();
-        m.queue_depth.dec();
-        assert_eq!(m.queue_depth.get(), 1);
-        m.queue_depth.set(7);
-        assert_eq!(m.queue_depth.get(), 7);
+        let m = Metrics::default();
+        m.cache_hits.inc();
+        m.cache_hits.add(2);
+        assert_eq!(m.cache_hits.get(), 3);
     }
 
     #[test]
     fn histogram_buckets_are_cumulative_in_snapshot() {
         let _serial = lock();
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.observe(Duration::from_micros(2)); // ≤ 5µs bucket
         h.observe(Duration::from_micros(2));
         h.observe(Duration::from_millis(2)); // ≤ 5ms bucket
@@ -635,7 +429,7 @@ mod tests {
     #[test]
     fn exact_bound_lands_in_its_bucket() {
         let _serial = lock();
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.observe_ns(1_000);
         assert_eq!(h.snapshot().buckets[0], (1_000, 1), "le is inclusive");
     }
@@ -643,32 +437,26 @@ mod tests {
     #[test]
     fn disabled_registry_drops_observations() {
         let _serial = lock();
-        let m = Metrics::new();
+        let m = Metrics::default();
         set_metrics_enabled(false);
-        m.jobs_admitted.inc();
-        m.queue_wait.observe(Duration::from_millis(1));
-        m.queue_depth.inc();
+        m.cache_hits.inc();
+        m.smt_solve.observe(Duration::from_millis(1));
         set_metrics_enabled(true);
-        assert_eq!(m.jobs_admitted.get(), 0);
-        assert_eq!(m.queue_wait.count(), 0);
-        assert_eq!(m.queue_depth.get(), 0);
-        m.jobs_admitted.inc();
-        assert_eq!(m.jobs_admitted.get(), 1);
+        assert_eq!(m.cache_hits.get(), 0);
+        assert_eq!(m.smt_solve.count(), 0);
+        m.cache_hits.inc();
+        assert_eq!(m.cache_hits.get(), 1);
     }
 
     #[test]
     fn prometheus_text_has_expected_families() {
         let _serial = lock();
-        let m = Metrics::new();
-        m.jobs_admitted.add(5);
+        let m = Metrics::default();
         m.cache_hits.add(2);
         m.cache_misses.add(3);
-        m.queue_wait.observe(Duration::from_micros(30));
         m.compile_duration[4].observe(Duration::from_micros(80));
         m.bytes_read.add(1024);
-        let text = m.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE fastsc_queue_wait_seconds histogram"));
-        assert!(text.contains("fastsc_queue_jobs_total{event=\"admitted\"} 5"));
+        let text = m.to_prometheus();
         assert!(text.contains("fastsc_cache_requests_total{result=\"hit\"} 2"));
         assert!(text.contains(
             "fastsc_compile_duration_seconds_bucket{strategy=\"color_dynamic\",le=\"+Inf\"} 1"
@@ -680,12 +468,10 @@ mod tests {
         assert!(text.contains("fastsc_server_bytes_total{direction=\"read\"} 1024"));
         m.store_hits.add(4);
         m.store_bytes_written.add(256);
-        let text = m.snapshot().to_prometheus();
+        let text = m.to_prometheus();
         assert!(text.contains("fastsc_store_requests_total{result=\"hit\"} 4"));
         assert!(text.contains("fastsc_store_requests_total{result=\"miss\"} 0"));
         assert!(text.contains("fastsc_store_bytes_written_total 256"));
-        assert!(text.contains("fastsc_queue_wait_seconds_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("fastsc_queue_wait_seconds_count 1"));
         // Every line is either a comment or `name[{labels}] value`.
         for line in text.lines() {
             assert!(line.starts_with('#') || line.split(' ').count() == 2, "bad line: {line}");

@@ -6,8 +6,12 @@
 //! writing a Chrome `trace_event` export (open it in
 //! `chrome://tracing` or Perfetto). Over the wire: `submit` with
 //! `trace: true` against a loopback TCP server, printing the span tree
-//! that rides the result frame, then a `metrics` scrape of the
-//! process-wide registry in Prometheus text exposition format.
+//! that rides the result frame, then a `metrics` scrape — the server's
+//! queue families followed by the process-wide registry — in Prometheus
+//! text exposition format. The scrape is checked, not only printed:
+//! every line must be a comment or `name value`, each family must be
+//! declared once, and both halves must be present, so the example
+//! fails if the two renderers stop merging cleanly.
 //!
 //! ```console
 //! $ cargo run --release --example observability
@@ -99,12 +103,29 @@ fn main() {
     println!("\n== span tree (over the wire, job {job}) ==");
     print_wire_span(outcome.trace.as_ref().expect("traced frame carries the tree"), 0);
 
-    // One Prometheus scrape of the process-wide registry.
+    // One Prometheus scrape: this server's queue, then the registry.
     let text = client.metrics_text().expect("metrics scrape");
-    println!("\n== prometheus exposition (first lines) ==");
-    for line in text.lines().take(12) {
-        println!("{line}");
+    let mut families = Vec::new();
+    for line in text.lines() {
+        assert!(line.starts_with('#') || line.split(' ').count() == 2, "bad line: {line}");
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let name = rest.split(' ').next().expect("a TYPE line names its family");
+            assert!(!families.contains(&name), "family {name} declared twice");
+            families.push(name);
+        }
     }
-    println!("... ({} lines total)", text.lines().count());
+    for family in [
+        "fastsc_queue_depth",
+        "fastsc_queue_jobs_total",
+        "fastsc_queue_wait_seconds",
+        "fastsc_compile_duration_seconds",
+        "fastsc_server_connections_total",
+    ] {
+        assert!(families.contains(&family), "scrape is missing {family}");
+    }
+    println!("\n== prometheus exposition ({} lines) ==", text.lines().count());
+    for family in &families {
+        println!("{family}");
+    }
     server.shutdown();
 }
