@@ -11,7 +11,7 @@
 //! ```
 
 use fastsc_bench::record::{self, BenchRecord};
-use fastsc_core::batch::{BatchCompiler, CompileJob};
+use fastsc_core::batch::CompileJob;
 use fastsc_core::{CompilerConfig, Strategy};
 use fastsc_device::Device;
 use fastsc_ir::qasm::to_qasm;
@@ -89,24 +89,6 @@ fn flood(queue: &QueueService, jobs: &[CompileJob]) -> Vec<JobHandle> {
         .collect();
     assert!(handles.iter().all(|h| h.wait().is_ok()), "flood jobs compile");
     handles
-}
-
-/// `batch32_mixed`: 32 mixed jobs through [`BatchCompiler`], one worker
-/// vs every core.
-fn batch32_mixed() -> Vec<BenchRecord> {
-    let jobs = job_mix(32, (9, 4), 9, (9, 1));
-    let device = Device::grid(3, 3, 7);
-    let sequential =
-        BatchCompiler::new(device.clone(), CompilerConfig::default()).num_threads(1);
-    let parallel = BatchCompiler::new(device, CompilerConfig::default());
-    let mut sides = [&sequential, &parallel].map(|batch| {
-        let jobs = &jobs;
-        move || {
-            black_box(batch.compile_batch(jobs.clone()));
-        }
-    });
-    record::interleaved(record::samples(5, 7), &mut sides)
-        .records("batch32_mixed", &["sequential", "parallel"])
 }
 
 /// Emulates the pre-work-stealing dispatch: the batch is split into
@@ -407,7 +389,6 @@ fn observability_overhead() -> Vec<BenchRecord> {
 
 fn main() {
     println!("serving benches on {} worker thread(s)", rayon::current_num_threads());
-    record::record(&batch32_mixed());
     record::record(&skewed_batch());
     record::record(&queue_saturated());
     record::record(&fault_free_overhead());

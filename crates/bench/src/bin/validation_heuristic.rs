@@ -5,100 +5,40 @@
 //! cargo run -p fastsc-bench --release --bin validation_heuristic
 //! ```
 
-use fastsc_bench::{fmt_p, row, SEED};
-use fastsc_core::{Compiler, CompilerConfig, Strategy};
-use fastsc_device::Device;
-use fastsc_noise::{estimate, NoiseConfig};
-use fastsc_sim::simulate_success;
-use fastsc_workloads::Benchmark;
+use fastsc_bench::{fmt_p, row, validation_heuristic};
 
 fn main() {
-    let benchmarks = [
-        Benchmark::Bv(4),
-        Benchmark::Bv(9),
-        Benchmark::Ising(4),
-        Benchmark::Qgan(9),
-        Benchmark::Xeb(4, 5),
-        Benchmark::Xeb(9, 5),
-        Benchmark::Xeb(9, 10),
-    ];
-    let config = CompilerConfig::default();
-    let trajectories = 200;
-
+    let widths = [12, 14, 11, 11, 9];
+    let validation = validation_heuristic();
+    let trajectories = validation.trajectories;
     println!("Heuristic (Eq. 4, worst case) vs {trajectories}-trajectory simulation");
     println!();
     println!(
         "{}",
-        row(
-            &["benchmark", "strategy", "heuristic", "simulated", "stderr"],
-            &[12, 14, 11, 11, 9]
-        )
+        row(&["benchmark", "strategy", "heuristic", "simulated", "stderr"], &widths)
     );
-    let mut pairs: Vec<(f64, f64)> = Vec::new();
-    let mut cd_first_heuristic = 0usize;
-    let mut cd_first_sim = 0usize;
-    for b in benchmarks {
-        let device = Device::grid(
-            (b.n_qubits() as f64).sqrt().ceil() as usize,
-            (b.n_qubits() as f64).sqrt().ceil() as usize,
-            SEED,
-        );
-        let compiler = Compiler::new(device, config);
-        let mut h_scores = Vec::new();
-        let mut s_scores = Vec::new();
-        for s in [Strategy::ColorDynamic, Strategy::BaselineU, Strategy::BaselineS] {
-            let compiled = compiler.compile(&b.build(SEED), s).expect("compiles");
-            let heuristic =
-                estimate(compiler.device(), &compiled.schedule, &NoiseConfig::default());
-            let sim = simulate_success(compiler.device(), &compiled.schedule, trajectories, 99);
-            pairs.push((heuristic.p_success, sim.success));
-            h_scores.push(heuristic.p_success);
-            s_scores.push(sim.success);
-            println!(
-                "{}",
-                row(
-                    &[
-                        b.label(),
-                        s.label().into(),
-                        fmt_p(heuristic.p_success),
-                        fmt_p(sim.success),
-                        format!("{:.4}", sim.std_error),
-                    ],
-                    &[12, 14, 11, 11, 9]
-                )
-            );
-        }
-        if h_scores[0] >= h_scores[1] && h_scores[0] >= h_scores[2] {
-            cd_first_heuristic += 1;
-        }
-        if s_scores[0] >= s_scores[1] - 0.03 && s_scores[0] >= s_scores[2] - 0.03 {
-            cd_first_sim += 1;
-        }
+    for r in &validation.rows {
+        let cells = [
+            r.benchmark.label(),
+            r.strategy.label().into(),
+            fmt_p(r.heuristic),
+            fmt_p(r.simulated),
+            format!("{:.4}", r.std_error),
+        ];
+        println!("{}", row(&cells, &widths));
     }
     println!();
-    // Pearson correlation of log-successes.
-    let logs: Vec<(f64, f64)> =
-        pairs.iter().map(|&(h, s)| (h.max(1e-6).ln(), s.max(1e-6).ln())).collect();
-    let n = logs.len() as f64;
-    let (mh, ms) =
-        (logs.iter().map(|p| p.0).sum::<f64>() / n, logs.iter().map(|p| p.1).sum::<f64>() / n);
-    let cov: f64 = logs.iter().map(|p| (p.0 - mh) * (p.1 - ms)).sum();
-    let vh: f64 = logs.iter().map(|p| (p.0 - mh).powi(2)).sum();
-    let vs: f64 = logs.iter().map(|p| (p.1 - ms).powi(2)).sum();
-    let max_log10_gap = pairs
-        .iter()
-        .map(|&(h, s)| (h.max(1e-6) / s.max(1e-6)).log10().abs())
-        .fold(0.0f64, f64::max);
+    println!("log-success correlation (heuristic vs simulation): r = {:.3}", validation.log_r);
     println!(
-        "log-success correlation (heuristic vs simulation): r = {:.3}",
-        cov / (vh * vs).sqrt()
+        "largest |log10(heuristic / simulated)| = {:.2} decades",
+        validation.max_log10_gap
     );
-    println!("largest |log10(heuristic / simulated)| = {max_log10_gap:.2} decades");
     println!(
-        "ColorDynamic ranked first by heuristic in {cd_first_heuristic}/{} benchmarks, \
-         by simulation in {cd_first_sim}/{}",
-        pairs.len() / 3,
-        pairs.len() / 3
+        "ColorDynamic ranked first by heuristic in {}/{} benchmarks, by simulation in {}/{}",
+        validation.cd_first_heuristic,
+        validation.benchmarks(),
+        validation.cd_first_sim,
+        validation.benchmarks()
     );
     println!();
     println!("The heuristic tracks the simulation within a fraction of a decade and");

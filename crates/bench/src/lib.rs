@@ -19,6 +19,7 @@ use fastsc_core::{
 };
 use fastsc_device::{CouplerKind, Device};
 use fastsc_noise::{estimate, NoiseConfig, SuccessReport};
+use fastsc_sim::simulate_success;
 use fastsc_workloads::Benchmark;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -130,6 +131,118 @@ pub fn fig09_cd_vs_g(rows: &[(Benchmark, [f64; 5])]) -> f64 {
         .map(|(_, p)| p[4] / p[1])
         .collect();
     geomean(&ratios, 1e-6)
+}
+
+/// One §VI-C cell: a compiled program's worst-case success heuristic
+/// (Eq. 4) next to its Monte-Carlo simulated success.
+#[derive(Debug, Clone)]
+pub struct HeuristicRow {
+    /// The benchmark compiled.
+    pub benchmark: Benchmark,
+    /// The strategy it was compiled under.
+    pub strategy: Strategy,
+    /// Eq. 4's estimated success.
+    pub heuristic: f64,
+    /// The simulated success (mean over trajectories).
+    pub simulated: f64,
+    /// The standard error of `simulated`.
+    pub std_error: f64,
+}
+
+/// The §VI-C validation that `validation_heuristic` prints: every row,
+/// and the summary figures the paper's claim rests on.
+#[derive(Debug, Clone)]
+pub struct HeuristicValidation {
+    /// Trajectories simulated per row.
+    pub trajectories: usize,
+    /// ColorDynamic, Baseline U and Baseline S rows, per benchmark.
+    pub rows: Vec<HeuristicRow>,
+    /// Pearson correlation of the log-successes, heuristic vs simulated.
+    pub log_r: f64,
+    /// The largest `|log10(heuristic / simulated)|` over all rows.
+    pub max_log10_gap: f64,
+    /// Benchmarks where ColorDynamic's heuristic is highest.
+    pub cd_first_heuristic: usize,
+    /// Benchmarks where ColorDynamic's simulated success is highest,
+    /// within 0.03.
+    pub cd_first_sim: usize,
+}
+
+impl HeuristicValidation {
+    /// The number of benchmarks validated.
+    pub fn benchmarks(&self) -> usize {
+        self.rows.len() / HEURISTIC_STRATEGIES.len()
+    }
+}
+
+/// The strategies the §VI-C validation compares, ColorDynamic first.
+const HEURISTIC_STRATEGIES: [Strategy; 3] =
+    [Strategy::ColorDynamic, Strategy::BaselineU, Strategy::BaselineS];
+
+/// §VI-C: compiles seven small benchmarks under ColorDynamic, Baseline U
+/// and Baseline S, and holds each schedule's worst-case success heuristic
+/// (Eq. 4) against a 200-trajectory noisy simulation.
+pub fn validation_heuristic() -> HeuristicValidation {
+    let benchmarks = [
+        Benchmark::Bv(4),
+        Benchmark::Bv(9),
+        Benchmark::Ising(4),
+        Benchmark::Qgan(9),
+        Benchmark::Xeb(4, 5),
+        Benchmark::Xeb(9, 5),
+        Benchmark::Xeb(9, 10),
+    ];
+    let trajectories = 200;
+    let mut rows = Vec::new();
+    let mut cd_first_heuristic = 0;
+    let mut cd_first_sim = 0;
+    for benchmark in benchmarks {
+        let compiler =
+            Compiler::new(device_for(benchmark.n_qubits(), SEED), CompilerConfig::default());
+        let first = rows.len();
+        for strategy in HEURISTIC_STRATEGIES {
+            let compiled =
+                compiler.compile(&benchmark.build(SEED), strategy).expect("compiles");
+            let heuristic =
+                estimate(compiler.device(), &compiled.schedule, &NoiseConfig::default());
+            let sim = simulate_success(compiler.device(), &compiled.schedule, trajectories, 99);
+            rows.push(HeuristicRow {
+                benchmark,
+                strategy,
+                heuristic: heuristic.p_success,
+                simulated: sim.success,
+                std_error: sim.std_error,
+            });
+        }
+        let [cd, u, s] = [0, 1, 2].map(|i| &rows[first + i]);
+        if cd.heuristic >= u.heuristic && cd.heuristic >= s.heuristic {
+            cd_first_heuristic += 1;
+        }
+        if cd.simulated >= u.simulated - 0.03 && cd.simulated >= s.simulated - 0.03 {
+            cd_first_sim += 1;
+        }
+    }
+    // Pearson correlation of log-successes.
+    let logs: Vec<(f64, f64)> =
+        rows.iter().map(|r| (r.heuristic.max(1e-6).ln(), r.simulated.max(1e-6).ln())).collect();
+    let n = logs.len() as f64;
+    let (mh, ms) =
+        (logs.iter().map(|p| p.0).sum::<f64>() / n, logs.iter().map(|p| p.1).sum::<f64>() / n);
+    let cov: f64 = logs.iter().map(|p| (p.0 - mh) * (p.1 - ms)).sum();
+    let vh: f64 = logs.iter().map(|p| (p.0 - mh).powi(2)).sum();
+    let vs: f64 = logs.iter().map(|p| (p.1 - ms).powi(2)).sum();
+    let max_log10_gap = rows
+        .iter()
+        .map(|r| (r.heuristic.max(1e-6) / r.simulated.max(1e-6)).log10().abs())
+        .fold(0.0f64, f64::max);
+    HeuristicValidation {
+        trajectories,
+        rows,
+        log_r: cov / (vh * vs).sqrt(),
+        max_log10_gap,
+        cd_first_heuristic,
+        cd_first_sim,
+    }
 }
 
 /// Geometric mean of strictly positive values; zeros/negatives are clamped

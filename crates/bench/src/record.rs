@@ -28,7 +28,7 @@ use std::time::Instant;
 /// One benchmark measurement destined for `BENCH_compile.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchRecord {
-    /// Workload identifier, e.g. `xeb16` or `batch32_mixed`.
+    /// Workload identifier, e.g. `xeb16` or `skewed_batch`.
     pub workload: String,
     /// Strategy identifier, e.g. `ColorDynamic` or `sequential`.
     pub strategy: String,
@@ -263,7 +263,7 @@ mod tests {
                 label: "pre".into(),
             },
             BenchRecord {
-                workload: "batch32_mixed".into(),
+                workload: "skewed_batch".into(),
                 strategy: "sequential".into(),
                 median_ns: 9_999_999_999,
                 label: "post".into(),
@@ -273,7 +273,7 @@ mod tests {
         let mut read = read_records(&path).unwrap();
         read.sort_by(|a, b| a.workload.cmp(&b.workload));
         assert_eq!(read.len(), 2);
-        assert_eq!(read[0].workload, "batch32_mixed");
+        assert_eq!(read[0].workload, "skewed_batch");
         assert_eq!(read[1].median_ns, 123_456);
         std::fs::remove_file(&path).ok();
     }

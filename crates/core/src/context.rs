@@ -10,10 +10,10 @@
 //! hundreds of milliseconds on a 16-qubit mesh.
 //!
 //! [`CompileContext`] computes them once per `(device, config)` pair and
-//! is shared via [`Arc`] by [`Compiler`](crate::Compiler),
-//! [`BatchCompiler`](crate::batch::BatchCompiler), and the bench
-//! binaries. All caching is either immutable-after-construction or behind
-//! interior locks, so a context can serve many compilation threads at
+//! is shared via [`Arc`] by every [`Compiler`](crate::Compiler) built on
+//! it: each compile-service shard's, and the bench binaries'. All
+//! caching is either immutable-after-construction or behind interior
+//! locks, so a context can serve many compilation threads at
 //! once; and because every cached value is a pure function of its key,
 //! schedules compiled through a warm context are bit-identical to
 //! schedules compiled from scratch (the determinism suite asserts this).

@@ -64,9 +64,10 @@ pub enum CompileError {
         /// The offending field's name.
         field: &'static str,
     },
-    /// A compilation stage panicked. Only surfaced by the batch front end
-    /// ([`crate::batch::BatchCompiler`]), which converts per-job panics
-    /// into errors so one bad job cannot poison its batch.
+    /// A compilation stage panicked. Only surfaced by
+    /// [`crate::batch::compile_isolated`] and the batch front ends built
+    /// on it, which convert per-job panics into errors so one bad job
+    /// cannot poison its batch.
     Internal {
         /// The panic payload, when it was a string.
         message: String,

@@ -23,10 +23,14 @@
 
 use crate::job::{ClientId, JobId, Priority};
 use fastsc_core::batch::CompileJob;
+use fastsc_core::FailedAttempt;
+use fastsc_telemetry::{SpanGuard, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
-/// One admitted-but-not-yet-dispatched job.
+/// One admitted job, from admission to resolution: queued here, then
+/// compiling in a micro-batch, then (after a transient failure) waiting
+/// out a retry backoff, and finally consumed by its completion.
 #[derive(Debug)]
 pub(crate) struct QueuedJob {
     pub id: JobId,
@@ -38,6 +42,23 @@ pub(crate) struct QueuedJob {
     /// Monotone submission sequence number — the age order shedding
     /// uses.
     pub seq: u64,
+    /// Every failed attempt so far, in order.
+    pub attempts: Vec<FailedAttempt>,
+    /// Shards excluded from this job's routing (the ones it failed on,
+    /// when the retry policy fails over).
+    pub excluded: Vec<usize>,
+    /// The job's live span trace, when it is traced.
+    pub trace: Option<ActiveTrace>,
+}
+
+/// A live per-job span trace: the tracer, the root `"job"` span held
+/// open until the job resolves, and the open `"attempt"` span while an
+/// attempt compiles.
+#[derive(Debug)]
+pub(crate) struct ActiveTrace {
+    pub tracer: Tracer,
+    pub root: SpanGuard,
+    pub attempt: Option<SpanGuard>,
 }
 
 /// One priority class: a FIFO per client plus the round-robin rotation
@@ -197,6 +218,9 @@ mod tests {
             deadline: None,
             submitted: Instant::now(),
             seq,
+            attempts: Vec::new(),
+            excluded: Vec::new(),
+            trace: None,
         }
     }
 

@@ -17,13 +17,13 @@
 //! which cannot happen under the graceful drop-drain, but the contract
 //! is defensive). Nothing is lost and nothing is delivered twice.
 
-use crate::job::{ClientId, JobId, Priority, Submission};
-use crate::scheduler::{AdmissionQueue, QueuedJob};
+use crate::job::{JobId, Priority, Submission};
+use crate::scheduler::{ActiveTrace, AdmissionQueue, QueuedJob};
 use crate::stats::{QueueDelta, QueueStats, StatsState};
-use fastsc_core::batch::CompileJob;
+use fastsc_core::batch::{panic_message, CompileJob};
 use fastsc_core::{CompileError, FailedAttempt};
 use fastsc_service::{CompileService, ServiceReply, ShardOutcome, ShardView};
-use fastsc_telemetry::{should_trace, AttrValue, SpanGuard, SpanTree, TraceHandle, Tracer};
+use fastsc_telemetry::{should_trace, AttrValue, SpanTree, TraceHandle, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -170,40 +170,15 @@ struct Subscriber {
     dropped: u64,
 }
 
-/// A job waiting out its retry backoff: everything needed to re-dispatch
-/// it, plus the attempt history accumulated so far.
-#[derive(Debug)]
-struct RetryEntry {
-    id: JobId,
-    client: ClientId,
-    priority: Priority,
-    job: CompileJob,
-    deadline: Option<Instant>,
-    submitted: Instant,
-    /// Earliest re-dispatch time (ignored on shutdown drain).
-    not_before: Instant,
-    /// Every failed attempt so far, in order.
-    attempts: Vec<FailedAttempt>,
-    /// Shards excluded from this job's routing (the ones it failed on,
-    /// when the policy fails over).
-    excluded: Vec<usize>,
-}
-
-/// A live per-job span trace: the tracer plus the root `"job"` span
-/// guard, held open until the job resolves.
-#[derive(Debug)]
-struct ActiveTrace {
-    tracer: Tracer,
-    root: SpanGuard,
-}
-
 /// Finished traces parked for [`QueueService::take_trace`] pickup.
 /// Holds the raw tracers, not assembled trees: tree assembly
 /// (allocation and sorting) happens in [`QueueService::take_trace`] on
 /// the consumer's thread, outside the queue's state lock, so the
 /// dispatcher's completion path only parks a handle. Bounded: past
 /// [`TRACE_STORE_CAP`] unclaimed traces, the oldest is evicted — a
-/// client that traces but never collects cannot pin unbounded memory.
+/// client that traces but never collects cannot pin unbounded memory —
+/// and the age index is compacted to the unclaimed ids once it passes
+/// twice the cap, so claimed ids cannot pin it either.
 #[derive(Debug, Default)]
 struct TraceStore {
     tracers: HashMap<JobId, Tracer>,
@@ -228,6 +203,12 @@ impl TraceStore {
                 None => break,
             }
         }
+        // Amortized O(1): after compaction `order` holds at most the cap,
+        // so the next compaction is at least a cap of inserts away.
+        if self.order.len() > 2 * TRACE_STORE_CAP {
+            let tracers = &self.tracers;
+            self.order.retain(|id| tracers.contains_key(id));
+        }
     }
 
     fn take(&mut self, id: JobId) -> Option<Tracer> {
@@ -240,7 +221,9 @@ struct State {
     subscriber_buffer: usize,
     queue: AdmissionQueue,
     slots: HashMap<JobId, Slot>,
-    retries: Vec<RetryEntry>,
+    /// Jobs waiting out a retry backoff, each with its earliest
+    /// re-dispatch time (ignored on shutdown drain).
+    retries: Vec<(Instant, QueuedJob)>,
     next_id: u64,
     next_seq: u64,
     next_subscriber: u64,
@@ -249,8 +232,6 @@ struct State {
     shutdown: bool,
     stats: StatsState,
     subscribers: Vec<Subscriber>,
-    /// Live traces of admitted-and-unresolved traced jobs.
-    traces: HashMap<JobId, ActiveTrace>,
     /// Finished trees awaiting [`QueueService::take_trace`].
     finished_traces: TraceStore,
 }
@@ -272,15 +253,17 @@ impl Shared {
     }
 }
 
-/// Delivers `result` for `id`: streams it to every subscriber, then
-/// parks it in the job's slot for its handle (or forgets it if the
-/// handle is gone). Callers update stats and notify `done`.
+/// Delivers `result` for `job`, consuming its record: streams it to
+/// every subscriber, then parks it in the job's slot for its handle (or
+/// forgets it if the handle is gone). Callers update stats and notify
+/// `done`.
 ///
 /// Delivery is also where a traced job's trace **finishes**: the
 /// `respond` span covers the fan-out below, the root `job` span closes
 /// with the outcome, and the assembled tree is parked for
 /// [`QueueService::take_trace`].
-fn complete(state: &mut State, id: JobId, result: JobResult) {
+fn complete(state: &mut State, job: QueuedJob, result: JobResult) {
+    let id = job.id;
     let respond_started = Instant::now();
     let ok = result.is_ok();
     let cap = state.subscriber_buffer;
@@ -304,7 +287,7 @@ fn complete(state: &mut State, id: JobId, result: JobResult) {
         Some(Slot::Done(_)) => unreachable!("job {id} completed twice"),
         None => {}
     }
-    if let Some(ActiveTrace { tracer, mut root }) = state.traces.remove(&id) {
+    if let Some(ActiveTrace { tracer, mut root, .. }) = job.trace {
         tracer.record("respond", Some(root.id()), respond_started, Instant::now(), Vec::new());
         root.attr("outcome", if ok { "ok" } else { "error" });
         drop(root);
@@ -330,24 +313,37 @@ fn complete(state: &mut State, id: JobId, result: JobResult) {
 /// drained into a micro-batch (`Running`) are past expiry on purpose:
 /// their compile result stands, matching the dispatcher's contract.
 fn expire_if_due(state: &mut State, id: JobId, now: Instant) -> bool {
-    match state.slots.get(&id) {
-        Some(Slot::Queued { client, priority, deadline: Some(deadline) })
-            if *deadline <= now =>
-        {
-            let (client, priority) = (*client, *priority);
-            let removed = state.queue.remove(id, client, priority);
-            debug_assert!(removed.is_some(), "queued slot implies a queued job");
-        }
-        // A deadline can also pass while the job waits out a retry
-        // backoff; it expires just as promptly there.
-        Some(Slot::Retrying { deadline: Some(deadline) }) if *deadline <= now => {
-            state.retries.retain(|entry| entry.id != id);
-        }
-        _ => return false,
+    // A deadline can also pass while the job waits out a retry backoff;
+    // it expires just as promptly there.
+    let deadline = match state.slots.get(&id) {
+        Some(Slot::Queued { deadline, .. } | Slot::Retrying { deadline }) => *deadline,
+        _ => None,
+    };
+    if deadline.is_none_or(|deadline| deadline > now) {
+        return false;
     }
+    let Some(job) = take_waiting(state, id) else {
+        return false;
+    };
     state.stats.expired += 1;
-    complete(state, id, Err(CompileError::Deadline));
+    complete(state, job, Err(CompileError::Deadline));
     true
+}
+
+/// Removes `id`'s record from wherever it waits — the admission queue or
+/// the retry list. `None` once it is compiling or resolved.
+fn take_waiting(state: &mut State, id: JobId) -> Option<QueuedJob> {
+    match state.slots.get(&id)? {
+        Slot::Queued { client, priority, .. } => {
+            let (client, priority) = (*client, *priority);
+            state.queue.remove(id, client, priority)
+        }
+        Slot::Retrying { .. } => {
+            let index = state.retries.iter().position(|(_, job)| job.id == id)?;
+            Some(state.retries.remove(index).1)
+        }
+        _ => None,
+    }
 }
 
 /// The asynchronous front end over a sharded [`CompileService`] (see the
@@ -396,7 +392,6 @@ impl QueueService {
                 shutdown: false,
                 stats: StatsState::default(),
                 subscribers: Vec::new(),
-                traces: HashMap::new(),
                 finished_traces: TraceStore::default(),
             }),
             work: Condvar::new(),
@@ -487,7 +482,7 @@ impl QueueService {
                     match state.queue.shed_oldest_at_most(priority) {
                         Some(victim) => {
                             state.stats.shed += 1;
-                            complete(&mut state, victim.id, Err(CompileError::QueueFull));
+                            complete(&mut state, victim, Err(CompileError::QueueFull));
                             self.shared.done.notify_all();
                         }
                         // Everything queued outranks the newcomer: the
@@ -501,7 +496,7 @@ impl QueueService {
         let id = JobId(state.next_id);
         state.next_id += 1;
         state.stats.admitted += 1;
-        if let Some((tracer, mut root)) = pending_trace {
+        let trace = pending_trace.map(|(tracer, mut root)| {
             // The id only exists now; the `admission` interval covers
             // everything from submit entry, including any blocking wait
             // for queue space.
@@ -513,26 +508,30 @@ impl QueueService {
                 Instant::now(),
                 Vec::new(),
             );
-            state.traces.insert(id, ActiveTrace { tracer, root });
-        }
+            ActiveTrace { tracer, root, attempt: None }
+        });
+        let seq = state.next_seq;
+        let queued = QueuedJob {
+            id,
+            client,
+            priority,
+            job,
+            deadline,
+            submitted: Instant::now(),
+            seq,
+            attempts: Vec::new(),
+            excluded: Vec::new(),
+            trace,
+        };
         if shed_self {
             state.stats.shed += 1;
             state.slots.insert(id, Slot::Queued { client, priority, deadline: None });
-            complete(&mut state, id, Err(CompileError::QueueFull));
+            complete(&mut state, queued, Err(CompileError::QueueFull));
             self.shared.done.notify_all();
         } else {
-            let seq = state.next_seq;
             state.next_seq += 1;
             state.slots.insert(id, Slot::Queued { client, priority, deadline });
-            state.queue.push(QueuedJob {
-                id,
-                client,
-                priority,
-                job,
-                deadline,
-                submitted: Instant::now(),
-                seq,
-            });
+            state.queue.push(queued);
             self.shared.work.notify_all();
         }
         Ok(JobHandle { id, shared: Arc::clone(&self.shared) })
@@ -688,38 +687,47 @@ impl TelemetryFeed {
     }
 }
 
-/// One job the dispatcher is about to hand the compile service: either
-/// freshly drained from the admission queue (empty history) or a retry
-/// whose backoff elapsed (history and exclusions carried along).
-#[derive(Debug)]
-struct BatchItem {
-    id: JobId,
-    client: ClientId,
-    priority: Priority,
-    job: CompileJob,
-    deadline: Option<Instant>,
-    submitted: Instant,
-    attempts: Vec<FailedAttempt>,
-    excluded: Vec<usize>,
-    /// The open `attempt` span of a traced job; closed (recorded) when
-    /// the attempt's outcome is known.
-    span: Option<SpanGuard>,
-}
-
-/// Opens the per-attempt span of a traced job and points the job's
-/// compile-phase trace handle under it, so route and compile spans nest
-/// inside this attempt.
-fn open_attempt(
-    state: &State,
-    id: JobId,
-    job: &mut CompileJob,
-    attempt: usize,
-) -> Option<SpanGuard> {
-    let trace = state.traces.get(&id)?;
-    let mut span = trace.tracer.span("attempt", Some(trace.root.id()));
-    span.attr("attempt", attempt);
-    job.trace = Some(TraceHandle::new(trace.tracer.clone(), span.id()));
-    Some(span)
+/// Moves one drained job (fresh from the admission queue, or a retry
+/// whose backoff elapsed) into the micro-batch — or resolves it to
+/// [`CompileError::Deadline`] when it is already overdue. A traced job
+/// gets its per-attempt span opened, with the job's compile-phase trace
+/// handle pointed under it so route and compile spans nest inside the
+/// attempt.
+fn admit_to_batch(
+    state: &mut State,
+    mut queued: QueuedJob,
+    now: Instant,
+    batch: &mut Vec<QueuedJob>,
+) {
+    if queued.deadline.is_some_and(|deadline| deadline <= now) {
+        state.stats.expired += 1;
+        complete(state, queued, Err(CompileError::Deadline));
+        return;
+    }
+    // Only a live slot advances; an `Abandoned` marker (handle already
+    // dropped) must survive so the completion is forgotten, not parked.
+    if let Some(slot @ (Slot::Queued { .. } | Slot::Retrying { .. })) =
+        state.slots.get_mut(&queued.id)
+    {
+        *slot = Slot::Running;
+    }
+    // A first attempt ends the job's queue wait; a retry's wait was its
+    // backoff, traced when it was scheduled.
+    if queued.attempts.is_empty() {
+        let wait = now.saturating_duration_since(queued.submitted);
+        state.stats.record_queue_wait(queued.priority, wait);
+        if let Some(trace) = &queued.trace {
+            let root = Some(trace.root.id());
+            trace.tracer.record("queue_wait", root, queued.submitted, now, Vec::new());
+        }
+    }
+    if let Some(trace) = &mut queued.trace {
+        let mut span = trace.tracer.span("attempt", Some(trace.root.id()));
+        span.attr("attempt", queued.attempts.len());
+        queued.job.trace = Some(TraceHandle::new(trace.tracer.clone(), span.id()));
+        trace.attempt = Some(span);
+    }
+    batch.push(queued);
 }
 
 /// The dispatcher: drain due retries and a fair micro-batch, expire
@@ -732,7 +740,7 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
     let max_batch = config.max_batch;
     let policy = config.retry;
     loop {
-        let batch: Vec<BatchItem> = {
+        let batch: Vec<QueuedJob> = {
             let mut state = shared.lock();
             loop {
                 if state.shutdown {
@@ -741,13 +749,15 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
                 if !state.paused {
                     let now = Instant::now();
                     if !state.queue.is_empty()
-                        || state.retries.iter().any(|entry| entry.not_before <= now)
+                        || state.retries.iter().any(|(not_before, _)| *not_before <= now)
                     {
                         break;
                     }
                     // Nothing due yet, but a backoff is ticking: sleep
                     // to the earliest re-dispatch time, not forever.
-                    if let Some(at) = state.retries.iter().map(|entry| entry.not_before).min() {
+                    if let Some(at) =
+                        state.retries.iter().map(|(not_before, _)| *not_before).min()
+                    {
                         let left = at.saturating_duration_since(now);
                         state = shared
                             .work
@@ -763,81 +773,25 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
                 return;
             }
             let now = Instant::now();
-            let mut batch = Vec::new();
             // Retries whose backoff elapsed go first — they have been
             // waiting longest. Shutdown overrides the backoff.
             let shutdown = state.shutdown;
             let mut due = Vec::new();
             let mut waiting = Vec::new();
-            for entry in state.retries.drain(..) {
-                if due.len() < max_batch && (shutdown || entry.not_before <= now) {
-                    due.push(entry);
+            for (not_before, queued) in state.retries.drain(..) {
+                if due.len() < max_batch && (shutdown || not_before <= now) {
+                    due.push(queued);
                 } else {
-                    waiting.push(entry);
+                    waiting.push((not_before, queued));
                 }
             }
             state.retries = waiting;
-            for entry in due {
-                if entry.deadline.is_some_and(|deadline| deadline <= now) {
-                    state.stats.expired += 1;
-                    complete(&mut state, entry.id, Err(CompileError::Deadline));
-                    continue;
-                }
-                if let Some(slot @ Slot::Retrying { .. }) = state.slots.get_mut(&entry.id) {
-                    *slot = Slot::Running;
-                }
-                let mut job = entry.job;
-                let span = open_attempt(&state, entry.id, &mut job, entry.attempts.len());
-                batch.push(BatchItem {
-                    id: entry.id,
-                    client: entry.client,
-                    priority: entry.priority,
-                    job,
-                    deadline: entry.deadline,
-                    submitted: entry.submitted,
-                    attempts: entry.attempts,
-                    excluded: entry.excluded,
-                    span,
-                });
+            let mut batch = Vec::new();
+            for queued in due {
+                admit_to_batch(&mut state, queued, now, &mut batch);
             }
-            let room = max_batch.saturating_sub(batch.len());
-            let drained = if room > 0 { state.queue.drain_batch(room) } else { Vec::new() };
-            for queued in drained {
-                if queued.deadline.is_some_and(|deadline| deadline <= now) {
-                    state.stats.expired += 1;
-                    complete(&mut state, queued.id, Err(CompileError::Deadline));
-                } else {
-                    // Only a live slot advances; an `Abandoned` marker
-                    // (handle already dropped) must survive so the
-                    // completion is forgotten, not parked.
-                    if let Some(slot @ Slot::Queued { .. }) = state.slots.get_mut(&queued.id) {
-                        *slot = Slot::Running;
-                    }
-                    let wait = now.saturating_duration_since(queued.submitted);
-                    state.stats.record_queue_wait(queued.priority, wait);
-                    if let Some(trace) = state.traces.get(&queued.id) {
-                        trace.tracer.record(
-                            "queue_wait",
-                            Some(trace.root.id()),
-                            queued.submitted,
-                            now,
-                            Vec::new(),
-                        );
-                    }
-                    let mut job = queued.job;
-                    let span = open_attempt(&state, queued.id, &mut job, 0);
-                    batch.push(BatchItem {
-                        id: queued.id,
-                        client: queued.client,
-                        priority: queued.priority,
-                        job,
-                        deadline: queued.deadline,
-                        submitted: queued.submitted,
-                        attempts: Vec::new(),
-                        excluded: Vec::new(),
-                        span,
-                    });
-                }
+            for queued in state.queue.drain_batch(max_batch - batch.len()) {
+                admit_to_batch(&mut state, queued, now, &mut batch);
             }
             state.inflight += batch.len();
             batch
@@ -849,7 +803,7 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
             continue;
         }
         let jobs: Vec<(CompileJob, Vec<usize>)> =
-            batch.iter().map(|item| (item.job.clone(), item.excluded.clone())).collect();
+            batch.iter().map(|queued| (queued.job.clone(), queued.excluded.clone())).collect();
         // The service already isolates per-job panics, but the batch
         // call itself can still panic (e.g. a custom policy routing out
         // of bounds). Letting that unwind would kill the dispatcher with
@@ -861,11 +815,7 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
             service.compile_batch_excluding(jobs)
         }))
         .unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let message = panic_message(payload.as_ref());
             batch
                 .iter()
                 .map(|_| ShardOutcome {
@@ -878,35 +828,33 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
             let mut state = shared.lock();
             state.inflight -= batch.len();
             let now = Instant::now();
-            for (item, outcome) in batch.into_iter().zip(outcomes) {
+            for (mut queued, outcome) in batch.into_iter().zip(outcomes) {
+                let span = queued.trace.as_mut().and_then(|trace| trace.attempt.take());
                 let retryable = matches!(&outcome.result, Err(error) if error.is_transient())
                     && outcome.shard.is_some()
-                    && (item.attempts.len() as u32) + 1 < policy.max_attempts;
+                    && (queued.attempts.len() as u32) + 1 < policy.max_attempts;
                 if retryable {
                     let shard = outcome.shard.expect("retryable implies an attributed shard");
                     let error = match outcome.result {
                         Err(error) => error,
                         Ok(_) => unreachable!("retryable implies a failed attempt"),
                     };
-                    if let Some(mut span) = item.span {
+                    if let Some(mut span) = span {
                         span.attr("shard", shard);
                         span.attr("ok", false);
                         span.attr("error", error.to_string());
                     }
-                    let mut attempts = item.attempts;
-                    attempts.push(FailedAttempt { shard: Some(shard), error });
-                    let mut excluded = item.excluded;
-                    if policy.failover && !excluded.contains(&shard) {
-                        excluded.push(shard);
+                    queued.attempts.push(FailedAttempt { shard: Some(shard), error });
+                    if policy.failover && !queued.excluded.contains(&shard) {
+                        queued.excluded.push(shard);
                     }
-                    let retry_index = (attempts.len() - 1) as u32;
-                    if let Some(slot @ Slot::Running) = state.slots.get_mut(&item.id) {
-                        *slot = Slot::Retrying { deadline: item.deadline };
+                    let retry_index = (queued.attempts.len() - 1) as u32;
+                    if let Some(slot @ Slot::Running) = state.slots.get_mut(&queued.id) {
+                        *slot = Slot::Retrying { deadline: queued.deadline };
                     }
                     state.stats.retried += 1;
-                    let backoff = policy.backoff_for(retry_index);
-                    let not_before = now + backoff;
-                    if let Some(trace) = state.traces.get(&item.id) {
+                    let not_before = now + policy.backoff_for(retry_index);
+                    if let Some(trace) = &queued.trace {
                         // The span covers the *scheduled* backoff window;
                         // the dispatcher may drain it slightly later.
                         trace.tracer.record(
@@ -917,19 +865,7 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
                             vec![("retry", AttrValue::from(u64::from(retry_index)))],
                         );
                     }
-                    let mut job = item.job;
-                    job.trace = None;
-                    state.retries.push(RetryEntry {
-                        id: item.id,
-                        client: item.client,
-                        priority: item.priority,
-                        job,
-                        deadline: item.deadline,
-                        submitted: item.submitted,
-                        not_before,
-                        attempts,
-                        excluded,
-                    });
+                    state.retries.push((not_before, queued));
                     continue;
                 }
                 // Terminal. A failure after earlier attempts resolves to
@@ -937,14 +873,14 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
                 // final routing refusal (shard `None`) when failover ran
                 // out of shards to try.
                 let result = match outcome.result {
-                    Err(error) if !item.attempts.is_empty() => {
-                        let mut attempts = item.attempts;
+                    Err(error) if !queued.attempts.is_empty() => {
+                        let mut attempts = std::mem::take(&mut queued.attempts);
                         attempts.push(FailedAttempt { shard: outcome.shard, error });
                         Err(CompileError::Exhausted { attempts })
                     }
                     other => other,
                 };
-                if let Some(mut span) = item.span {
+                if let Some(mut span) = span {
                     match &result {
                         Ok(reply) => {
                             span.attr("shard", reply.shard);
@@ -961,8 +897,8 @@ fn dispatch_loop(shared: &Shared, service: &CompileService, config: QueueConfig)
                     }
                 }
                 state.stats.completed += 1;
-                state.stats.record_latency(item.priority, item.submitted.elapsed());
-                complete(&mut state, item.id, result);
+                state.stats.record_latency(queued.priority, queued.submitted.elapsed());
+                complete(&mut state, queued, result);
             }
         }
         shared.done.notify_all();
@@ -1070,19 +1006,11 @@ impl JobHandle {
     /// the dispatcher leaves the in-flight attempt's result intact.
     pub fn cancel(&self) -> bool {
         let mut state = self.shared.lock();
-        match state.slots.get(&self.id) {
-            Some(Slot::Queued { client, priority, .. }) => {
-                let (client, priority) = (*client, *priority);
-                let removed = state.queue.remove(self.id, client, priority);
-                debug_assert!(removed.is_some(), "queued slot implies a queued job");
-            }
-            Some(Slot::Retrying { .. }) => {
-                state.retries.retain(|entry| entry.id != self.id);
-            }
-            _ => return false,
-        }
+        let Some(job) = take_waiting(&mut state, self.id) else {
+            return false;
+        };
         state.stats.cancelled += 1;
-        complete(&mut state, self.id, Err(CompileError::Cancelled));
+        complete(&mut state, job, Err(CompileError::Cancelled));
         self.shared.space.notify_all();
         self.shared.done.notify_all();
         true
@@ -1238,6 +1166,19 @@ mod tests {
         let plain = queue.submit(bv(5)).expect("admits");
         assert!(plain.wait().is_ok());
         assert!(queue.take_trace(plain.id()).is_none());
+    }
+
+    #[test]
+    fn claimed_traces_do_not_grow_the_age_index() {
+        // Every traced job the server answers is claimed through
+        // `take_trace`; the claimed ids must not pile up in `order`.
+        let mut store = TraceStore::default();
+        for id in 0..10 * TRACE_STORE_CAP as u64 {
+            store.insert(JobId(id), Tracer::new());
+            assert!(store.take(JobId(id)).is_some());
+            assert!(store.order.len() <= 2 * TRACE_STORE_CAP, "index leaked at job {id}");
+        }
+        assert!(store.tracers.is_empty());
     }
 
     #[test]

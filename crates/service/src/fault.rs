@@ -30,6 +30,7 @@
 //! assert!(!injector.on_compile(1).fires()); // other shards unaffected
 //! ```
 
+use fastsc_core::batch::panic_message;
 use fastsc_core::CompileError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -266,18 +267,13 @@ impl FaultInjector {
 
 /// Executes an injected panic: really unwinds (so the isolation path is
 /// exercised end to end) and converts the payload to
-/// [`CompileError::Internal`] with the same downcast rules as
-/// `compile_isolated`.
+/// [`CompileError::Internal`] with the same decoder as
+/// `compile_isolated` ([`panic_message`]).
 pub fn injected_panic(shard: usize) -> CompileError {
     let message = format!("injected compile panic (shard {shard})");
     let payload = catch_unwind(AssertUnwindSafe(|| panic!("{}", message)))
         .expect_err("the closure always panics");
-    let message = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    CompileError::Internal { message }
+    CompileError::Internal { message: panic_message(payload.as_ref()) }
 }
 
 #[cfg(test)]

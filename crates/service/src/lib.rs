@@ -1,12 +1,11 @@
 //! **FastSC compile service** — sharded, cached, work-stealing batch
 //! compilation across fleets of devices.
 //!
-//! The paper compiles one program for one device; the single-device
-//! [`BatchCompiler`](fastsc_core::batch::BatchCompiler) scales that to
-//! queues of jobs on one chip. This crate is the next layer up, serving
-//! the production scenario of the ROADMAP: many registered devices
-//! ("shards"), heavy mixed traffic, repetitive programs. Three layers,
-//! each independently testable:
+//! The paper compiles one program for one device. This crate scales
+//! that to batches of jobs over many registered devices ("shards"),
+//! heavy mixed traffic and repetitive programs; a single-device batch is
+//! a one-shard [`CompileService`]. Three layers, each independently
+//! testable:
 //!
 //! * [`router::CompileService`] — builds one shard per
 //!   [`ShardSpec`] (device, config, cache capacity,

@@ -698,8 +698,8 @@ impl CompileService {
         self.read_shards()[shard].live(shard).compiler.device().clone()
     }
 
-    /// The shared compile context of shard `shard` (e.g. to hand to a
-    /// [`BatchCompiler`](fastsc_core::batch::BatchCompiler) bypassing the
+    /// The shared compile context of shard `shard` (e.g. to build a
+    /// [`Compiler`] on it that bypasses the
     /// router).
     ///
     /// # Errors

@@ -1,9 +1,11 @@
 //! Integration tests for the sharded compile service: routed, cached,
 //! and work-stolen compilation must be observably identical to fresh
-//! single-device compiles — bit for bit, for every strategy and policy.
+//! single-device compiles — bit for bit, for every strategy and policy —
+//! and a single-device batch (a one-shard service) keeps job order and
+//! isolates each job's failure in its own slot.
 
 use fastsc_core::batch::CompileJob;
-use fastsc_core::{Compiler, CompilerConfig, Strategy};
+use fastsc_core::{CompileError, Compiler, CompilerConfig, Strategy};
 use fastsc_device::Device;
 use fastsc_service::{
     CompileService, Composite, ProgramAffinity, RoundRobin, ShardPolicy, ShardSpec,
@@ -13,6 +15,19 @@ use fastsc_workloads::Benchmark;
 /// The two-device fleet every test routes over.
 fn fleet() -> Vec<Device> {
     vec![Device::grid(3, 3, 7), Device::grid(3, 3, 11)]
+}
+
+/// A one-shard service over `device` with result caching off, so every
+/// job of a batch really compiles.
+fn one_shard_uncached(device: Device) -> CompileService {
+    let service = CompileService::new(RoundRobin::new());
+    service
+        .add_shard(ShardSpec {
+            cache_capacity: 0,
+            ..ShardSpec::new(device, CompilerConfig::default())
+        })
+        .expect("registers");
+    service
 }
 
 fn service_with(policy: impl ShardPolicy + 'static) -> CompileService {
@@ -105,15 +120,17 @@ fn warm_cache_hits_are_bit_identical_to_cold_compiles() {
 #[test]
 fn parallel_dispatch_matches_sequential_reference() {
     // Two services with identical registration: one runs the batch over
-    // the work-stealing pool, the other inline. Replies must agree slot
-    // by slot (schedule, shard, and error).
+    // a 4-worker pool (real workers even on a single-core host), the
+    // other inline. Replies must agree slot by slot (schedule,
+    // deterministic stats, shard, and error).
     let parallel = service_with(RoundRobin::new());
     let sequential = service_with(RoundRobin::new());
     let mut jobs = mixed_jobs();
     // Poison two slots so error isolation is exercised across shards.
     jobs.insert(3, CompileJob::new(Benchmark::Bv(16).build(0), Strategy::ColorDynamic));
     jobs.insert(11, CompileJob::new(Benchmark::Bv(12).build(0), Strategy::BaselineG));
-    let par = parallel.compile_batch(jobs.clone());
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
+    let par = pool.install(|| parallel.compile_batch(jobs.clone()));
     let seq = sequential.compile_batch_sequential(jobs);
     assert_eq!(par.len(), seq.len());
     for (i, (p, s)) in par.iter().zip(&seq).enumerate() {
@@ -121,6 +138,11 @@ fn parallel_dispatch_matches_sequential_reference() {
             (Ok(p), Ok(s)) => {
                 assert_eq!(p.shard, s.shard, "slot {i} routed differently");
                 assert_eq!(p.compiled.schedule, s.compiled.schedule, "slot {i} diverged");
+                let (p, s) = (&p.compiled.stats, &s.compiled.stats);
+                assert_eq!(p.swaps_inserted, s.swaps_inserted);
+                assert_eq!(p.lowered_gate_count, s.lowered_gate_count);
+                assert_eq!(p.max_colors_used, s.max_colors_used);
+                assert_eq!(p.deferred_gates, s.deferred_gates);
             }
             (Err(pe), Err(se)) => assert_eq!(pe, se, "slot {i} errors diverged"),
             _ => panic!("slot {i}: parallel and sequential disagree on success"),
@@ -203,5 +225,54 @@ fn bounded_cache_evicts_but_stays_correct() {
             w.as_ref().expect("compiles").compiled.schedule,
             "job {original}: eviction changed a schedule"
         );
+    }
+}
+
+#[test]
+fn empty_batch_is_fine() {
+    let service = one_shard_uncached(Device::grid(2, 2, 1));
+    assert!(service.compile_batch(Vec::new()).is_empty());
+    assert!(service.compile_batch_sequential(Vec::new()).is_empty());
+}
+
+#[test]
+fn failing_job_does_not_poison_a_one_shard_batch() {
+    // A 2x2 device: the 9-qubit programs are too wide and fail alone,
+    // each with its own error in its own slot.
+    let service = one_shard_uncached(Device::grid(2, 2, 5));
+    let jobs = vec![
+        CompileJob::new(Benchmark::Bv(4).build(1), Strategy::ColorDynamic),
+        CompileJob::new(Benchmark::Bv(9).build(1), Strategy::ColorDynamic),
+        CompileJob::new(Benchmark::Xeb(4, 2).build(1), Strategy::BaselineS),
+        CompileJob::new(Benchmark::Qaoa(9).build(1), Strategy::BaselineU),
+        CompileJob::new(Benchmark::Ising(4).build(1), Strategy::BaselineN),
+    ];
+    let results = service.compile_batch(jobs);
+    let too_wide = |r: &Result<_, CompileError>| {
+        matches!(r, Err(CompileError::ProgramTooWide { program: 9, device: 4 }))
+    };
+    assert!(results[0].is_ok());
+    assert!(too_wide(&results[1]));
+    assert!(results[2].is_ok());
+    assert!(too_wide(&results[3]));
+    assert!(results[4].is_ok());
+}
+
+#[test]
+fn one_shard_batch_runs_on_the_registered_device() {
+    // Every job of the batch runs on the one registered device: its
+    // interaction frequencies stay inside that device's bands.
+    let service = one_shard_uncached(Device::grid(3, 3, 7));
+    let device = service.shard_device(0);
+    assert_eq!(device.n_qubits(), 9);
+    let jobs = vec![CompileJob::new(Benchmark::Xeb(9, 2).build(3), Strategy::ColorDynamic)];
+    let reply = service.compile_batch(jobs).remove(0).expect("compiles");
+    let partition = device.partition();
+    for cycle in reply.compiled.schedule.cycles() {
+        for g in &cycle.gates {
+            if let Some(f) = g.interaction_freq {
+                assert!(partition.interaction.contains(f));
+            }
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Determinism regression tests: compilation is a pure function of
 //! `(device seed, program seed, strategy)`. Two runs with the same seeds
 //! must produce bit-identical schedules and success estimates — the
-//! property the batch compiler's parallel/sequential equivalence and
+//! property the compile service's parallel/sequential equivalence and
 //! every paper-figure reproduction rely on.
 
-use fastsc::compiler::batch::{BatchCompiler, CompileJob};
+use fastsc::compiler::batch::CompileJob;
 use fastsc::compiler::{CompileContext, Compiler, CompilerConfig, Strategy};
 use fastsc::device::Device;
 use fastsc::noise::{estimate, NoiseConfig};
@@ -73,50 +73,47 @@ fn shared_context_is_bit_identical_to_fresh_compilers() {
     }
 }
 
+/// A one-shard compile service over `device` with result caching off,
+/// so every job of a batch really compiles.
+fn one_shard_uncached(device: Device) -> CompileService {
+    let service = CompileService::new(RoundRobin::new());
+    service
+        .add_shard(ShardSpec {
+            cache_capacity: 0,
+            ..ShardSpec::new(device, CompilerConfig::default())
+        })
+        .expect("registers");
+    service
+}
+
+/// Compiles `jobs` on a fresh one-shard service twice — inline, and over
+/// a 4-worker pool (real workers even on a single-core host) — and
+/// demands bit-identical schedules slot for slot.
+fn assert_pooled_batch_matches_sequential(jobs: Vec<CompileJob>, what: &str) {
+    let sequential =
+        one_shard_uncached(Device::grid(3, 3, 7)).compile_batch_sequential(jobs.clone());
+    let service = one_shard_uncached(Device::grid(3, 3, 7));
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
+    let parallel = pool.install(|| service.compile_batch(jobs));
+    assert_eq!(sequential.len(), parallel.len());
+    for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
+        let s = s.as_ref().expect("sequential slot compiles");
+        let p = p.as_ref().expect("parallel slot compiles");
+        assert_eq!(s.compiled.schedule, p.compiled.schedule, "slot {i} diverged {what}");
+    }
+}
+
 #[test]
 fn persistent_pool_parallel_matches_sequential_across_strategies() {
-    // The batch front end fans out over the vendored rayon's persistent
-    // worker pool; pooled parallel output must stay bit-identical to the
-    // sequential reference path for every strategy.
+    // The compile service fans a batch out over the vendored rayon's
+    // persistent worker pool; pooled parallel output must stay
+    // bit-identical to the sequential reference path for every strategy.
     let jobs: Vec<CompileJob> = Strategy::all()
         .into_iter()
         .enumerate()
         .map(|(i, s)| CompileJob::new(Benchmark::Xeb(9, 4).build(i as u64), s))
         .collect();
-    let batch = BatchCompiler::new(Device::grid(3, 3, 7), CompilerConfig::default());
-    let sequential = batch.compile_batch_sequential(jobs.clone());
-    let parallel = BatchCompiler::new(Device::grid(3, 3, 7), CompilerConfig::default())
-        .num_threads(4)
-        .compile_batch(jobs);
-    assert_eq!(sequential.len(), parallel.len());
-    for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
-        let s = s.as_ref().expect("sequential slot compiles");
-        let p = p.as_ref().expect("parallel slot compiles");
-        assert_eq!(s.schedule, p.schedule, "slot {i} diverged across the worker pool");
-    }
-}
-
-#[test]
-fn batch_through_shared_context_matches_fresh_batch() {
-    let context = Arc::new(
-        CompileContext::new(Device::grid(3, 3, 7), CompilerConfig::default())
-            .expect("context builds"),
-    );
-    let jobs: Vec<CompileJob> = Strategy::all()
-        .into_iter()
-        .map(|s| CompileJob::new(Benchmark::Qaoa(8).build(5), s))
-        .collect();
-    let via_context =
-        BatchCompiler::from_context(Arc::clone(&context)).compile_batch(jobs.clone());
-    let fresh = BatchCompiler::new(Device::grid(3, 3, 7), CompilerConfig::default())
-        .compile_batch(jobs);
-    for (i, (a, b)) in via_context.iter().zip(&fresh).enumerate() {
-        assert_eq!(
-            a.as_ref().expect("compiles").schedule,
-            b.as_ref().expect("compiles").schedule,
-            "slot {i}: context-backed batch diverged"
-        );
-    }
+    assert_pooled_batch_matches_sequential(jobs, "across the worker pool");
 }
 
 #[test]
@@ -246,18 +243,7 @@ fn work_stealing_batches_match_sequential_across_strategies() {
     for (i, s) in (0..16).zip(Strategy::all().into_iter().cycle()) {
         jobs.push(CompileJob::new(Benchmark::Bv(5).build(i), s));
     }
-    let batch = BatchCompiler::new(Device::grid(3, 3, 7), CompilerConfig::default());
-    let sequential = batch.compile_batch_sequential(jobs.clone());
-    let parallel = BatchCompiler::new(Device::grid(3, 3, 7), CompilerConfig::default())
-        .num_threads(4)
-        .compile_batch(jobs);
-    for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
-        assert_eq!(
-            s.as_ref().expect("compiles").schedule,
-            p.as_ref().expect("compiles").schedule,
-            "slot {i} diverged under work stealing"
-        );
-    }
+    assert_pooled_batch_matches_sequential(jobs, "under work stealing");
 }
 
 #[test]
