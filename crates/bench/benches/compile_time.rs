@@ -1,7 +1,8 @@
 //! Engine benchmarks (paper §VII-C and Fig. 13 top): warm compiles per
 //! strategy and mesh size, the two leading cost centers called out in the
 //! paper — crosstalk-graph coloring and the frequency solve — cold, the
-//! scalability ladder, and the compile front end. Every row goes to
+//! scalability ladder, warm whole-device Baseline U against ColorDynamic
+//! on its large tiers, and the compile front end. Every row goes to
 //! `BENCH_compile.json` through [`record::interleaved`].
 //!
 //! ```console
@@ -9,13 +10,11 @@
 //! ```
 
 use fastsc_bench::record::{self, BenchRecord};
-use fastsc_core::{frequency, router, CompileContext, Compiler, CompilerConfig, Strategy};
+use fastsc_core::{frequency, CompileContext, Compiler, CompilerConfig, Strategy};
 use fastsc_device::{Band, Device};
 use fastsc_graph::coloring;
 use fastsc_graph::crosstalk::CrosstalkGraph;
 use fastsc_graph::topology;
-use fastsc_ir::decompose::decompose;
-use fastsc_ir::optimize::peephole;
 use fastsc_workloads::Benchmark;
 use std::hint::black_box;
 
@@ -180,27 +179,69 @@ fn scalability() -> Vec<BenchRecord> {
         .collect()
 }
 
-/// The compile front end — `route`, `decompose` (the default hybrid
-/// lowering) and `peephole`, exactly as `Compiler::compile` runs them —
-/// on the 1024-qubit scale-tier XEB program and on xeb16 (`front_end`
-/// rows). Cheap enough to keep a robust median in the smoke run, where
-/// `bench_guard` holds the 1024-qubit row under a fixed ceiling.
+/// Warm whole-device Baseline U against warm whole-device ColorDynamic
+/// on the 256- and 1024-qubit scale tiers (`scale{256,1024}_warm` rows:
+/// `ColorDynamic`, `Baseline_U` and their paired ratio), one compiler
+/// per tier, warmed by the sampler's untimed run. Baseline U serializes
+/// two-qubit gates, so its ready set grows with the device; the ratio
+/// row holds its per-cycle cost against the same device and program
+/// under ColorDynamic, and `bench_guard` holds the 256-qubit ratio
+/// under a fixed ceiling. Both tiers keep their full sample count in the
+/// smoke run.
+fn serial_scale() -> Vec<BenchRecord> {
+    fastsc_workloads::scale_tiers()
+        .into_iter()
+        .filter(|tier| tier.n_qubits() >= 256)
+        .flat_map(|tier| {
+            let compiler = Compiler::new(
+                Device::grid(tier.side, tier.side, tier.seed),
+                CompilerConfig::default(),
+            );
+            let program = tier.circuit();
+            let strategies = [Strategy::ColorDynamic, Strategy::BaselineU];
+            let mut sides: Vec<_> = strategies
+                .iter()
+                .map(|&strategy| {
+                    let (compiler, program) = (&compiler, &program);
+                    move || {
+                        black_box(compiler.compile(program, strategy).expect("compiles"));
+                    }
+                })
+                .collect();
+            let sampled = record::interleaved(21, &mut sides);
+            let workload = format!("{}_warm", tier.label());
+            let labels: Vec<String> =
+                strategies.iter().map(|s| s.label().replace(' ', "_")).collect();
+            let mut records = sampled.records(&workload, &labels);
+            records.push(sampled.ratio_record(&workload, 1));
+            records
+        })
+        .collect()
+}
+
+/// The compile front end — routing, lowering (the default hybrid) and
+/// peephole, on the warm path `Compiler::compile` runs
+/// ([`Compiler::front_end`]) — on the 1024-qubit scale-tier XEB program
+/// and on xeb16 (`front_end` rows). Cheap enough to keep a robust median
+/// in the smoke run, where `bench_guard` holds the 1024-qubit row under
+/// a fixed ceiling.
 fn front_end() -> Vec<BenchRecord> {
-    let lowering = CompilerConfig::default().decomposition;
     let tier = fastsc_workloads::scale_tiers()
         .into_iter()
         .find(|t| t.n_qubits() == 1024)
         .expect("the ladder has a 1024-qubit tier");
+    let config = CompilerConfig::default();
     let cases = [
-        (Device::grid(tier.side, tier.side, tier.seed), tier.circuit()),
-        (Device::grid(4, 4, 7), Benchmark::Xeb(16, 5).build(7)),
+        (Compiler::new(Device::grid(tier.side, tier.side, tier.seed), config), tier.circuit()),
+        (Compiler::new(Device::grid(4, 4, 7), config), Benchmark::Xeb(16, 5).build(7)),
     ];
     let mut sides: Vec<_> = cases
         .iter()
-        .map(|(device, program)| {
+        .map(|(compiler, program)| {
             move || {
-                let routed = router::route(program, device).expect("routable");
-                black_box(peephole(&decompose(&routed.circuit, lowering)));
+                black_box(
+                    compiler.front_end(program, |lowered, _| lowered.len()).expect("routes"),
+                );
             }
         })
         .collect();
@@ -213,5 +254,6 @@ fn main() {
     record::record(&xtalk_coloring());
     record::record(&cold_solve());
     record::record(&scalability());
+    record::record(&serial_scale());
     record::record(&front_end());
 }

@@ -15,7 +15,7 @@ use fastsc_bench::regression::{check, Bound::*, Gate};
 /// Every gate CI holds the benches to. Ratio rows are the median of
 /// per-pair `subject / reference` times in permille, both sides measured
 /// back to back in the same run.
-const GATES: [Gate; 13] = [
+const GATES: [Gate; 14] = [
     // Work stealing must not regress toward serializing the heavy jobs.
     Gate { workload: "skewed_batch", strategy: "parallel", bound: VsPost(2.0) },
     // Work stealing vs emulated contiguous chunking over the same jobs.
@@ -30,6 +30,9 @@ const GATES: [Gate; 13] = [
     Gate { workload: "fault_free_overhead", strategy: PAIRED_RATIO, bound: Ceiling(1200) },
     // Cold whole-device ColorDynamic compile at 1024 qubits: 10 ms.
     Gate { workload: "scale1024", strategy: "whole", bound: Ceiling(10_000_000) },
+    // Warm whole-device Baseline U vs ColorDynamic, same 256q device and
+    // program: U's per-cycle cost must not grow with its deferred gates.
+    Gate { workload: "scale256_warm", strategy: PAIRED_RATIO, bound: Ceiling(2000) },
     // Cold partitioned compile at 256 qubits, while that path exists.
     Gate { workload: "scale256", strategy: "partitioned", bound: VsPost(2.0) },
     // Distance-1 crosstalk-graph build plus Welsh–Powell, 64x64 mesh: 40 ms.
@@ -40,7 +43,8 @@ const GATES: [Gate; 13] = [
     Gate { workload: "warm_start", strategy: PAIRED_RATIO, bound: Ceiling(500) },
     // Cold d = 2 4x4 Baseline S/G statics (a 14-color `smt_find`): 50 ms.
     Gate { workload: "statics_cold", strategy: "grid4x4_d2", bound: Ceiling(50_000_000) },
-    // route + decompose + peephole on the 1024q scale-tier XEB: 350 µs.
+    // The warm front end (route, lower, peephole) on the 1024q scale-tier
+    // XEB: 350 µs.
     Gate { workload: "front_end", strategy: "scale1024", bound: Ceiling(350_000) },
 ];
 

@@ -335,7 +335,8 @@ impl CompileContext {
     /// The Baseline S/G static assignment: the full crosstalk graph is
     /// colored **once** and the coloring serves both the frequency table
     /// and the gmon tiling pattern (the seed implementation ran
-    /// Welsh–Powell twice per compile).
+    /// Welsh–Powell twice per compile). A device without couplings gets
+    /// the empty assignment (no colors, no frequencies) without a solve.
     ///
     /// # Errors
     ///
@@ -346,6 +347,12 @@ impl CompileContext {
             .get_or_init(|| {
                 let colors = coloring::welsh_powell(self.xtalk().graph());
                 let color_count = coloring::color_count(&colors);
+                if color_count == 0 {
+                    // No couplings (a one-qubit device, or a coupling-free
+                    // partition region): nothing to assign, and no solve —
+                    // `smt_find` needs at least one frequency.
+                    return Ok(StaticAssignment { colors, color_count, freqs: Vec::new() });
+                }
                 let values = self.smt_frequencies(color_count)?.0;
                 let freq_of_color = frequency::freq_of_color_by_multiplicity(&colors, &values);
                 let freqs = colors.iter().map(|&c| freq_of_color[c]).collect();

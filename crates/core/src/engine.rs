@@ -20,9 +20,9 @@ use crate::frequency;
 use crate::router;
 use fastsc_device::Device;
 use fastsc_graph::coloring;
-use fastsc_ir::decompose::decompose;
+use fastsc_ir::decompose::lower_into;
 use fastsc_ir::layering::{criticality_into, Dag};
-use fastsc_ir::optimize::peephole;
+use fastsc_ir::optimize::Peephole;
 use fastsc_ir::{Circuit, Gate};
 use fastsc_noise::{Cycle, CycleScratch, Schedule, ScheduledGate};
 use std::cell::Cell;
@@ -248,45 +248,114 @@ impl Compiler {
         let mut compile_span = fastsc_telemetry::phase("compile");
         compile_span.attr("strategy", strategy.label());
 
-        // 1-2. Route and lower, each under its own phase (`qubit_map`, so
-        // as not to collide with a service's shard-`route` span).
-        let routed = {
-            let mut span = fastsc_telemetry::phase("qubit_map");
-            let routed = router::route(program, &self.device)?;
-            span.attr("swaps", routed.swaps_inserted);
-            routed
-        };
-        let lowered = {
-            let mut span = fastsc_telemetry::phase("lower");
-            let lowered = peephole(&decompose(&routed.circuit, self.config.decomposition));
-            span.attr("instructions", lowered.len());
-            lowered
-        };
+        // 1-2. Route and lower (the front end), then 3-5. list scheduling
+        // against the shared per-device context — whole-device, or
+        // partition-and-stitch when configured and the device actually
+        // splits.
+        self.front_end(program, |lowered, swaps_inserted| {
+            let ctx = self.context_ref()?;
+            let out = match ctx.partitioned()? {
+                Some(state) => {
+                    crate::partition::run_partitioned(ctx, &state, lowered, strategy)?
+                }
+                None => run_engine(ctx, lowered, strategy, None, None)?,
+            };
+            compile_span.attr("max_colors_used", out.max_colors_used);
+            compile_span.attr("smt_calls", out.smt_calls);
+            compile_span.attr("deferred_gates", out.deferred_gates);
 
-        // 3-5. List scheduling against the shared per-device context —
-        // whole-device, or partition-and-stitch when configured and the
-        // device actually splits.
-        let ctx = self.context_ref()?;
-        let out = match ctx.partitioned()? {
-            Some(state) => crate::partition::run_partitioned(ctx, &state, &lowered, strategy)?,
-            None => run_engine(ctx, &lowered, strategy, None, None)?,
-        };
-        compile_span.attr("max_colors_used", out.max_colors_used);
-        compile_span.attr("smt_calls", out.smt_calls);
-        compile_span.attr("deferred_gates", out.deferred_gates);
-
-        Ok(CompiledProgram {
-            schedule: out.schedule,
-            stats: CompileStats {
-                swaps_inserted: routed.swaps_inserted,
-                lowered_gate_count: lowered.len(),
-                max_colors_used: out.max_colors_used,
-                smt_calls: out.smt_calls,
-                deferred_gates: out.deferred_gates,
-                compile_time: start.elapsed(),
-            },
-        })
+            Ok(CompiledProgram {
+                schedule: out.schedule,
+                stats: CompileStats {
+                    swaps_inserted,
+                    lowered_gate_count: lowered.len(),
+                    max_colors_used: out.max_colors_used,
+                    smt_calls: out.smt_calls,
+                    deferred_gates: out.deferred_gates,
+                    compile_time: start.elapsed(),
+                },
+            })
+        })?
     }
+
+    /// Routes `program` onto the device and lowers it to the configured
+    /// native gates — the front end [`compile`](Self::compile) runs — and
+    /// hands `f` the lowered circuit and the number of `SWAP`s routing
+    /// inserted. The lowered circuit is what
+    /// `peephole(&decompose(&route(program, device)?.circuit, lowering))`
+    /// returns, bit for bit, but it is built in the calling thread's
+    /// front-end workspace: routing writes into a reused circuit, each
+    /// routed gate streams through [`lower_into`] into an incremental
+    /// [`Peephole`], and the result is swapped, not copied, into a
+    /// second reused circuit. On a warm thread this allocates nothing.
+    /// The two steps are traced as the `qubit_map` and `lower` phases.
+    ///
+    /// # Errors
+    ///
+    /// Returns routing errors for over-wide or unroutable programs.
+    pub fn front_end<R>(
+        &self,
+        program: &Circuit,
+        f: impl FnOnce(&Circuit, usize) -> R,
+    ) -> Result<R, CompileError> {
+        let mut ws = FRONT_END.try_with(Cell::take).unwrap_or_default();
+        let result = ws
+            .run(program, &self.device, self.config.decomposition)
+            .map(|swaps| f(&ws.lowered, swaps));
+        let _ = FRONT_END.try_with(|slot| slot.set(ws));
+        result
+    }
+}
+
+/// The front end's buffers, one set per thread (see [`FRONT_END`]), kept
+/// next to the engine's [`Workspace`]. Each is reset, never shrunk, per
+/// compile, so once a thread has compiled its largest program the front
+/// end allocates nothing. `docs/ENGINE.md` ("Front end") has the details.
+#[derive(Debug, Default)]
+struct FrontEnd {
+    route: router::Scratch,
+    /// The routed circuit over the device's qubits.
+    routed: Circuit,
+    /// The streaming peephole the lowering emits into.
+    peephole: Peephole,
+    /// The lowered, cleaned circuit the engine schedules; it trades
+    /// buffers with `peephole` on every compile.
+    lowered: Circuit,
+}
+
+impl FrontEnd {
+    /// Routes `program` into `routed`, then lowers each routed gate into
+    /// the peephole and swaps the result into `lowered`. Returns the
+    /// number of `SWAP`s inserted.
+    fn run(
+        &mut self,
+        program: &Circuit,
+        device: &Device,
+        lowering: fastsc_ir::decompose::Strategy,
+    ) -> Result<usize, CompileError> {
+        // `qubit_map`, so as not to collide with a service's shard-`route`
+        // span.
+        let mut span = fastsc_telemetry::phase("qubit_map");
+        let swaps = router::route_into(program, device, &mut self.route, &mut self.routed)?;
+        span.attr("swaps", swaps);
+        drop(span);
+
+        let mut span = fastsc_telemetry::phase("lower");
+        self.peephole.reset(self.routed.n_qubits());
+        for &inst in self.routed.instructions() {
+            lower_into(inst, lowering, &mut self.peephole);
+        }
+        self.peephole.finish(&mut self.lowered);
+        span.attr("instructions", self.lowered.len());
+        Ok(swaps)
+    }
+}
+
+thread_local! {
+    /// The calling thread's [`FrontEnd`]. [`Compiler::front_end`] takes it
+    /// for the length of a compile and puts it back, also when routing
+    /// fails; a compile that panics drops it instead.
+    static FRONT_END: Cell<FrontEnd> = Cell::new(FrontEnd::default());
 }
 
 /// What one engine run produces besides timing: the schedule plus the
@@ -341,6 +410,11 @@ struct Workspace {
     /// buffer the next cycle's queue is merged into.
     ready: Vec<usize>,
     ready_next: Vec<usize>,
+    /// Baseline U's ready two-qubit instructions, sorted like `ready`,
+    /// and how many of them each wave holds (one wave when the run is
+    /// not wave-gated).
+    serial_lane: Vec<usize>,
+    serial_in_wave: Vec<usize>,
     /// Instructions that became ready this cycle.
     newly_ready: Vec<usize>,
     admitted: Vec<usize>,
@@ -476,6 +550,8 @@ pub(crate) fn run_engine(
         freq_of_coupling,
         ready,
         ready_next,
+        serial_lane,
+        serial_in_wave,
         newly_ready,
         admitted,
         admitted_couplings,
@@ -540,11 +616,21 @@ pub(crate) fn run_engine(
     // key is a strict total order (ties broken by the unique index), so
     // merging each cycle's sorted newly ready instructions into the
     // sorted survivors yields exactly the order a per-cycle re-sort
-    // would.
+    // would. Baseline U keeps its ready two-qubit instructions apart, in
+    // `serial_lane` (same key), and moves one per cycle into the queue
+    // at its key position, so the queue it walks is again in that order.
     let crit = &*crit;
     let ready_key = |i: usize| (std::cmp::Reverse(crit[i]), i);
+    let serial = strategy == Strategy::BaselineU;
+    let two_qubit = |i: usize| q1[i] != NO_QUBIT;
     ready.clear();
     ready.extend((0..n_inst).filter(|&i| remaining_preds[i] == 0));
+    serial_lane.clear();
+    if serial {
+        serial_lane.extend(ready.iter().copied().filter(|&i| two_qubit(i)));
+        serial_lane.sort_unstable_by_key(|&i| ready_key(i));
+        ready.retain(|&i| !two_qubit(i));
+    }
     ready.sort_unstable_by_key(|&i| ready_key(i));
 
     // Wave gating: unscheduled-instruction count per wave and the
@@ -562,6 +648,12 @@ pub(crate) fn run_engine(
         while wave_cur < wave_remaining.len() && wave_remaining[wave_cur] == 0 {
             wave_cur += 1;
         }
+    }
+    let wave_of = |i: usize| waves.map_or(0, |w| w[i]);
+    serial_in_wave.clear();
+    serial_in_wave.resize(wave_remaining.len().max(1), 0);
+    for &i in serial_lane.iter() {
+        serial_in_wave[wave_of(i)] += 1;
     }
     let mut wave_of_cycle: Vec<usize> = Vec::new();
     let mut freq_of_inst: Vec<f64> =
@@ -585,6 +677,22 @@ pub(crate) fn run_engine(
         admitted_couplings.clear();
         let mut tile_color: Option<usize> = None;
 
+        // Serial scheduler (Table I): Baseline U admits one two-qubit
+        // gate per cycle — the shared interaction frequency cannot
+        // separate simultaneous gates. That gate is its lane's first
+        // in-wave entry, moved into the queue; every other in-wave entry
+        // is deferred, so they are counted here and never visited.
+        // Entries ahead of it in the lane belong to later waves.
+        if serial {
+            if let Some(p) = serial_lane.iter().position(|&i| wave_of(i) == wave_cur) {
+                let head = serial_lane.remove(p);
+                serial_in_wave[wave_cur] -= 1;
+                let at = ready.partition_point(|&i| ready_key(i) < ready_key(head));
+                ready.insert(at, head);
+            }
+            deferred_gates += serial_in_wave[wave_cur];
+        }
+
         // The ready set is qubit-disjoint (`docs/ENGINE.md`), so no
         // candidate can collide on a qubit with an admitted one.
         for &i in ready.iter() {
@@ -598,9 +706,8 @@ pub(crate) fn run_engine(
             if q1[i] != NO_QUBIT {
                 let cpl = coupling_of[i];
                 let postpone = match strategy {
-                    // Serial scheduler (Table I): one two-qubit gate
-                    // per cycle — the shared interaction frequency
-                    // cannot separate simultaneous gates.
+                    // One two-qubit gate per cycle; its lane hands the
+                    // queue one candidate (see `serial_lane` above).
                     Strategy::BaselineU => !admitted_couplings.is_empty(),
                     // noise_conflict (Algorithm 1 line 13); Baseline S
                     // shares the crosstalk-aware queueing scheduler but
@@ -819,7 +926,8 @@ pub(crate) fn run_engine(
 
         // Retire admitted instructions, then merge the newly ready ones
         // (sorted among themselves) with the survivors into the next
-        // queue.
+        // queue. Baseline U's two-qubit ones go into its lane instead,
+        // each at its key position.
         newly_ready.clear();
         for &i in admitted.iter() {
             scheduled[i] = true;
@@ -832,6 +940,14 @@ pub(crate) fn run_engine(
         }
         n_scheduled += admitted.len();
         newly_ready.sort_unstable_by_key(|&i| ready_key(i));
+        if serial {
+            for &s in newly_ready.iter().filter(|&&s| two_qubit(s)) {
+                let at = serial_lane.partition_point(|&i| ready_key(i) < ready_key(s));
+                serial_lane.insert(at, s);
+                serial_in_wave[wave_of(s)] += 1;
+            }
+            newly_ready.retain(|&s| !two_qubit(s));
+        }
         ready_next.clear();
         let mut fresh = newly_ready.iter().copied().peekable();
         for &i in ready.iter().filter(|&&i| !scheduled[i]) {
@@ -1107,5 +1223,22 @@ mod tests {
                 assert!((cycle.duration_ns - params.t_single_ns).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn coupling_free_device_compiles_under_every_strategy() {
+        // A 1x1 grid has no couplings: Baseline S/G statics are empty and
+        // solve nothing (`smt_find` would refuse k = 0).
+        let compiler = Compiler::new(Device::grid(1, 1, 3), CompilerConfig::default());
+        let mut program = Circuit::new(1);
+        program.push1(Gate::H, 0).expect("valid").push1(Gate::T, 0).expect("valid");
+        for strategy in Strategy::all() {
+            let compiled = compiler.compile(&program, strategy).expect("compiles");
+            assert_eq!(compiled.schedule.depth(), 2, "{strategy}");
+            assert_eq!(compiled.schedule.gate_count(), 2, "{strategy}");
+        }
+        let statics = compiler.context().expect("context").statics().expect("empty").clone();
+        assert!(statics.colors.is_empty() && statics.freqs.is_empty());
+        assert_eq!(statics.color_count, 0);
     }
 }

@@ -29,31 +29,66 @@ pub struct Routed {
 
 /// Routes `program` onto `device`.
 ///
+/// A wrapper over the compiler front end's `route_into`, with fresh
+/// buffers. The output is reserved at the program's length and grows
+/// past it only when SWAPs are inserted.
+///
 /// # Errors
 ///
 /// Returns [`CompileError::ProgramTooWide`] when the program needs more
 /// qubits than the device has, and [`CompileError::Unroutable`] when a
 /// gate spans disconnected device components.
 pub fn route(program: &Circuit, device: &Device) -> Result<Routed, CompileError> {
+    let mut scratch = Scratch::default();
+    let mut circuit = Circuit::with_capacity(device.n_qubits(), program.len());
+    let swaps_inserted = route_into(program, device, &mut scratch, &mut circuit)?;
+    Ok(Routed { circuit, swaps_inserted, final_mapping: scratch.phys_of })
+}
+
+/// The router's working buffers, kept across calls by a caller that
+/// routes many programs (the compiler's per-thread front end).
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// `phys_of[logical]` = physical; after a run, the final mapping.
+    phys_of: Vec<usize>,
+    /// `log_at[physical]` = logical, or `usize::MAX`.
+    log_at: Vec<usize>,
+    paths: PathScratch,
+    path: Vec<usize>,
+}
+
+/// Routes `program` onto `device` into `out`, which is reset to the
+/// device's width first, and returns the number of `SWAP`s inserted.
+/// Reuses `scratch`'s and `out`'s buffers, so a warm caller allocates
+/// nothing. Every routed instruction is checked as it is pushed: this is
+/// where the compiled stream's instructions are created.
+///
+/// # Errors
+///
+/// As [`route`]. `out` then holds a prefix of the routed circuit.
+pub(crate) fn route_into(
+    program: &Circuit,
+    device: &Device,
+    scratch: &mut Scratch,
+    out: &mut Circuit,
+) -> Result<usize, CompileError> {
     let n_prog = program.n_qubits();
     let n_dev = device.n_qubits();
     if n_prog > n_dev {
         return Err(CompileError::ProgramTooWide { program: n_prog, device: n_dev });
     }
 
-    // phys_of[logical] = physical; log_at[physical] = logical (or MAX).
-    let mut phys_of: Vec<usize> = (0..n_prog).collect();
-    let mut log_at: Vec<usize> =
-        (0..n_dev).map(|p| if p < n_prog { p } else { usize::MAX }).collect();
+    let Scratch { phys_of, log_at, paths, path } = scratch;
+    phys_of.clear();
+    phys_of.extend(0..n_prog);
+    log_at.clear();
+    log_at.extend((0..n_dev).map(|p| if p < n_prog { p } else { usize::MAX }));
 
     // Adjacency is a scan of `pa`'s (mesh-sized) neighbor list rather
     // than an edge-map hash; SWAP-chain searches share one BFS scratch
-    // and one path buffer. The output grows past its reservation only
-    // when SWAPs are inserted.
+    // and one path buffer.
     let graph = device.connectivity();
-    let mut scratch = PathScratch::default();
-    let mut path: Vec<usize> = Vec::new();
-    let mut out = Circuit::with_capacity(n_dev, program.len());
+    out.reset(n_dev);
     let mut swaps = 0usize;
 
     for inst in program.instructions() {
@@ -65,7 +100,7 @@ pub fn route(program: &Circuit, device: &Device) -> Result<Routed, CompileError>
                 let mut pa = phys_of[a];
                 let pb = phys_of[b];
                 if !graph.neighbors(pa).contains(&pb) {
-                    if !graph.shortest_path_into(pa, pb, &mut scratch, &mut path) {
+                    if !graph.shortest_path_into(pa, pb, paths, path) {
                         return Err(CompileError::Unroutable { a: pa, b: pb });
                     }
                     // Walk `a` up to the neighbor of `pb`.
@@ -89,7 +124,7 @@ pub fn route(program: &Circuit, device: &Device) -> Result<Routed, CompileError>
         }
     }
 
-    Ok(Routed { circuit: out, swaps_inserted: swaps, final_mapping: phys_of })
+    Ok(swaps)
 }
 
 #[cfg(test)]

@@ -5,17 +5,18 @@
 //! not counted). After one warm-up pass over the Fig. 9 jobs, a compile
 //! may allocate at most:
 //!
-//! - what the same `route` + `decompose` + `peephole` allocate,
 //! - two buffers per cycle of the returned schedule (its gate list and
 //!   frequency vector),
 //! - one more per Baseline G cycle with active couplings,
 //! - `ceil(log2(depth)) + 1` for the schedule's cycle list, which starts
 //!   empty and at least doubles each time it grows,
-//! - and [`ENGINE_OWN`] more.
+//! - and [`OWN`] more.
 //!
-//! `ENGINE_OWN` is zero: once its per-thread workspace is warm, the
-//! scheduling engine allocates nothing but the schedule it returns, so a
-//! per-compile or per-cycle working buffer added to it fails this test.
+//! `OWN` is zero: once their per-thread workspaces are warm, neither the
+//! front end (routing, lowering, peephole) nor the scheduling engine
+//! allocates anything but the schedule the compile returns, so a
+//! per-compile or per-cycle working buffer added to either fails this
+//! test.
 
 use fastsc_core::router::route;
 use fastsc_core::{Compiler, CompilerConfig, Strategy};
@@ -26,9 +27,8 @@ use fastsc_workloads::Benchmark;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations a warm compile may make beyond the front end and the
-/// returned schedule.
-const ENGINE_OWN: usize = 0;
+/// Allocations a warm compile may make beyond the returned schedule.
+const OWN: usize = 0;
 
 /// A bound on the allocations of a list grown to `len` by at-least
 /// doubling from capacity one or more: `ceil(log2(len)) + 1`.
@@ -82,7 +82,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 #[test]
-fn warm_compiles_allocate_only_the_front_end_and_the_schedule() {
+fn warm_compiles_allocate_only_the_schedule() {
     const SEED: u64 = 2020;
     let config = CompilerConfig::default();
     let jobs: Vec<(Benchmark, Strategy, Compiler)> = Benchmark::fig9_suite()
@@ -101,32 +101,27 @@ fn warm_compiles_allocate_only_the_front_end_and_the_schedule() {
         .collect();
     let programs: Vec<_> = jobs.iter().map(|(bench, ..)| bench.build(SEED)).collect();
 
-    // Warm-up: contexts, statics, SMT memos and this thread's engine
-    // workspace.
+    // Warm-up: contexts, statics, SMT memos and this thread's front-end
+    // and engine workspaces.
     for ((_, strategy, compiler), program) in jobs.iter().zip(&programs) {
         compiler.compile(program, *strategy).expect("compiles");
     }
 
     let mut failures = Vec::new();
     for ((bench, strategy, compiler), program) in jobs.iter().zip(&programs) {
-        let (front_end, front_allocs) = counted(|| {
-            let routed = route(program, compiler.device()).expect("routes");
-            peephole(&decompose(&routed.circuit, config.decomposition))
-        });
         let (compiled, allocs) =
             counted(|| compiler.compile(program, *strategy).expect("compiles"));
-        assert_eq!(compiled.stats.lowered_gate_count, front_end.len());
+        let routed = route(program, compiler.device()).expect("routes");
+        let lowered = peephole(&decompose(&routed.circuit, config.decomposition));
+        assert_eq!(compiled.stats.lowered_gate_count, lowered.len());
         let cycles = compiled.schedule.cycles();
         let coupler_cycles = cycles.iter().filter(|c| !c.active_couplings.is_empty()).count();
-        let budget = front_allocs
-            + 2 * cycles.len()
-            + coupler_cycles
-            + doubling_allocations(cycles.len())
-            + ENGINE_OWN;
+        let budget =
+            2 * cycles.len() + coupler_cycles + doubling_allocations(cycles.len()) + OWN;
         if allocs > budget {
             failures.push(format!(
-                "{bench} {strategy}: {allocs} allocations > budget {budget} (front end \
-                 {front_allocs}, depth {}, coupler cycles {coupler_cycles})",
+                "{bench} {strategy}: {allocs} allocations > budget {budget} (depth {}, \
+                 coupler cycles {coupler_cycles})",
                 cycles.len()
             ));
         }

@@ -6,7 +6,7 @@
 use fastsc_core::router::route;
 use fastsc_core::{Compiler, CompilerConfig, Strategy as Plan};
 use fastsc_device::Device;
-use fastsc_ir::decompose::decompose;
+use fastsc_ir::decompose::{decompose, Strategy as Lowering};
 use fastsc_ir::optimize::peephole;
 use fastsc_ir::{Circuit, Gate, Instruction};
 use fastsc_noise::{estimate, NoiseConfig};
@@ -106,25 +106,52 @@ proptest! {
         // Reading the schedule cycle by cycle must give each physical
         // qubit exactly its gate stream in the routed, lowered program:
         // scheduling may interleave qubits but never reorder, drop or
-        // duplicate a gate on one. Whole-device and partitioned.
-        for config in [CompilerConfig::default(), CompilerConfig::with_partition(8)] {
-            let compiler = Compiler::new(Device::grid(4, 4, 5), config);
-            let routed = route(&program, compiler.device()).expect("routable");
-            let lowered = peephole(&decompose(&routed.circuit, config.decomposition));
-            let expected = qubit_streams(16, lowered.instructions());
-            for strategy in Plan::all() {
-                let compiled = compiler.compile(&program, strategy).expect("compiles");
-                let scheduled: Vec<Instruction> = compiled
-                    .schedule
-                    .cycles()
-                    .iter()
-                    .flat_map(|c| c.gates.iter().map(|g| g.instruction))
-                    .collect();
-                prop_assert!(
-                    qubit_streams(16, &scheduled) == expected,
-                    "strategy {} (partition {:?}) changed a qubit's gate stream",
-                    strategy, config.partition
-                );
+        // duplicate a gate on one. Whole-device and partitioned, under
+        // every lowering, with consecutive compiles alternating device
+        // widths: the per-thread front-end and engine workspaces must
+        // carry nothing from one compile into the next. The front end
+        // must also hand the engine exactly what the standalone `route`,
+        // `decompose` and `peephole` return.
+        let lowerings =
+            [Lowering::Hybrid, Lowering::CzOnly, Lowering::ISwapOnly, Lowering::SqrtISwapOnly];
+        let devices = [Device::grid(4, 4, 5), Device::grid(5, 6, 5), Device::grid(4, 5, 5)];
+        for decomposition in lowerings {
+            for partition in [None, Some(8)] {
+                for device in &devices {
+                    let config = match partition {
+                        None => CompilerConfig::default(),
+                        Some(cap) => CompilerConfig::with_partition(cap),
+                    };
+                    let config = CompilerConfig { decomposition, ..config };
+                    let compiler = Compiler::new(device.clone(), config);
+                    let routed = route(&program, device).expect("routable");
+                    let lowered = peephole(&decompose(&routed.circuit, decomposition));
+                    let (streamed, swaps) = compiler
+                        .front_end(&program, |c, swaps| (c.clone(), swaps))
+                        .expect("routable");
+                    prop_assert!(
+                        streamed == lowered && swaps == routed.swaps_inserted,
+                        "front end diverged from route + decompose + peephole ({:?})",
+                        decomposition
+                    );
+                    let n = device.n_qubits();
+                    let expected = qubit_streams(n, lowered.instructions());
+                    for strategy in Plan::all() {
+                        let compiled = compiler.compile(&program, strategy).expect("compiles");
+                        let scheduled: Vec<Instruction> = compiled
+                            .schedule
+                            .cycles()
+                            .iter()
+                            .flat_map(|c| c.gates.iter().map(|g| g.instruction))
+                            .collect();
+                        prop_assert!(
+                            qubit_streams(n, &scheduled) == expected,
+                            "strategy {} ({} qubits, {:?}, partition {:?}) changed a \
+                             qubit's gate stream",
+                            strategy, n, decomposition, partition
+                        );
+                    }
+                }
             }
         }
     }

@@ -19,11 +19,12 @@
 //! can be diffed against the same output of the previous engine.
 //!
 //! A compile outcome is `hash depth deferred colors` on success, `err
-//! <message>` on a typed error, or `panic` when the compile panics (the
-//! partitioned Baseline S/G compiles of the 1024-qubit tier, and of the
-//! 256-qubit tier under `with_partition_auto`, do: a coupling-free region
-//! calls `smt_find` with zero colors). Express2D is left out at `d ≥ 2`, where its static solve
-//! takes seconds.
+//! <message>` on a typed error, or `panic` when the compile panics (no
+//! pinned compile does: the four that did, partitioned Baseline S/G
+//! compiles with a coupling-free region, were re-pinned when such a
+//! region's statics became empty instead of a zero-color `smt_find`).
+//! Express2D is left out at `d ≥ 2`, where its static solve takes
+//! seconds.
 
 use fastsc_core::{CompileError, CompiledProgram, Compiler, CompilerConfig, Strategy};
 use fastsc_device::{CouplerKind, Device};
@@ -1057,9 +1058,9 @@ scale256 part U = 271ed9254b714197 504 5804 1
 scale256 part S = b310131328afa4b3 25 34 11
 scale256 part CD = e77451f97226921e 29 42 6
 scale256 auto N = bc92ddc9b1012afc 24 0 4
-scale256 auto G = panic
+scale256 auto G = 6c8945f63491d772 74 890 11
 scale256 auto U = 83632fb0be61018a 522 3061 1
-scale256 auto S = panic
+scale256 auto S = 39f6840f298fef3e 27 48 11
 scale256 auto CD = cba2d9e697cd93d4 35 62 5
 scale1024 whole N = 9c3d35b534a5ff42 8 0 4
 scale1024 whole G = 9a626a3902331c87 44 8997 12
@@ -1067,9 +1068,9 @@ scale1024 whole U = 68671717ccec7007 1985 872801 1
 scale1024 whole S = 0c696a184eb09706 8 68 12
 scale1024 whole CD = e400682d1d925d3b 8 68 4
 scale1024 part N = 68bd8f0a9698810f 24 0 4
-scale1024 part G = panic
+scale1024 part G = 2e662de8ff314d20 101 5772 12
 scale1024 part U = 9a414014a9b0e4ce 2056 33407 1
-scale1024 part S = panic
+scale1024 part S = 35ae4316dbfd7614 27 107 12
 scale1024 part CD = 4bff0629f2c0a855 34 150 9
 scale1024 auto N = 726b30f0288efaad 24 0 4
 scale1024 auto G = f9e67ac33996cd9b 109 7491 12

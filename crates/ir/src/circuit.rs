@@ -145,6 +145,33 @@ impl Instruction {
         self.operands.as_vec()
     }
 
+    /// Checks the operands against a circuit of `n_qubits` qubits: each
+    /// in range, and a two-qubit instruction's two distinct. An
+    /// instruction passes this once, where it is created (`Circuit::push*`,
+    /// the router, the lowering's emitter); passes that only drop or merge
+    /// instructions keep their operands and need not repeat it.
+    pub(crate) fn check(self, n_qubits: usize) -> Result<(), IrError> {
+        let in_range = |qubit: usize| {
+            if qubit < n_qubits {
+                Ok(())
+            } else {
+                Err(IrError::QubitOutOfRange { qubit, n_qubits })
+            }
+        };
+        match self.operands {
+            Operands::One(q) => in_range(q),
+            Operands::Two(a, b) => {
+                in_range(a)?;
+                in_range(b)?;
+                if a == b {
+                    Err(IrError::DuplicateOperand { qubit: a })
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+
     /// For two-qubit instructions, the operand pair `(a, b)`.
     pub fn qubit_pair(&self) -> Option<(usize, usize)> {
         match self.operands {
@@ -224,9 +251,7 @@ impl Circuit {
     /// range.
     pub fn push1(&mut self, gate: Gate, q: usize) -> Result<&mut Self, IrError> {
         assert!(!gate.is_two_qubit(), "push1 with two-qubit gate {gate}");
-        self.check_qubit(q)?;
-        self.instructions.push(Instruction { gate, operands: Operands::One(q) });
-        Ok(self)
+        self.push(Instruction { gate, operands: Operands::One(q) })
     }
 
     /// Appends a two-qubit gate; for `CNOT`, `a` is the control.
@@ -236,13 +261,7 @@ impl Circuit {
     /// Returns an error if either operand is out of range or if `a == b`.
     pub fn push2(&mut self, gate: Gate, a: usize, b: usize) -> Result<&mut Self, IrError> {
         assert!(gate.is_two_qubit(), "push2 with single-qubit gate {gate}");
-        self.check_qubit(a)?;
-        self.check_qubit(b)?;
-        if a == b {
-            return Err(IrError::DuplicateOperand { qubit: a });
-        }
-        self.instructions.push(Instruction { gate, operands: Operands::Two(a, b) });
-        Ok(self)
+        self.push(Instruction { gate, operands: Operands::Two(a, b) })
     }
 
     /// Appends an already-validated instruction from another circuit with
@@ -252,16 +271,33 @@ impl Circuit {
     ///
     /// Returns an error if operands are out of range.
     pub fn push(&mut self, instruction: Instruction) -> Result<&mut Self, IrError> {
-        for q in instruction.operands {
-            self.check_qubit(q)?;
-        }
-        if let Some((a, b)) = instruction.qubit_pair() {
-            if a == b {
-                return Err(IrError::DuplicateOperand { qubit: a });
-            }
-        }
+        instruction.check(self.n_qubits)?;
         self.instructions.push(instruction);
         Ok(self)
+    }
+
+    /// Empties the circuit and sets its qubit count, keeping the
+    /// instruction buffer's capacity, so a pass that refills one circuit
+    /// per call stops allocating once the buffer has grown to its largest
+    /// input.
+    pub fn reset(&mut self, n_qubits: usize) {
+        self.n_qubits = n_qubits;
+        self.instructions.clear();
+    }
+
+    /// Swaps this circuit's instruction buffer with `instructions` and
+    /// sets its qubit count: a pass hands over its finished output without
+    /// copying it, and takes this circuit's old buffer for its next use.
+    /// Every instruction handed over must already be checked against
+    /// `n_qubits`.
+    pub(crate) fn swap_instructions(
+        &mut self,
+        n_qubits: usize,
+        instructions: &mut Vec<Instruction>,
+    ) {
+        debug_assert!(instructions.iter().all(|i| i.check(n_qubits).is_ok()));
+        self.n_qubits = n_qubits;
+        std::mem::swap(&mut self.instructions, instructions);
     }
 
     /// Appends every instruction of `other`.
@@ -345,14 +381,6 @@ impl Circuit {
             depth = depth.max(start + 1);
         }
         depth
-    }
-
-    fn check_qubit(&self, q: usize) -> Result<(), IrError> {
-        if q >= self.n_qubits {
-            Err(IrError::QubitOutOfRange { qubit: q, n_qubits: self.n_qubits })
-        } else {
-            Ok(())
-        }
     }
 }
 

@@ -23,7 +23,7 @@
 //! via `sqrt(iSWAP)`, which the paper shows is cheaper than committing to a
 //! single native gate.
 
-use crate::circuit::{Circuit, Operands};
+use crate::circuit::{Circuit, Instruction, Operands};
 use crate::gate::{Gate, NativeGateSet};
 use std::f64::consts::FRAC_PI_2;
 
@@ -61,8 +61,9 @@ impl Strategy {
 /// afterwards to cancel the single-qubit debris between adjacent lowered
 /// gates.
 ///
-/// The output is allocated once, at its exact length: a first sweep sums
-/// each instruction's lowered length (`lowered_len`).
+/// A wrapper over [`lower_into`], one call per instruction. The output is
+/// allocated once, at its exact length: a first sweep sums each
+/// instruction's lowered length (`lowered_len`).
 pub fn decompose(circuit: &Circuit, strategy: Strategy) -> Circuit {
     let native = strategy.native_set();
     let budget = circuit
@@ -76,22 +77,76 @@ pub fn decompose(circuit: &Circuit, strategy: Strategy) -> Circuit {
         })
         .sum();
     let mut out = Circuit::with_capacity(circuit.n_qubits(), budget);
-    for inst in circuit.instructions() {
-        match inst.operands {
-            Operands::One(q) => {
-                out.push1(inst.gate, q).expect("validated by source circuit");
-            }
-            Operands::Two(a, b) => {
-                if native.contains(inst.gate) {
-                    out.push2(inst.gate, a, b).expect("validated by source circuit");
-                } else {
-                    lower(&mut out, inst.gate, a, b, strategy);
-                }
-            }
-        }
+    for &inst in circuit.instructions() {
+        lower_into(inst, strategy, &mut out);
     }
     debug_assert_eq!(out.len(), budget, "lowered_len disagrees with lower");
     out
+}
+
+/// Where [`lower_into`] emits: the consumer of a lowered instruction
+/// stream. [`Circuit`] collects it as it comes;
+/// [`Peephole`](crate::optimize::Peephole) simplifies it as it comes.
+pub trait Sink {
+    /// The qubit count the stream's operands are checked against.
+    fn n_qubits(&self) -> usize;
+
+    /// Takes the stream's next instruction, whose operands are already
+    /// checked against [`n_qubits`](Self::n_qubits): by the emitter when
+    /// a rewrite created it, upstream when it passed through.
+    fn accept(&mut self, inst: Instruction);
+}
+
+impl Sink for Circuit {
+    fn n_qubits(&self) -> usize {
+        Circuit::n_qubits(self)
+    }
+
+    /// Checks `inst` again, as every push does: a circuit never holds an
+    /// unchecked instruction, whoever calls this.
+    fn accept(&mut self, inst: Instruction) {
+        self.push(inst).expect("sink instructions are checked where created");
+    }
+}
+
+/// Lowers one instruction under `strategy` into `sink`: a one-qubit or
+/// native instruction passes through unchanged, a non-native two-qubit
+/// one is rewritten per Fig. 8. This is the lowering [`decompose`] and
+/// the compiler's streaming front end both run.
+///
+/// `inst` must already be checked against `sink.n_qubits()` — as every
+/// instruction of a [`Circuit`] or a router's output is. The
+/// instructions a rewrite creates are checked here, as they are created
+/// (their operands are `inst`'s, so a failure is a bug in this module,
+/// and panics).
+pub fn lower_into<S: Sink>(inst: Instruction, strategy: Strategy, sink: &mut S) {
+    match inst.operands {
+        Operands::Two(a, b) if !strategy.native_set().contains(inst.gate) => {
+            lower(&mut Emit(sink), inst.gate, a, b, strategy);
+        }
+        _ => sink.accept(inst),
+    }
+}
+
+/// The rewrites' emitter: builds and checks each instruction it creates,
+/// then hands it to the sink.
+struct Emit<'s, S>(&'s mut S);
+
+impl<S: Sink> Emit<'_, S> {
+    fn push1(&mut self, gate: Gate, q: usize) {
+        debug_assert!(!gate.is_two_qubit(), "push1 with two-qubit gate {gate}");
+        self.emit(Instruction { gate, operands: Operands::One(q) });
+    }
+
+    fn push2(&mut self, gate: Gate, a: usize, b: usize) {
+        debug_assert!(gate.is_two_qubit(), "push2 with single-qubit gate {gate}");
+        self.emit(Instruction { gate, operands: Operands::Two(a, b) });
+    }
+
+    fn emit(&mut self, inst: Instruction) {
+        inst.check(self.0.n_qubits()).expect("a rewrite reuses its source's operands");
+        self.0.accept(inst);
+    }
 }
 
 /// How many instructions [`lower`] emits for a non-native two-qubit
@@ -122,7 +177,7 @@ fn lowered_len(gate: Gate, strategy: Strategy) -> usize {
     }
 }
 
-fn lower(out: &mut Circuit, gate: Gate, a: usize, b: usize, strategy: Strategy) {
+fn lower<S: Sink>(out: &mut Emit<'_, S>, gate: Gate, a: usize, b: usize, strategy: Strategy) {
     match (gate, strategy) {
         (Gate::Cnot, Strategy::CzOnly | Strategy::Hybrid) => cnot_via_cz(out, a, b),
         (Gate::Cnot, Strategy::ISwapOnly) => cnot_via_iswap(out, a, b),
@@ -136,14 +191,14 @@ fn lower(out: &mut Circuit, gate: Gate, a: usize, b: usize, strategy: Strategy) 
         (Gate::Cz, Strategy::SqrtISwapOnly) => cz_via_sqrt_iswap(out, a, b),
         (Gate::ISwap, Strategy::CzOnly) => {
             // iSWAP = SWAP . CZ . (Sdg (x) Sdg); SWAP via CZ.
-            out.push1(Gate::Sdg, a).expect("valid");
-            out.push1(Gate::Sdg, b).expect("valid");
-            out.push2(Gate::Cz, a, b).expect("valid");
+            out.push1(Gate::Sdg, a);
+            out.push1(Gate::Sdg, b);
+            out.push2(Gate::Cz, a, b);
             swap_via_cz(out, a, b);
         }
         (Gate::ISwap, Strategy::SqrtISwapOnly) => {
-            out.push2(Gate::SqrtISwap, a, b).expect("valid");
-            out.push2(Gate::SqrtISwap, a, b).expect("valid");
+            out.push2(Gate::SqrtISwap, a, b);
+            out.push2(Gate::SqrtISwap, a, b);
         }
         (Gate::SqrtISwap, Strategy::CzOnly | Strategy::ISwapOnly) => {
             sqrt_iswap_via_cnots(out, a, b, strategy)
@@ -153,38 +208,38 @@ fn lower(out: &mut Circuit, gate: Gate, a: usize, b: usize, strategy: Strategy) 
 }
 
 /// `CNOT(c, t) = H(t) . CZ . H(t)` — Fig. 8(c).
-fn cnot_via_cz(out: &mut Circuit, c: usize, t: usize) {
-    out.push1(Gate::H, t).expect("valid");
-    out.push2(Gate::Cz, c, t).expect("valid");
-    out.push1(Gate::H, t).expect("valid");
+fn cnot_via_cz<S: Sink>(out: &mut Emit<'_, S>, c: usize, t: usize) {
+    out.push1(Gate::H, t);
+    out.push2(Gate::Cz, c, t);
+    out.push1(Gate::H, t);
 }
 
 /// `CNOT(c, t) = iSWAP . (H (x) I) . iSWAP . (S (x) Rx(-pi/2))` up to
 /// global phase — Fig. 8(a). Execution order: locals first.
-fn cnot_via_iswap(out: &mut Circuit, c: usize, t: usize) {
-    out.push1(Gate::S, c).expect("valid");
-    out.push1(Gate::Rx(-FRAC_PI_2), t).expect("valid");
-    out.push2(Gate::ISwap, c, t).expect("valid");
-    out.push1(Gate::H, c).expect("valid");
-    out.push2(Gate::ISwap, c, t).expect("valid");
+fn cnot_via_iswap<S: Sink>(out: &mut Emit<'_, S>, c: usize, t: usize) {
+    out.push1(Gate::S, c);
+    out.push1(Gate::Rx(-FRAC_PI_2), t);
+    out.push2(Gate::ISwap, c, t);
+    out.push1(Gate::H, c);
+    out.push2(Gate::ISwap, c, t);
 }
 
 /// `CZ = (I (x) H) . CNOT . (I (x) H)`, with the CNOT lowered to iSWAPs.
-fn cz_via_iswap(out: &mut Circuit, a: usize, b: usize) {
-    out.push1(Gate::H, b).expect("valid");
+fn cz_via_iswap<S: Sink>(out: &mut Emit<'_, S>, a: usize, b: usize) {
+    out.push1(Gate::H, b);
     cnot_via_iswap(out, a, b);
-    out.push1(Gate::H, b).expect("valid");
+    out.push1(Gate::H, b);
 }
 
 /// `CZ` via two `sqrt(iSWAP)`s (through the CNOT construction).
-fn cz_via_sqrt_iswap(out: &mut Circuit, a: usize, b: usize) {
-    out.push1(Gate::H, b).expect("valid");
+fn cz_via_sqrt_iswap<S: Sink>(out: &mut Emit<'_, S>, a: usize, b: usize) {
+    out.push1(Gate::H, b);
     cnot_via_sqrt_iswap(out, a, b);
-    out.push1(Gate::H, b).expect("valid");
+    out.push1(Gate::H, b);
 }
 
 /// `SWAP` as three `CNOT`s, each lowered via `CZ` — Fig. 8(d).
-fn swap_via_cz(out: &mut Circuit, a: usize, b: usize) {
+fn swap_via_cz<S: Sink>(out: &mut Emit<'_, S>, a: usize, b: usize) {
     cnot_via_cz(out, a, b);
     cnot_via_cz(out, b, a);
     cnot_via_cz(out, a, b);
@@ -192,11 +247,11 @@ fn swap_via_cz(out: &mut Circuit, a: usize, b: usize) {
 
 /// `SWAP = iSWAP . (S (x) S) . CZ`, with the CZ lowered to iSWAPs
 /// (three `iSWAP`s in total).
-fn swap_via_iswap(out: &mut Circuit, a: usize, b: usize) {
+fn swap_via_iswap<S: Sink>(out: &mut Emit<'_, S>, a: usize, b: usize) {
     cz_via_iswap(out, a, b);
-    out.push1(Gate::S, a).expect("valid");
-    out.push1(Gate::S, b).expect("valid");
-    out.push2(Gate::ISwap, a, b).expect("valid");
+    out.push1(Gate::S, a);
+    out.push1(Gate::S, b);
+    out.push2(Gate::ISwap, a, b);
 }
 
 /// `SWAP` via three `sqrt(iSWAP)`s — Fig. 8(b).
@@ -205,48 +260,59 @@ fn swap_via_iswap(out: &mut Circuit, a: usize, b: usize) {
 /// three commuting factors are `K`, `P K P^dag` with `P = Rx(pi/2)^(x2)`
 /// (maps `YY -> ZZ`), and `Q K Q^dag` with `Q = Ry(pi/2)^(x2)`
 /// (maps `XX -> ZZ`).
-fn swap_via_sqrt_iswap(out: &mut Circuit, a: usize, b: usize) {
-    out.push2(Gate::SqrtISwap, a, b).expect("valid");
-    out.push1(Gate::Rx(-FRAC_PI_2), a).expect("valid");
-    out.push1(Gate::Rx(-FRAC_PI_2), b).expect("valid");
-    out.push2(Gate::SqrtISwap, a, b).expect("valid");
-    out.push1(Gate::Rx(FRAC_PI_2), a).expect("valid");
-    out.push1(Gate::Rx(FRAC_PI_2), b).expect("valid");
-    out.push1(Gate::Ry(-FRAC_PI_2), a).expect("valid");
-    out.push1(Gate::Ry(-FRAC_PI_2), b).expect("valid");
-    out.push2(Gate::SqrtISwap, a, b).expect("valid");
-    out.push1(Gate::Ry(FRAC_PI_2), a).expect("valid");
-    out.push1(Gate::Ry(FRAC_PI_2), b).expect("valid");
+fn swap_via_sqrt_iswap<S: Sink>(out: &mut Emit<'_, S>, a: usize, b: usize) {
+    out.push2(Gate::SqrtISwap, a, b);
+    out.push1(Gate::Rx(-FRAC_PI_2), a);
+    out.push1(Gate::Rx(-FRAC_PI_2), b);
+    out.push2(Gate::SqrtISwap, a, b);
+    out.push1(Gate::Rx(FRAC_PI_2), a);
+    out.push1(Gate::Rx(FRAC_PI_2), b);
+    out.push1(Gate::Ry(-FRAC_PI_2), a);
+    out.push1(Gate::Ry(-FRAC_PI_2), b);
+    out.push2(Gate::SqrtISwap, a, b);
+    out.push1(Gate::Ry(FRAC_PI_2), a);
+    out.push1(Gate::Ry(FRAC_PI_2), b);
 }
 
 /// `exp(-i theta/2 Z(x)Z)` as `CNOT . Rz_t(theta) . CNOT` with the CNOTs
 /// lowered per `strategy` (conjugation by CNOT maps `Z_t` to `Z_c Z_t`).
-fn zz_interaction(out: &mut Circuit, c: usize, t: usize, theta: f64, strategy: Strategy) {
-    let cnot = |out: &mut Circuit| match strategy {
+fn zz_interaction<S: Sink>(
+    out: &mut Emit<'_, S>,
+    c: usize,
+    t: usize,
+    theta: f64,
+    strategy: Strategy,
+) {
+    let cnot = |out: &mut Emit<'_, S>| match strategy {
         Strategy::ISwapOnly => cnot_via_iswap(out, c, t),
         _ => cnot_via_cz(out, c, t),
     };
     cnot(out);
-    out.push1(Gate::Rz(theta), t).expect("valid");
+    out.push1(Gate::Rz(theta), t);
     cnot(out);
 }
 
 /// `sqrt(iSWAP) = exp(-i pi/8 (XX + YY))` over CNOT-equivalent natives:
 /// the commuting `XX` and `YY` factors are each a basis-changed
 /// `ZZ`-interaction (`H` pair for `X`, `Rx(pi/2)` pair for `Y`).
-fn sqrt_iswap_via_cnots(out: &mut Circuit, a: usize, b: usize, strategy: Strategy) {
+fn sqrt_iswap_via_cnots<S: Sink>(
+    out: &mut Emit<'_, S>,
+    a: usize,
+    b: usize,
+    strategy: Strategy,
+) {
     // exp(-i pi/8 XX) = (H(x)H) exp(-i pi/8 ZZ) (H(x)H).
-    out.push1(Gate::H, a).expect("valid");
-    out.push1(Gate::H, b).expect("valid");
+    out.push1(Gate::H, a);
+    out.push1(Gate::H, b);
     zz_interaction(out, a, b, std::f64::consts::FRAC_PI_4, strategy);
-    out.push1(Gate::H, a).expect("valid");
-    out.push1(Gate::H, b).expect("valid");
+    out.push1(Gate::H, a);
+    out.push1(Gate::H, b);
     // exp(-i pi/8 YY) = (Rx(pi/2)(x)Rx(pi/2)) exp(-i pi/8 ZZ) (Rx(-pi/2)(x)Rx(-pi/2)).
-    out.push1(Gate::Rx(-FRAC_PI_2), a).expect("valid");
-    out.push1(Gate::Rx(-FRAC_PI_2), b).expect("valid");
+    out.push1(Gate::Rx(-FRAC_PI_2), a);
+    out.push1(Gate::Rx(-FRAC_PI_2), b);
     zz_interaction(out, a, b, std::f64::consts::FRAC_PI_4, strategy);
-    out.push1(Gate::Rx(FRAC_PI_2), a).expect("valid");
-    out.push1(Gate::Rx(FRAC_PI_2), b).expect("valid");
+    out.push1(Gate::Rx(FRAC_PI_2), a);
+    out.push1(Gate::Rx(FRAC_PI_2), b);
 }
 
 /// `CNOT(c, t)` via two `sqrt(iSWAP)`s.
@@ -254,20 +320,20 @@ fn sqrt_iswap_via_cnots(out: &mut Circuit, a: usize, b: usize, strategy: Strateg
 /// `K . (X (x) I) . K . (X (x) I) = exp(-i pi/4 XX)` (conjugating by
 /// `X (x) I` flips `YY`), and `exp(-i pi/4 XX)` is `CNOT` up to the local
 /// Cliffords applied below.
-fn cnot_via_sqrt_iswap(out: &mut Circuit, c: usize, t: usize) {
+fn cnot_via_sqrt_iswap<S: Sink>(out: &mut Emit<'_, S>, c: usize, t: usize) {
     // Execution order; matrix product reads right-to-left:
     // CNOT ~ (Rz(pi/2) (x) Rx(pi/2)) . (HZ (x) I) . exp(-i pi/4 XX) . (ZH (x) I)
-    out.push1(Gate::H, c).expect("valid");
-    out.push1(Gate::Z, c).expect("valid");
+    out.push1(Gate::H, c);
+    out.push1(Gate::Z, c);
     // exp(-i pi/4 XX) = K . (X (x) I) . K . (X (x) I): X first in time.
-    out.push1(Gate::X, c).expect("valid");
-    out.push2(Gate::SqrtISwap, c, t).expect("valid");
-    out.push1(Gate::X, c).expect("valid");
-    out.push2(Gate::SqrtISwap, c, t).expect("valid");
-    out.push1(Gate::Z, c).expect("valid");
-    out.push1(Gate::H, c).expect("valid");
-    out.push1(Gate::Rz(FRAC_PI_2), c).expect("valid");
-    out.push1(Gate::Rx(FRAC_PI_2), t).expect("valid");
+    out.push1(Gate::X, c);
+    out.push2(Gate::SqrtISwap, c, t);
+    out.push1(Gate::X, c);
+    out.push2(Gate::SqrtISwap, c, t);
+    out.push1(Gate::Z, c);
+    out.push1(Gate::H, c);
+    out.push1(Gate::Rz(FRAC_PI_2), c);
+    out.push1(Gate::Rx(FRAC_PI_2), t);
 }
 
 #[cfg(test)]
@@ -362,7 +428,7 @@ mod tests {
                     continue;
                 }
                 let mut out = Circuit::new(2);
-                lower(&mut out, gate, 0, 1, s);
+                lower(&mut Emit(&mut out), gate, 0, 1, s);
                 assert_eq!(lowered_len(gate, s), out.len(), "{gate} under {s:?}");
             }
         }

@@ -12,7 +12,8 @@
 //! "Adjacent" is with respect to the dependency DAG: two gates cancel when
 //! no intervening instruction touches any of their qubits.
 
-use crate::circuit::{Circuit, Instruction};
+use crate::circuit::{Circuit, Instruction, Operands};
+use crate::decompose::Sink;
 use crate::gate::Gate;
 
 /// Rotation angles within this tolerance of zero (mod 4 pi) are dropped.
@@ -22,6 +23,26 @@ const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
 
 /// Applies peephole simplification until a fixed point is reached and
 /// returns the cleaned circuit.
+///
+/// A wrapper over [`Peephole`]: every instruction is fed in order, then
+/// the remaining passes run and the buffer becomes the returned circuit,
+/// without a copy.
+pub fn peephole(circuit: &Circuit) -> Circuit {
+    let mut stream = Peephole::default();
+    stream.reset(circuit.n_qubits());
+    stream.insts.reserve_exact(circuit.len());
+    for &inst in circuit.instructions() {
+        stream.feed(inst);
+    }
+    stream.settle();
+    let mut out = Circuit::new(circuit.n_qubits());
+    out.swap_instructions(stream.n_qubits, &mut stream.insts);
+    out
+}
+
+/// The peephole pass, incremental: [`feed`](Self::feed) runs the first
+/// pass on one instruction as it arrives, and [`finish`](Self::finish)
+/// runs any remaining passes in place and hands the result over.
 ///
 /// Each pass walks the instructions once against a per-qubit tracker of
 /// the last live instruction. The loop stops after the first pass that
@@ -34,23 +55,85 @@ const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
 /// Trivial gates dropped by the pass are gone, and merged angles are
 /// non-trivial. The pass that would confirm this is therefore skipped.
 ///
-/// Buffers: the tracker, the first pass's output (sized to the input), a
-/// second pass buffer only when the first pass cleared a tracker, and the
-/// returned circuit, sized exactly to the surviving instructions.
-pub fn peephole(circuit: &Circuit) -> Circuit {
-    let mut last_on_qubit: Vec<usize> = vec![NO_INST; circuit.n_qubits()];
-    let mut current: Vec<Instruction> = Vec::with_capacity(circuit.len());
-    let mut cleared = one_pass(circuit.instructions(), &mut current, &mut last_on_qubit);
-    let mut next: Vec<Instruction> = Vec::new();
-    while cleared {
-        cleared = one_pass(&current, &mut next, &mut last_on_qubit);
-        std::mem::swap(&mut current, &mut next);
+/// Operands are never checked here: a pass only drops instructions and
+/// merges a rotation into its partner's slot, which keeps that slot's
+/// operands, so every surviving instruction carries operands exactly as
+/// they were fed. Fed instructions must therefore be checked already
+/// (every instruction of a [`Circuit`], a router's output, or
+/// [`lower_into`](crate::decompose::lower_into)'s emits are); a debug
+/// assertion re-checks the result.
+///
+/// Buffers: the tracker (`n_qubits`) and one instruction buffer, which
+/// every pass rewrites in place. Both keep their capacity across
+/// [`reset`](Self::reset)s, so a reused `Peephole` stops allocating once
+/// it has seen its largest stream.
+#[derive(Debug, Clone, Default)]
+pub struct Peephole {
+    n_qubits: usize,
+    /// The instructions kept so far; dead slots are `Gate::Id` until the
+    /// next `retain`.
+    insts: Vec<Instruction>,
+    /// For each qubit, the index in `insts` of the last instruction
+    /// touching it (`NO_INST` if none is live).
+    last_on_qubit: Vec<usize>,
+    /// Whether the streamed first pass cleared a tracker.
+    cleared: bool,
+}
+
+impl Peephole {
+    /// Starts a new stream over `n_qubits` qubits, dropping whatever the
+    /// last one left and keeping the buffers.
+    pub fn reset(&mut self, n_qubits: usize) {
+        self.n_qubits = n_qubits;
+        self.insts.clear();
+        self.last_on_qubit.clear();
+        self.last_on_qubit.resize(n_qubits, NO_INST);
+        self.cleared = false;
     }
-    let mut out = Circuit::with_capacity(circuit.n_qubits(), current.len());
-    for inst in current {
-        out.push(inst).expect("instructions validated by the source circuit");
+
+    /// Runs the first pass on `inst`, the stream's next instruction,
+    /// whose operands must already be checked against the stream's qubit
+    /// count (see the type docs).
+    pub fn feed(&mut self, inst: Instruction) {
+        match step(inst, &mut self.insts, &mut self.last_on_qubit) {
+            Step::Keep => self.insts.push(inst),
+            Step::Cleared => self.cleared = true,
+            Step::Absorbed => {}
+        }
     }
-    out
+
+    /// Runs the remaining passes in place and swaps the result into
+    /// `out`, which takes the stream's qubit count. `out`'s old buffer
+    /// becomes this pass's next one, grown to the capacity just handed
+    /// over, so a caller alternating the two never regrows either.
+    pub fn finish(&mut self, out: &mut Circuit) {
+        self.settle();
+        let capacity = self.insts.capacity();
+        out.swap_instructions(self.n_qubits, &mut self.insts);
+        self.insts.clear();
+        self.insts.reserve_exact(capacity);
+    }
+
+    /// Ends the first pass, then runs passes until one clears no tracker.
+    fn settle(&mut self) {
+        let mut cleared = std::mem::take(&mut self.cleared);
+        if cleared {
+            self.insts.retain(|i| i.gate != Gate::Id);
+        }
+        while cleared {
+            cleared = pass(&mut self.insts, &mut self.last_on_qubit);
+        }
+    }
+}
+
+impl Sink for Peephole {
+    fn n_qubits(&self) -> usize {
+        self.n_qubits
+    }
+
+    fn accept(&mut self, inst: Instruction) {
+        self.feed(inst);
+    }
 }
 
 fn is_trivial(gate: Gate) -> bool {
@@ -83,62 +166,92 @@ fn merge(a: Gate, b: Gate) -> Option<Gate> {
 /// tracker.
 const NO_INST: usize = usize::MAX;
 
-/// One simplification pass from `insts` into `out`. Returns whether it
+/// One simplification pass over `insts`, in place. Returns whether it
 /// cleared a per-qubit tracker, i.e. killed a slot (an inverse pair or a
 /// merge to identity): only then can another pass find more work.
-fn one_pass(
-    insts: &[Instruction],
-    out: &mut Vec<Instruction>,
-    last_on_qubit: &mut [usize],
-) -> bool {
-    out.clear();
-    // For each qubit, the index *in `out`* of the last instruction touching
-    // it (NO_INST if none is still present).
+fn pass(insts: &mut Vec<Instruction>, last_on_qubit: &mut [usize]) -> bool {
     last_on_qubit.fill(NO_INST);
+    let mut kept = 0;
     let mut cleared = false;
-
-    for &inst in insts {
-        if is_trivial(inst.gate) {
-            continue;
-        }
-        // The candidate partner must be the last instruction on *all* of
-        // this instruction's qubits, with identical operands.
-        let candidate = last_on_qubit[inst.operands.first()];
-        let partner = (candidate != NO_INST
-            && inst.operands.into_iter().all(|q| last_on_qubit[q] == candidate)
-            && out[candidate].operands == inst.operands)
-            .then_some(candidate);
-
-        if let Some(idx) = partner {
-            let prev = out[idx];
-            let merged = merge(prev.gate, inst.gate);
-            let dies = prev.gate.is_inverse_of(inst.gate) || merged.is_some_and(is_trivial);
-            if dies {
-                // Remove the pair: mark the slot dead and clear trackers.
-                out[idx] = Instruction { gate: Gate::Id, operands: prev.operands };
-                for q in inst.operands {
-                    last_on_qubit[q] = NO_INST;
-                }
-                cleared = true;
-                continue;
+    // `kept <= i` throughout, so slot `i` is read before anything
+    // writes it.
+    for i in 0..insts.len() {
+        let inst = insts[i];
+        match step(inst, &mut insts[..kept], last_on_qubit) {
+            Step::Keep => {
+                insts[kept] = inst;
+                kept += 1;
             }
-            if let Some(merged) = merged {
-                out[idx] = Instruction { gate: merged, operands: prev.operands };
-                continue;
-            }
-        }
-
-        let idx = out.len();
-        out.push(inst);
-        for q in inst.operands {
-            last_on_qubit[q] = idx;
+            Step::Cleared => cleared = true,
+            Step::Absorbed => {}
         }
     }
-
+    insts.truncate(kept);
     if cleared {
-        out.retain(|i| i.gate != Gate::Id);
+        insts.retain(|i| i.gate != Gate::Id);
     }
     cleared
+}
+
+/// What [`step`] did with an instruction.
+enum Step {
+    /// It stays: the caller appends it to the kept instructions, where
+    /// the trackers already point.
+    Keep,
+    /// It was trivial and dropped, or merged into its partner.
+    Absorbed,
+    /// It cancelled with its partner (or merged with it to identity):
+    /// the partner's slot is dead and a tracker was cleared.
+    Cleared,
+}
+
+/// Simplifies `inst` against the instructions kept so far, `kept`: drops
+/// it when trivial, cancels or merges it with its partner there, or
+/// points the trackers at slot `kept.len()` for the caller to fill.
+fn step(inst: Instruction, kept: &mut [Instruction], last_on_qubit: &mut [usize]) -> Step {
+    if is_trivial(inst.gate) {
+        return Step::Absorbed;
+    }
+    // The candidate partner must be the last instruction on *all* of
+    // this instruction's qubits, with identical operands.
+    let candidate = last_on_qubit[inst.operands.first()];
+    let partner = (candidate != NO_INST
+        && match inst.operands {
+            Operands::One(_) => true,
+            Operands::Two(_, b) => last_on_qubit[b] == candidate,
+        }
+        && kept[candidate].operands == inst.operands)
+        .then_some(candidate);
+
+    if let Some(idx) = partner {
+        let prev = kept[idx];
+        let merged = merge(prev.gate, inst.gate);
+        let dies = prev.gate.is_inverse_of(inst.gate) || merged.is_some_and(is_trivial);
+        if dies {
+            // Remove the pair: mark the slot dead and clear trackers.
+            kept[idx] = Instruction { gate: Gate::Id, operands: prev.operands };
+            track(inst.operands, last_on_qubit, NO_INST);
+            return Step::Cleared;
+        }
+        if let Some(merged) = merged {
+            kept[idx] = Instruction { gate: merged, operands: prev.operands };
+            return Step::Absorbed;
+        }
+    }
+
+    track(inst.operands, last_on_qubit, kept.len());
+    Step::Keep
+}
+
+/// Points each of `operands`' trackers at `slot`.
+fn track(operands: Operands, last_on_qubit: &mut [usize], slot: usize) {
+    match operands {
+        Operands::One(q) => last_on_qubit[q] = slot,
+        Operands::Two(a, b) => {
+            last_on_qubit[a] = slot;
+            last_on_qubit[b] = slot;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -255,5 +368,32 @@ mod tests {
         c.push2(Gate::Cnot, 0, 1).expect("valid");
         c.push2(Gate::Cnot, 1, 0).expect("valid"); // reversed: no cancel
         assert_eq!(peephole(&c).len(), 2);
+    }
+
+    #[test]
+    fn a_reused_peephole_matches_fresh_ones_across_widths() {
+        // One `Peephole` and one output circuit, reused across streams of
+        // different widths, must give what a fresh `peephole` call does:
+        // no tracker, cleared flag or buffer content leaks between streams.
+        let mut wide = Circuit::new(3);
+        wide.push1(Gate::H, 2).expect("valid");
+        wide.push1(Gate::H, 2).expect("valid");
+        wide.push2(Gate::Cz, 0, 2).expect("valid");
+        wide.push1(Gate::Rz(0.3), 1).expect("valid");
+        let mut narrow = Circuit::new(1);
+        narrow.push1(Gate::T, 0).expect("valid");
+        narrow.push1(Gate::Rz(0.2), 0).expect("valid");
+        narrow.push1(Gate::Rz(-0.2), 0).expect("valid");
+        narrow.push1(Gate::Tdg, 0).expect("valid");
+        let mut pass = Peephole::default();
+        let mut out = Circuit::new(0);
+        for circuit in [&wide, &narrow, &wide, &narrow, &wide] {
+            pass.reset(circuit.n_qubits());
+            for &inst in circuit.instructions() {
+                pass.feed(inst);
+            }
+            pass.finish(&mut out);
+            assert_eq!(out, peephole(circuit));
+        }
     }
 }

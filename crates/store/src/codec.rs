@@ -548,6 +548,36 @@ mod tests {
     }
 
     #[test]
+    fn empty_statics_round_trip_and_seed_a_coupling_free_context() {
+        // A coupling-free device's statics are empty; they persist and
+        // hydrate like any other assignment.
+        let device = Device::grid(1, 1, 3);
+        let config = CompilerConfig::default();
+        let solved = fastsc_core::CompileContext::new(device.clone(), config).expect("context");
+        let statics = solved.statics().expect("empty statics").clone();
+        let artifact = Artifact::Statics(StaticsArtifact {
+            device_fingerprint: 5,
+            config_fingerprint: 6,
+            colors: statics.colors,
+            color_count: statics.color_count,
+            freqs: statics.freqs,
+        });
+        let payload = encode_artifact(&artifact);
+        let Artifact::Statics(s) = decode_artifact(&payload).expect("decodes") else {
+            panic!("wrong kind")
+        };
+        assert!(s.colors.is_empty() && s.freqs.is_empty());
+        assert_eq!(s.color_count, 0);
+        let fresh = fastsc_core::CompileContext::new(device, config).expect("context");
+        assert!(fresh.seed_statics(fastsc_core::StaticAssignment {
+            colors: s.colors,
+            color_count: s.color_count,
+            freqs: s.freqs,
+        }));
+        assert_eq!(fresh.export_statics().map(|a| a.color_count), Some(0));
+    }
+
+    #[test]
     fn smt_round_trip_is_bit_exact() {
         let artifact = Artifact::Smt(SmtArtifact {
             device_fingerprint: 3,
