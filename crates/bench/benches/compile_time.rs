@@ -87,15 +87,15 @@ fn xtalk_coloring() -> Vec<BenchRecord> {
 }
 
 /// The cold frequency solve a new device config pays once: `smt_find` at
-/// k = 2, 4, 8 and 10 (band 6–7 GHz, alpha = -0.2, the default
-/// tolerance), and the Baseline S/G statics of a 4x4 grid at crosstalk
-/// distance 2 (14 colors), each run on a fresh context built outside the
-/// timing so nothing is memoized. `bench_guard` holds the statics row
-/// under a fixed ceiling.
+/// k = 2, 4, 8, 10, 14, 16 and 20 (band 6–7 GHz, alpha = -0.2, the
+/// default tolerance), and the Baseline S/G statics of a 4x4 grid at
+/// crosstalk distance 2 (14 colors), each run on a fresh context built
+/// outside the timing so nothing is memoized. `bench_guard` holds the
+/// k = 20 and statics rows under fixed ceilings.
 fn cold_solve() -> Vec<BenchRecord> {
     let samples = record::samples(5, 21);
     let tol = CompilerConfig::default().smt_tolerance;
-    let ks = [2usize, 4, 8, 10];
+    let ks = [2usize, 4, 8, 10, 14, 16, 20];
     let mut sides: Vec<_> = ks
         .iter()
         .map(|&k| {

@@ -15,7 +15,7 @@ use fastsc_bench::regression::{check, Bound::*, Gate};
 /// Every gate CI holds the benches to. Ratio rows are the median of
 /// per-pair `subject / reference` times in permille, both sides measured
 /// back to back in the same run.
-const GATES: [Gate; 14] = [
+const GATES: [Gate; 15] = [
     // Work stealing must not regress toward serializing the heavy jobs.
     Gate { workload: "skewed_batch", strategy: "parallel", bound: VsPost(2.0) },
     // Work stealing vs emulated contiguous chunking over the same jobs.
@@ -43,6 +43,9 @@ const GATES: [Gate; 14] = [
     Gate { workload: "warm_start", strategy: PAIRED_RATIO, bound: Ceiling(500) },
     // Cold d = 2 4x4 Baseline S/G statics (a 14-color `smt_find`): 50 ms.
     Gate { workload: "statics_cold", strategy: "grid4x4_d2", bound: Ceiling(50_000_000) },
+    // A cold 20-color `smt_find` in a 1 GHz band: 45 ms, so the phase-2
+    // probes must keep sharing their subtree bounds.
+    Gate { workload: "smt_find_cold", strategy: "k20", bound: Ceiling(45_000_000) },
     // The warm front end (route, lower, peephole) on the 1024q scale-tier
     // XEB: 350 µs.
     Gate { workload: "front_end", strategy: "scale1024", bound: Ceiling(350_000) },

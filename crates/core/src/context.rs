@@ -349,8 +349,8 @@ impl CompileContext {
                 let color_count = coloring::color_count(&colors);
                 if color_count == 0 {
                     // No couplings (a one-qubit device, or a coupling-free
-                    // partition region): nothing to assign, and no solve —
-                    // `smt_find` needs at least one frequency.
+                    // partition region): nothing to assign, and no solve to
+                    // memoize or count.
                     return Ok(StaticAssignment { colors, color_count, freqs: Vec::new() });
                 }
                 let values = self.smt_frequencies(color_count)?.0;

@@ -1228,7 +1228,7 @@ mod tests {
     #[test]
     fn coupling_free_device_compiles_under_every_strategy() {
         // A 1x1 grid has no couplings: Baseline S/G statics are empty and
-        // solve nothing (`smt_find` would refuse k = 0).
+        // solve nothing.
         let compiler = Compiler::new(Device::grid(1, 1, 3), CompilerConfig::default());
         let mut program = Circuit::new(1);
         program.push1(Gate::H, 0).expect("valid").push1(Gate::T, 0).expect("valid");

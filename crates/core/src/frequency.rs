@@ -36,10 +36,51 @@
 //! Bellman–Ford model, so δ*, the floor and every value are
 //! bit-identical to it (`tests/frequency_oracle.rs` pins this against
 //! that search).
+//!
+//! # Work reuse
+//!
+//! Two steps keep the search from redoing work; neither changes which
+//! prefixes are accepted, the depth-first order, or any float operation
+//! on the path to the accepted leaf, so δ*, the floor and every value stay
+//! bit-identical (`tests/frequency_oracle.rs` also keeps the search
+//! without them as a second oracle).
+//!
+//! * **Phase-2 subtree bounds.** Phase 2 fixes δ and moves only the
+//!   floor. A prefix's settled potentials do not depend on the floor; only
+//!   its room check `span + (k − 1 − j)·δ ≤ room + slack` does. So for the
+//!   length of one phase 2 the search keeps a tree of prefixes, each
+//!   holding a lower bound on the largest room requirement among the
+//!   prefixes on the way to any leaf below it. When a probe leaves a
+//!   prefix's subtree without accepting a leaf, the prefix's node gets the
+//!   maximum of its own requirement (∞ for a positive cycle) and the least
+//!   of its children's bounds, a child skipped in this probe giving its
+//!   stored bound; a prefix not yet left that way holds −∞. A later probe
+//!   skips, without a settle, every prefix whose bound exceeds its
+//!   `room + slack`: every leaf below it has a prefix on its path that
+//!   fails the room check at this floor, so the search without the tree
+//!   would settle that subtree and accept nothing in it, and the first
+//!   accepted leaf stays where it was. The stored requirement is the float
+//!   the room check compares, so skip and check agree bit for bit. The
+//!   witness check reads the floor and is no part of the bound: a leaf it
+//!   rejects counts its own requirement only. The tree is capped in size;
+//!   past the cap a prefix's children get no nodes and are searched
+//!   without bounds, while the prefix's own node still receives the bound
+//!   of its whole subtree.
+//! * **Incremental settle.** A child prefix starts from its parent's
+//!   least potentials, which are a fixed point of both relaxation sweeps.
+//!   Re-running the forward sweep over them computes the same maxima and
+//!   changes nothing, and the backward sweep raises nothing until a value
+//!   moves, so the first pass only computes `x_j`'s lower bounds and
+//!   checks its own close edge. If that edge raises nothing the prefix is
+//!   settled; otherwise the search finishes that pass's backward sweep
+//!   and runs the remaining passes of the same budget. Either way every
+//!   float operation that can change a potential is the one the full
+//!   first pass would do, in the same order.
 
 use crate::error::CompileError;
 use fastsc_device::{Band, Device};
 use fastsc_graph::coloring;
+use std::ops::ControlFlow;
 
 /// Solves the paper's `smt_find`: places `k` frequencies inside `band`
 /// maximizing the pairwise separation threshold `delta`, subject to
@@ -65,19 +106,22 @@ use fastsc_graph::coloring;
 /// # Errors
 ///
 /// Returns [`CompileError::FrequencyBandExhausted`] when even `delta = 0`
-/// is infeasible (an empty band).
+/// is infeasible (an empty band). `k == 0` has nothing to place and
+/// returns no frequencies.
 ///
 /// # Panics
 ///
-/// Panics if `k == 0` or `tolerance <= 0`.
+/// Panics if `tolerance <= 0`.
 pub fn smt_find(
     k: usize,
     band: Band,
     alpha: f64,
     tolerance: f64,
 ) -> Result<Vec<f64>, CompileError> {
-    assert!(k > 0, "at least one frequency required");
     assert!(tolerance > 0.0, "tolerance must be positive, got {tolerance}");
+    if k == 0 {
+        return Ok(Vec::new());
+    }
     let exhausted = CompileError::FrequencyBandExhausted { colors: k };
     let mut search = Staircase::new(k, band, -alpha.abs());
     // Phase 1: maximize the separation threshold delta (the paper's
@@ -91,6 +135,7 @@ pub fn smt_find(
     // frequency means faster gates (t_gate ~ 1/omega, §V-B3), and keeps
     // interaction frequencies far from the parking sidebands.
     let delta = (best_delta - tolerance).max(0.0);
+    search.fix_delta(delta);
     let (_, mut values) =
         bisect(band.lo, band.hi, tolerance, |floor| search.probe(delta, floor))
             .ok_or(exhausted)?;
@@ -147,6 +192,33 @@ struct Diff {
     bound: f64,
 }
 
+/// One staircase prefix in phase 2's tree (see the module docs' work
+/// reuse).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Lower bound on the largest room requirement among the prefixes on
+    /// the way to any leaf below this one; `-inf` until a probe leaves
+    /// this prefix's subtree without accepting a leaf.
+    bound: f64,
+    /// Index of the first child (one per step of the next `x_j`, in
+    /// search order), or 0 until the prefix is first descended into.
+    children: usize,
+}
+
+impl Node {
+    const UNBOUNDED: Node = Node { bound: f64::NEG_INFINITY, children: 0 };
+}
+
+/// The tree's root: the empty prefix, never anyone's child.
+const ROOT: usize = 0;
+
+/// Most nodes phase 2's tree holds (16 MiB). Every solve up to k = 20 in
+/// a 0.85–1 GHz band stays far below it (at most 89k nodes); the 26-color
+/// Express2D d = 2 statics would grow 19.9M nodes (300 MiB) uncapped, and
+/// under the cap take about as long, because the bounds that pay are the
+/// ones near the root.
+const TREE_CAP: usize = 1 << 20;
+
 /// The order-aware staircase search, with buffers reused across the
 /// probes of one [`smt_find`] call.
 struct Staircase {
@@ -156,12 +228,17 @@ struct Staircase {
     alpha: f64,
     delta: f64,
     floor: f64,
+    /// The room check's right-hand side at `floor`: `room + PRUNE_SLACK`.
+    limit: f64,
     /// `steps[j] = t_j`: `x_i` is close to `x_j` exactly for `i` in
     /// `[t_j, j - 1]`.
     steps: Vec<usize>,
     /// Row `j` (stride `k`) holds the least potentials `p_m`, `m <= j`, of
     /// the prefix staircase `t_0..=t_j`: `p_m - p_0 = x_0 - x_m`.
     potentials: Vec<f64>,
+    /// Phase 2's prefix tree, rooted at [`ROOT`]; empty in phase 1, where
+    /// every probe moves `delta` and so every potential.
+    tree: Vec<Node>,
     /// The leaf system handed to the witness relaxation.
     constraints: Vec<Diff>,
 }
@@ -174,44 +251,88 @@ impl Staircase {
             alpha,
             delta: 0.0,
             floor: band.lo,
+            limit: 0.0,
             steps: vec![0; k],
             potentials: vec![0.0; k * k],
+            tree: Vec::new(),
             constraints: Vec::with_capacity(2 * k + 2 + 2 * k * k),
         }
+    }
+
+    /// Starts phase 2: every later probe runs at `delta`, so the settled
+    /// prefixes, and the tree of their bounds, carry over between them.
+    fn fix_delta(&mut self, delta: f64) {
+        self.delta = delta;
+        self.tree.clear();
+        self.tree.push(Node::UNBOUNDED);
     }
 
     /// The witness of the first feasible staircase at separation `delta`
     /// with the lowest frequency at or above `floor`, or `None` when no
     /// staircase is feasible.
     fn probe(&mut self, delta: f64, floor: f64) -> Option<Vec<f64>> {
+        debug_assert!(self.tree.is_empty() || delta.to_bits() == self.delta.to_bits());
         self.delta = delta;
         self.floor = floor;
-        self.descend(0)
+        let room = self.band.hi - floor.max(self.band.lo).min(self.band.hi);
+        self.limit = room + PRUNE_SLACK;
+        let root = (!self.tree.is_empty()).then_some(ROOT);
+        self.descend(0, root).break_value()
     }
 
     /// Tries every step `t_j` for `x_j`, most close pairs first, below the
-    /// prefix fixed so far.
-    fn descend(&mut self, j: usize) -> Option<Vec<f64>> {
+    /// prefix fixed so far (`node` in the tree, when it has one). Breaks
+    /// with the first accepted witness; otherwise continues with a lower
+    /// bound on the largest room requirement along the way to any leaf
+    /// below: the least, over the steps, of the step's own requirement
+    /// and the bound below it.
+    fn descend(&mut self, j: usize, node: Option<usize>) -> ControlFlow<Vec<f64>, f64> {
         if j == self.k {
-            return self.witness();
+            return match self.witness() {
+                Some(witness) => ControlFlow::Break(witness),
+                None => ControlFlow::Continue(f64::NEG_INFINITY),
+            };
         }
         let lowest = if j == 0 { 0 } else { self.steps[j - 1] };
+        let first = node.and_then(|node| self.children(node, j + 1 - lowest));
+        let mut least = f64::INFINITY;
         for t in lowest..=j {
-            self.steps[j] = t;
-            if self.settle(j) {
-                if let Some(witness) = self.descend(j + 1) {
-                    return Some(witness);
+            let child = first.map(|first| first + t - lowest);
+            let mut bound = child.map_or(f64::NEG_INFINITY, |c| self.tree[c].bound);
+            if bound <= self.limit {
+                self.steps[j] = t;
+                let need = self.settle(j);
+                bound = bound.max(need);
+                if need <= self.limit {
+                    bound = bound.max(self.descend(j + 1, child)?);
+                }
+                if let Some(c) = child {
+                    self.tree[c].bound = bound;
                 }
             }
+            least = least.min(bound);
         }
-        None
+        ControlFlow::Continue(least)
+    }
+
+    /// The index of `node`'s first child, allocating its `count` children
+    /// on the first visit; `None` when the tree is full.
+    fn children(&mut self, node: usize, count: usize) -> Option<usize> {
+        if self.tree[node].children == 0 {
+            if self.tree.len() + count > TREE_CAP {
+                return None;
+            }
+            self.tree[node].children = self.tree.len();
+            self.tree.resize(self.tree.len() + count, Node::UNBOUNDED);
+        }
+        Some(self.tree[node].children)
     }
 
     /// Extends the parent prefix's least potentials by `x_j` and relaxes
-    /// them to the least solution of the prefix `0..=j`. Returns `false`
-    /// when that prefix is infeasible: a positive cycle, or a span that
-    /// leaves no room for the remaining `k - 1 - j` gaps in the band.
-    fn settle(&mut self, j: usize) -> bool {
+    /// them to the least solution of the prefix `0..=j`. Returns the room
+    /// that prefix needs in the band — its span plus the remaining
+    /// `k - 1 - j` gaps — or infinity on a positive cycle.
+    fn settle(&mut self, j: usize) -> f64 {
         let k = self.k;
         let (parent, rest) = self.potentials.split_at_mut(j * k);
         let row = &mut rest[..=j];
@@ -222,33 +343,56 @@ impl Staircase {
         let steps = &self.steps[..=j];
         let (delta, a) = (self.delta, -self.alpha);
         let (close, far) = (a - delta, a + delta);
-        // A feasible system settles within one pass per back edge on its
-        // longest paths; any further pass means a positive cycle.
-        for _ in 0..=j + 1 {
-            // Lower bounds point forward: one sweep in index order.
-            for m in 1..=j {
-                let mut p = row[m].max(row[m - 1] + delta);
-                if steps[m] > 0 {
-                    p = p.max(row[steps[m] - 1] + far);
-                }
-                row[m] = p;
+        // Lower bounds point forward: a gap below `x_{m-1}`, and `far`
+        // below the node just above the staircase step.
+        let lift = |row: &mut [f64], m: usize| {
+            let mut p = row[m].max(row[m - 1] + delta);
+            if steps[m] > 0 {
+                p = p.max(row[steps[m] - 1] + far);
             }
-            // Close bounds point backward: `p_j - p_{t_j} <= a - delta`
-            // raises the staircase's top node.
-            let mut raised = false;
-            for m in (1..=j).rev() {
-                let t = steps[m];
-                if t < m && row[m] - close > row[t] + PRUNE_SLACK {
-                    row[t] = row[m] - close;
-                    raised = true;
-                }
+            row[m] = p;
+        };
+        // Close bounds point backward: `p_m - p_{t_m} <= a - delta` raises
+        // the staircase's top node.
+        let raise = |row: &mut [f64], m: usize| {
+            let t = steps[m];
+            let raised = t < m && row[m] - close > row[t] + PRUNE_SLACK;
+            if raised {
+                row[t] = row[m] - close;
             }
-            if !raised {
-                let room = self.band.hi - self.floor.max(self.band.lo).min(self.band.hi);
-                return row[j] - row[0] + (k - 1 - j) as f64 * delta <= room + PRUNE_SLACK;
+            raised
+        };
+        // The parent row is a fixed point of both sweeps, so the first pass
+        // moves only `x_j`, and nothing else unless its close edge raises.
+        if j > 0 {
+            lift(row, j);
+        }
+        let mut settled = !raise(row, j);
+        if !settled {
+            for m in (1..j).rev() {
+                raise(row, m);
+            }
+            // A feasible system settles within one pass per back edge on
+            // its longest paths; any further pass means a positive cycle.
+            for _ in 0..=j {
+                for m in 1..=j {
+                    lift(row, m);
+                }
+                let mut raised = false;
+                for m in (1..=j).rev() {
+                    raised |= raise(row, m);
+                }
+                if !raised {
+                    settled = true;
+                    break;
+                }
             }
         }
-        false
+        if settled {
+            row[j] - row[0] + (k - 1 - j) as f64 * delta
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// Builds the leaf system the general case split would hold for this
@@ -316,17 +460,17 @@ impl Staircase {
 /// # Errors
 ///
 /// Propagates [`CompileError::FrequencyBandExhausted`] from [`smt_find`].
+/// An empty `colors` has no colors and returns no frequencies.
 ///
 /// # Panics
 ///
-/// Panics if `colors` is empty.
+/// Panics if `tolerance <= 0`.
 pub fn frequencies_for_coloring(
     colors: &[usize],
     band: Band,
     alpha: f64,
     tolerance: f64,
 ) -> Result<Vec<f64>, CompileError> {
-    assert!(!colors.is_empty(), "need at least one colored vertex");
     let k = coloring::color_count(colors);
     let values = smt_find(k, band, alpha, tolerance)?;
     Ok(freq_of_color_by_multiplicity(colors, &values))
@@ -478,6 +622,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_colors_place_nothing() {
+        assert_eq!(smt_find(0, Band::new(6.0, 7.0), ALPHA, TOL), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn an_empty_coloring_gets_no_frequencies() {
+        let f = frequencies_for_coloring(&[], Band::new(6.0, 7.0), ALPHA, TOL);
+        assert_eq!(f, Ok(Vec::new()));
     }
 
     #[test]
