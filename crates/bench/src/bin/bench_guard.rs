@@ -15,7 +15,7 @@ use fastsc_bench::regression::{check, Bound::*, Gate};
 /// Every gate CI holds the benches to. Ratio rows are the median of
 /// per-pair `subject / reference` times in permille, both sides measured
 /// back to back in the same run.
-const GATES: [Gate; 15] = [
+const GATES: [Gate; 16] = [
     // Work stealing must not regress toward serializing the heavy jobs.
     Gate { workload: "skewed_batch", strategy: "parallel", bound: VsPost(2.0) },
     // Work stealing vs emulated contiguous chunking over the same jobs.
@@ -33,6 +33,9 @@ const GATES: [Gate; 15] = [
     // Warm whole-device Baseline U vs ColorDynamic, same 256q device and
     // program: U's per-cycle cost must not grow with its deferred gates.
     Gate { workload: "scale256_warm", strategy: PAIRED_RATIO, bound: Ceiling(2000) },
+    // Warm whole-device Baseline U at 1024 qubits: 2.2 ms, so its ~2,000
+    // cycles keep overlaying the shared parking vector.
+    Gate { workload: "scale1024_warm", strategy: "Baseline_U", bound: Ceiling(2_200_000) },
     // Cold partitioned compile at 256 qubits, while that path exists.
     Gate { workload: "scale256", strategy: "partitioned", bound: VsPost(2.0) },
     // Distance-1 crosstalk-graph build plus Welsh–Powell, 64x64 mesh: 40 ms.

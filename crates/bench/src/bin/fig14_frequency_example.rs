@@ -46,7 +46,7 @@ fn main() {
         .expect("non-empty schedule");
     print_grid(
         "frequency map during the busiest two-qubit cycle (idle qubits parked)",
-        &busiest.frequencies,
+        &busiest.frequencies.to_vec(),
         side,
     );
     println!();

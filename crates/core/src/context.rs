@@ -117,7 +117,8 @@ pub struct CompileContext {
     /// compile path never needs the whole-device version (regions build
     /// their own small ones).
     xtalk: OnceLock<CrosstalkGraph>,
-    parking: Vec<f64>,
+    /// One allocation shared by every cycle that overlays it.
+    parking: Arc<[f64]>,
     band: Band,
     alpha: f64,
     baseline_n_freqs: Vec<f64>,
@@ -217,7 +218,7 @@ impl CompileContext {
             device,
             config,
             xtalk: OnceLock::new(),
-            parking,
+            parking: parking.into(),
             band,
             alpha,
             baseline_n_freqs,
@@ -292,6 +293,12 @@ impl CompileContext {
 
     /// Parking (idle) frequency of every qubit.
     pub fn parking(&self) -> &[f64] {
+        &self.parking
+    }
+
+    /// [`parking`](Self::parking) as the shared allocation compiled
+    /// cycles overlay.
+    pub(crate) fn shared_parking(&self) -> &Arc<[f64]> {
         &self.parking
     }
 

@@ -24,7 +24,7 @@ use fastsc_ir::decompose::lower_into;
 use fastsc_ir::layering::{criticality_into, Dag};
 use fastsc_ir::optimize::Peephole;
 use fastsc_ir::{Circuit, Gate};
-use fastsc_noise::{Cycle, CycleScratch, Schedule, ScheduledGate};
+use fastsc_noise::{Cycle, CycleScratch, Frequencies, Schedule, ScheduledGate};
 use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -662,7 +662,6 @@ pub(crate) fn run_engine(
     let mut schedule = Schedule::new(n_qubits);
     let mut max_colors_used = static_color_count;
     let mut deferred_gates = 0usize;
-    let params = *device.params();
     let threshold = config.conflict_threshold;
 
     // ColorDynamic's scheduling loop *is* its dynamic coloring phase;
@@ -851,68 +850,27 @@ pub(crate) fn run_engine(
             }
         }
 
+        // The interaction frequency two-qubit instruction `i` resolved to.
+        let freq_table: &[f64] = match strategy {
+            Strategy::ColorDynamic => freq_of_coupling,
+            _ => static_freqs.expect("baselines are static"),
+        };
+        let interaction_freq = |i: usize| freq_table[coupling_of[i]];
         if waves.is_some() {
             // Wave-gated runs feed the partitioned merge, which rebuilds
             // global cycles from the trace — record the frequency each
             // two-qubit instruction resolved to and skip cycle assembly.
             for &i in admitted.iter() {
                 if q1[i] != NO_QUBIT {
-                    let cpl = coupling_of[i];
-                    freq_of_inst[i] = match strategy {
-                        Strategy::ColorDynamic => freq_of_coupling[cpl],
-                        _ => static_freqs.expect("baselines are static")[cpl],
-                    };
+                    freq_of_inst[i] = interaction_freq(i);
                 }
             }
         } else {
-            // Assemble the cycle: its gate list, frequency vector and
-            // (Baseline G only) active couplings are the only per-cycle
-            // allocations, each made once at its final size.
-            let mut frequencies = ctx.parking().to_vec();
-            let mut gates = Vec::with_capacity(admitted.len());
-            let mut active_couplings = if strategy == Strategy::BaselineG {
-                Vec::with_capacity(admitted_couplings.len())
-            } else {
-                Vec::new()
-            };
-            let mut max_gate_ns: f64 = 0.0;
-            let mut any_two_qubit = false;
-
-            for &i in admitted.iter() {
-                let inst = lowered.instructions()[i];
-                let interaction_freq = if q1[i] != NO_QUBIT {
-                    let (a, b) = (q0[i], q1[i]);
-                    let cpl = coupling_of[i];
-                    let omega = match strategy {
-                        Strategy::ColorDynamic => freq_of_coupling[cpl],
-                        _ => static_freqs.expect("baselines are static")[cpl],
-                    };
-                    frequencies[a] = omega;
-                    frequencies[b] = omega;
-                    if strategy == Strategy::BaselineG {
-                        active_couplings.push((a.min(b), a.max(b)));
-                    }
-                    any_two_qubit = true;
-                    max_gate_ns = max_gate_ns.max(match inst.gate {
-                        Gate::Cz => params.cz_duration_ns(omega),
-                        Gate::ISwap => params.iswap_duration_ns(omega),
-                        Gate::SqrtISwap => params.sqrt_iswap_duration_ns(omega),
-                        g => unreachable!("non-native two-qubit gate {g} survived"),
-                    });
-                    Some(omega)
-                } else {
-                    max_gate_ns = max_gate_ns.max(params.t_single_ns);
-                    None
-                };
-                gates.push(ScheduledGate { instruction: inst, interaction_freq });
-            }
-
-            let duration_ns =
-                max_gate_ns + if any_two_qubit { params.flux_settle_ns } else { 0.0 };
-            schedule.push_cycle_with(
-                Cycle { gates, frequencies, active_couplings, duration_ns },
-                cycle_scratch,
-            );
+            let gates = admitted.iter().map(|&i| ScheduledGate {
+                instruction: lowered.instructions()[i],
+                interaction_freq: (q1[i] != NO_QUBIT).then(|| interaction_freq(i)),
+            });
+            push_cycle(ctx, strategy, gates, &mut schedule, cycle_scratch);
         }
         if let Some(t) = trace.as_deref_mut() {
             t.push(admitted.clone());
@@ -986,6 +944,88 @@ pub(crate) fn run_engine(
         wave_of_cycle,
         freq_of_inst,
     })
+}
+
+/// A cycle's frequencies overlay the shared parking vector only when the
+/// overlay (two `(qubit, frequency)` pairs of 16 bytes per two-qubit gate)
+/// is at least 16x smaller than the dense vector (8 bytes per qubit):
+/// `OVERLAY_MIN_QUBITS_PER_GATE × two-qubit gates < n_qubits`.
+const OVERLAY_MIN_QUBITS_PER_GATE: usize = 64;
+
+/// Assembles one cycle from frequency-assigned gates and pushes it — the
+/// one place both the whole-device engine and the partitioned merge build
+/// cycles. Two-qubit gate qubits sit at their gate's interaction
+/// frequency and every other qubit at its parking frequency; a cycle that
+/// retunes few of the device's qubits stores that as an overlay on the
+/// context's shared parking vector, any other as a dense vector (see
+/// [`OVERLAY_MIN_QUBITS_PER_GATE`]). Baseline G's active couplings are
+/// collected in gate order, and the duration is the slowest gate plus
+/// flux settling when any two-qubit gate runs.
+///
+/// `gates` is walked twice: once to count the two-qubit gates, which
+/// fixes the layout and every buffer's size, then once to fill them, so
+/// the gate list, the frequency buffer (for a cycle with a two-qubit
+/// gate) and Baseline G's couplings are each allocated once at their
+/// final size.
+pub(crate) fn push_cycle<I>(
+    ctx: &CompileContext,
+    strategy: Strategy,
+    gates: I,
+    schedule: &mut Schedule,
+    scratch: &mut CycleScratch,
+) where
+    I: ExactSizeIterator<Item = ScheduledGate> + Clone,
+{
+    let params = ctx.device().params();
+    let parking = ctx.shared_parking();
+    let two_qubit = gates.clone().filter(|g| g.instruction.qubit_pair().is_some()).count();
+    let overlay = OVERLAY_MIN_QUBITS_PER_GATE * two_qubit < parking.len();
+    let (mut dense, mut retuned) = if overlay {
+        (Vec::new(), Vec::with_capacity(2 * two_qubit))
+    } else {
+        (parking.to_vec(), Vec::new())
+    };
+    let mut active_couplings = if strategy == Strategy::BaselineG {
+        Vec::with_capacity(two_qubit)
+    } else {
+        Vec::new()
+    };
+    let mut cycle_gates = Vec::with_capacity(gates.len());
+    let mut max_gate_ns: f64 = 0.0;
+    for g in gates {
+        match g.instruction.qubit_pair() {
+            Some((a, b)) => {
+                let omega = g.interaction_freq.expect("two-qubit gate has a frequency");
+                if overlay {
+                    retuned.extend([(a, omega), (b, omega)]);
+                } else {
+                    dense[a] = omega;
+                    dense[b] = omega;
+                }
+                if strategy == Strategy::BaselineG {
+                    active_couplings.push((a.min(b), a.max(b)));
+                }
+                max_gate_ns = max_gate_ns.max(match g.instruction.gate {
+                    Gate::Cz => params.cz_duration_ns(omega),
+                    Gate::ISwap => params.iswap_duration_ns(omega),
+                    Gate::SqrtISwap => params.sqrt_iswap_duration_ns(omega),
+                    gate => unreachable!("non-native two-qubit gate {gate} survived"),
+                });
+            }
+            None => max_gate_ns = max_gate_ns.max(params.t_single_ns),
+        }
+        cycle_gates.push(g);
+    }
+    let frequencies = if overlay {
+        Frequencies::overlay(Arc::clone(parking), retuned)
+    } else {
+        Frequencies::from(dense)
+    };
+    let duration_ns = max_gate_ns + if two_qubit > 0 { params.flux_settle_ns } else { 0.0 };
+    schedule.push_cycle_with(
+        Cycle { gates: cycle_gates, frequencies, active_couplings, duration_ns },
+        scratch,
+    );
 }
 
 #[cfg(test)]

@@ -2,11 +2,14 @@
 //!
 //! A counting global allocator counts the allocations the calling thread
 //! makes (`alloc`, `alloc_zeroed` and `realloc` calls; other threads are
-//! not counted). After one warm-up pass over the Fig. 9 jobs, a compile
-//! may allocate at most:
+//! not counted) and the bytes they request. After one warm-up pass over
+//! the Fig. 9 jobs, a compile may allocate at most:
 //!
-//! - two buffers per cycle of the returned schedule (its gate list and
-//!   frequency vector),
+//! - one gate list per cycle of the returned schedule,
+//! - one frequency buffer per cycle with a two-qubit gate (a dense
+//!   vector, or the retuned pairs overlaid on the context's shared
+//!   parking vector; a cycle of single-qubit gates only shares the
+//!   parking vector and allocates no frequencies),
 //! - one more per Baseline G cycle with active couplings,
 //! - `ceil(log2(depth)) + 1` for the schedule's cycle list, which starts
 //!   empty and at least doubles each time it grows,
@@ -17,6 +20,11 @@
 //! allocates anything but the schedule the compile returns, so a
 //! per-compile or per-cycle working buffer added to either fails this
 //! test.
+//!
+//! A second test bounds the bytes of a warm whole-device Baseline U
+//! compile of the 1024-qubit scale-tier XEB program under [`U1024_BYTES`]:
+//! its ~2,000 cycles each retune at most a few qubits, so overlays keep
+//! the schedule far smaller than one dense 8 KiB vector per cycle.
 
 use fastsc_core::router::route;
 use fastsc_core::{Compiler, CompilerConfig, Strategy};
@@ -38,12 +46,14 @@ fn doubling_allocations(len: usize) -> usize {
 
 thread_local! {
     static COUNT: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -51,17 +61,17 @@ fn count_one() {
 // which never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -79,6 +89,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = COUNT.with(Cell::get);
     let out = f();
     (out, COUNT.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the bytes the calling thread's
+/// allocations inside it requested (a `realloc` counts its new size).
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 #[test]
@@ -115,16 +133,53 @@ fn warm_compiles_allocate_only_the_schedule() {
         let lowered = peephole(&decompose(&routed.circuit, config.decomposition));
         assert_eq!(compiled.stats.lowered_gate_count, lowered.len());
         let cycles = compiled.schedule.cycles();
+        let two_qubit_cycles = cycles
+            .iter()
+            .filter(|c| c.gates.iter().any(|g| g.instruction.gate.is_two_qubit()))
+            .count();
         let coupler_cycles = cycles.iter().filter(|c| !c.active_couplings.is_empty()).count();
-        let budget =
-            2 * cycles.len() + coupler_cycles + doubling_allocations(cycles.len()) + OWN;
+        let budget = cycles.len()
+            + two_qubit_cycles
+            + coupler_cycles
+            + doubling_allocations(cycles.len())
+            + OWN;
         if allocs > budget {
             failures.push(format!(
                 "{bench} {strategy}: {allocs} allocations > budget {budget} (depth {}, \
-                 coupler cycles {coupler_cycles})",
+                 two-qubit cycles {two_qubit_cycles}, coupler cycles {coupler_cycles})",
                 cycles.len()
             ));
         }
     }
     assert!(failures.is_empty(), "over budget:\n{}", failures.join("\n"));
+}
+
+/// Bytes a warm whole-device Baseline U compile of the 1024-qubit
+/// scale-tier XEB program (1,985 cycles) may allocate. Measured at
+/// 811,656 bytes; the bound leaves about 50% headroom.
+const U1024_BYTES: usize = 1_200_000;
+
+/// The same compile when every cycle stored a dense 8 KiB frequency
+/// vector: 16,943,816 bytes measured. Overlays must keep the compile
+/// under a quarter of it.
+const U1024_DENSE_BYTES: usize = 16_943_816;
+const _: () = assert!(4 * U1024_BYTES < U1024_DENSE_BYTES);
+
+#[test]
+fn a_warm_1024q_baseline_u_compile_stays_under_its_byte_budget() {
+    let tier = fastsc_workloads::scale_tiers()
+        .into_iter()
+        .find(|t| t.n_qubits() == 1024)
+        .expect("the ladder has a 1024-qubit tier");
+    let compiler =
+        Compiler::new(Device::grid(tier.side, tier.side, tier.seed), CompilerConfig::default());
+    let program = tier.circuit();
+    compiler.compile(&program, Strategy::BaselineU).expect("compiles");
+    let (compiled, bytes) =
+        counted_bytes(|| compiler.compile(&program, Strategy::BaselineU).expect("compiles"));
+    assert!(
+        bytes < U1024_BYTES,
+        "{bytes} bytes >= budget {U1024_BYTES} (depth {})",
+        compiled.schedule.depth()
+    );
 }

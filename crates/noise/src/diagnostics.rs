@@ -11,6 +11,8 @@
 
 use crate::coupling;
 use crate::decoherence::{flux_adjusted_t2, DecoherenceModel};
+use crate::estimator::CycleIndex;
+use crate::frequencies::FrequencyScratch;
 use crate::schedule::Schedule;
 use fastsc_device::Device;
 
@@ -126,8 +128,11 @@ pub fn error_budget(device: &Device, schedule: &Schedule) -> ErrorBudget {
         ep.active = false;
     };
 
+    let mut scratch = FrequencyScratch::new();
+    let mut index = CycleIndex::new(n);
     for (cycle_idx, cycle) in schedule.cycles().iter().enumerate() {
         let t = cycle.duration_ns;
+        let freqs = scratch.dense(&cycle.frequencies);
         for g in &cycle.gates {
             let e = if g.instruction.gate.is_two_qubit() {
                 params.base_two_qubit_error
@@ -136,22 +141,22 @@ pub fn error_budget(device: &Device, schedule: &Schedule) -> ErrorBudget {
             };
             gate_survival *= 1.0 - e;
         }
-        let busy = cycle.busy_couplings();
+        index.load(cycle);
         for (idx, &(u, v)) in edges.iter().enumerate() {
             let ep = &mut eps[idx];
             let alpha_u = device.qubit(u).anharmonicity;
             let alpha_v = device.qubit(v).anharmonicity;
-            if busy.contains(&(u, v)) {
+            if index.runs_gate(u, v) {
                 ep.active = false;
                 continue;
             }
-            let coupler_on = cycle.active_couplings.contains(&(u, v));
+            let coupler_on = index.is_active(u, v);
             let factor = if device.coupler().is_tunable() && !coupler_on {
                 device.coupler().inactive_factor()
             } else {
                 1.0
             };
-            let (wu, wv) = (cycle.frequencies[u], cycle.frequencies[v]);
+            let (wu, wv) = (freqs[u], freqs[v]);
             let g0 = factor * params.coupling_at(wu.max(wv));
             let same = ep.active
                 && (ep.wu - wu).abs() < 1e-12
@@ -164,7 +169,7 @@ pub fn error_budget(device: &Device, schedule: &Schedule) -> ErrorBudget {
             if ep.active {
                 ep.t_ns += t;
             }
-            if cycle.is_qubit_busy(u) || cycle.is_qubit_busy(v) {
+            if index.is_busy(u) || index.is_busy(v) {
                 close(ep, (u, v), cycle_idx, alpha_u, alpha_v, &mut budget.crosstalk);
             }
         }
@@ -172,7 +177,7 @@ pub fn error_budget(device: &Device, schedule: &Schedule) -> ErrorBudget {
             let spec = device.qubit(q);
             let t2 = flux_adjusted_t2(
                 spec.t2_us,
-                spec.sweet_spot_distance(cycle.frequencies[q]),
+                spec.sweet_spot_distance(freqs[q]),
                 params.flux_noise_slope,
             );
             let t_us = t * 1e-3;
@@ -214,7 +219,7 @@ mod tests {
         };
         s.push_cycle(Cycle {
             gates: vec![g(0, 1), g(2, 3)],
-            frequencies: vec![6.5, 6.5, 6.5, 6.5],
+            frequencies: vec![6.5, 6.5, 6.5, 6.5].into(),
             active_couplings: vec![],
             duration_ns: 70.0,
         });
@@ -280,7 +285,7 @@ mod tests {
         let mut s = Schedule::new(2);
         s.push_cycle(Cycle {
             gates: vec![],
-            frequencies: vec![5.2, 5.2 + alpha],
+            frequencies: vec![5.2, 5.2 + alpha].into(),
             active_couplings: vec![],
             duration_ns: 100.0,
         });

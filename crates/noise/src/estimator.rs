@@ -2,8 +2,10 @@
 
 use crate::coupling;
 use crate::decoherence::{flux_adjusted_t2, DecoherenceModel};
-use crate::schedule::Schedule;
+use crate::frequencies::FrequencyScratch;
+use crate::schedule::{Cycle, Schedule};
 use fastsc_device::Device;
+use fastsc_ir::Operands;
 
 /// Toggles for the noise channels included in the estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,6 +83,70 @@ struct Episode {
     /// Fully attenuated effective coupling for this episode, GHz.
     g0: f64,
     t_ns: f64,
+}
+
+/// One cycle's gates indexed by qubit, rebuilt per cycle in O(gates) so
+/// the per-coupling questions — does this coupling run its own gate, is
+/// an endpoint busy, is its coupler on — cost O(1) (O(log) for the
+/// coupler) instead of a scan of the cycle's gate list.
+#[derive(Debug, Default)]
+pub(crate) struct CycleIndex {
+    /// `stamp[q] == current` iff `q` executes a gate in the loaded cycle.
+    stamp: Vec<usize>,
+    /// The other operand of `q`'s two-qubit gate, `usize::MAX` for a
+    /// single-qubit gate; meaningful only where `q` is stamped.
+    partner: Vec<usize>,
+    /// The loaded cycle's active couplings, sorted.
+    active: Vec<(usize, usize)>,
+    current: usize,
+}
+
+impl CycleIndex {
+    /// An index over `n_qubits` qubits, with no cycle loaded.
+    pub(crate) fn new(n_qubits: usize) -> Self {
+        CycleIndex {
+            stamp: vec![0; n_qubits],
+            partner: vec![usize::MAX; n_qubits],
+            ..Default::default()
+        }
+    }
+
+    /// Indexes `cycle`, forgetting the previous one.
+    pub(crate) fn load(&mut self, cycle: &Cycle) {
+        self.current += 1;
+        for g in &cycle.gates {
+            let (a, b) = match g.instruction.operands {
+                Operands::One(q) => (q, usize::MAX),
+                Operands::Two(a, b) => {
+                    self.stamp[b] = self.current;
+                    self.partner[b] = a;
+                    (a, b)
+                }
+            };
+            self.stamp[a] = self.current;
+            self.partner[a] = b;
+        }
+        self.active.clear();
+        self.active.extend_from_slice(&cycle.active_couplings);
+        self.active.sort_unstable();
+    }
+
+    /// Whether `q` executes any gate this cycle
+    /// ([`Cycle::is_qubit_busy`]).
+    pub(crate) fn is_busy(&self, q: usize) -> bool {
+        self.stamp[q] == self.current
+    }
+
+    /// Whether the coupling `(u, v)` (`u < v`) executes its own
+    /// two-qubit gate this cycle (is in [`Cycle::busy_couplings`]).
+    pub(crate) fn runs_gate(&self, u: usize, v: usize) -> bool {
+        self.is_busy(u) && self.partner[u] == v
+    }
+
+    /// Whether `(u, v)` (`u < v`) is one of the cycle's active couplings.
+    pub(crate) fn is_active(&self, u: usize, v: usize) -> bool {
+        self.active.binary_search(&(u, v)).is_ok()
+    }
 }
 
 struct ChannelLedger {
@@ -161,9 +227,12 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
     let mut d2_eps = vec![Episode::default(); distance2_pairs.len()];
     let mut x1 = vec![0.0f64; n]; // accumulated t/T1
     let mut x2 = vec![0.0f64; n]; // accumulated t/T2_eff
+    let mut scratch = FrequencyScratch::new();
+    let mut index = CycleIndex::new(n);
 
     for cycle in schedule.cycles() {
         let t = cycle.duration_ns;
+        let freqs = scratch.dense(&cycle.frequencies);
 
         // Intended-gate base errors.
         for g in &cycle.gates {
@@ -175,28 +244,24 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
             gate_survival *= 1.0 - eps;
         }
 
-        let busy = cycle.busy_couplings();
-        let coupler_on = |a: usize, b: usize| -> bool {
-            let key = (a.min(b), a.max(b));
-            busy.contains(&key) || cycle.active_couplings.contains(&key)
-        };
+        index.load(cycle);
 
         // Advance per-coupling episodes.
         for (idx, &(u, v)) in edges.iter().enumerate() {
             let ep = &mut edge_eps[idx];
             let alpha_u = device.qubit(u).anharmonicity;
             let alpha_v = device.qubit(v).anharmonicity;
-            if busy.contains(&(u, v)) {
+            if index.runs_gate(u, v) {
                 // Own gate: close without charging a crosstalk channel.
                 ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
                 continue;
             }
-            let factor = if device.coupler().is_tunable() && !coupler_on(u, v) {
+            let factor = if device.coupler().is_tunable() && !index.is_active(u, v) {
                 device.coupler().inactive_factor()
             } else {
                 1.0
             };
-            let (wu, wv) = (cycle.frequencies[u], cycle.frequencies[v]);
+            let (wu, wv) = (freqs[u], freqs[v]);
             let g0 = factor * params.coupling_at(wu.max(wv));
             let same_config = ep.active
                 && (ep.wu - wu).abs() < 1e-12
@@ -211,7 +276,7 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
             }
             // Drive or flux activity on an endpoint scrambles the channel
             // phase: charge this episode now and restart.
-            if cycle.is_qubit_busy(u) || cycle.is_qubit_busy(v) {
+            if index.is_busy(u) || index.is_busy(v) {
                 ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
             }
         }
@@ -230,7 +295,7 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
             let ep = &mut d2_eps[idx];
             let alpha_u = device.qubit(u).anharmonicity;
             let alpha_v = device.qubit(v).anharmonicity;
-            let (wu, wv) = (cycle.frequencies[u], cycle.frequencies[v]);
+            let (wu, wv) = (freqs[u], freqs[v]);
             let g0 = d2_attenuation
                 * params.distance2_coupling_factor
                 * params.coupling_at(wu.max(wv));
@@ -245,7 +310,7 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
             if ep.active {
                 ep.t_ns += t;
             }
-            if cycle.is_qubit_busy(u) || cycle.is_qubit_busy(v) {
+            if index.is_busy(u) || index.is_busy(v) {
                 ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
             }
         }
@@ -256,7 +321,7 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
             let t2 = if config.include_flux_noise {
                 flux_adjusted_t2(
                     spec.t2_us,
-                    spec.sweet_spot_distance(cycle.frequencies[q]),
+                    spec.sweet_spot_distance(freqs[q]),
                     params.flux_noise_slope,
                 )
             } else {
@@ -384,6 +449,41 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_cycle_index_answers_like_the_cycle_it_indexes() {
+        let h = |q| ScheduledGate {
+            instruction: Instruction { gate: Gate::H, operands: Operands::One(q) },
+            interaction_freq: None,
+        };
+        let cycles = [
+            Cycle {
+                gates: vec![gate2(Gate::Cz, 3, 1, 6.5), h(0), gate2(Gate::ISwap, 4, 5, 6.2)],
+                frequencies: vec![5.0; 6].into(),
+                active_couplings: vec![(4, 5), (1, 3), (0, 2)],
+                duration_ns: 50.0,
+            },
+            Cycle {
+                gates: vec![h(1), gate2(Gate::Cz, 0, 2, 6.5)],
+                frequencies: vec![5.0; 6].into(),
+                active_couplings: vec![],
+                duration_ns: 50.0,
+            },
+        ];
+        let mut index = CycleIndex::new(6);
+        for cycle in &cycles {
+            index.load(cycle);
+            let busy = cycle.busy_couplings();
+            for u in 0..6 {
+                assert_eq!(index.is_busy(u), cycle.is_qubit_busy(u), "qubit {u}");
+                for v in u + 1..6 {
+                    assert_eq!(index.runs_gate(u, v), busy.contains(&(u, v)), "({u}, {v})");
+                    let active = cycle.active_couplings.contains(&(u, v));
+                    assert_eq!(index.is_active(u, v), active, "({u}, {v})");
+                }
+            }
+        }
+    }
+
     /// A 2x2 device; parking at 5.0/5.5 checkerboard.
     fn device() -> Device {
         Device::grid(2, 2, 7)
@@ -402,7 +502,7 @@ mod tests {
         freqs[1] = fb;
         Cycle {
             gates: vec![gate2(Gate::Cz, 0, 1, int)],
-            frequencies: freqs,
+            frequencies: freqs.into(),
             active_couplings: vec![],
             duration_ns: 70.0,
         }
@@ -423,7 +523,7 @@ mod tests {
         let mut s = Schedule::new(4);
         s.push_cycle(Cycle {
             gates: vec![],
-            frequencies: parked_frequencies(4),
+            frequencies: parked_frequencies(4).into(),
             active_couplings: vec![],
             duration_ns: 100.0,
         });
@@ -440,13 +540,39 @@ mod tests {
         // resonance.
         s.push_cycle(Cycle {
             gates: vec![],
-            frequencies: vec![5.0; 4],
+            frequencies: vec![5.0; 4].into(),
             active_couplings: vec![],
             duration_ns: 100.0,
         });
         let r = estimate(&d, &s, &NoiseConfig::default());
         assert!(r.p_success < 0.01, "p = {}", r.p_success);
         assert!(r.max_channel_error > 0.9);
+    }
+
+    #[test]
+    fn overlay_cycles_estimate_bit_identically_to_their_dense_twins() {
+        let d = device().with_coupler(CouplerKind::tunable(0.05));
+        let parking: std::sync::Arc<[f64]> = parked_frequencies(4).into();
+        let retuned = [vec![(0, 6.5), (1, 6.5)], vec![], vec![(3, 6.1), (2, 6.1)], vec![]];
+        let (mut overlay, mut dense) = (Schedule::new(4), Schedule::new(4));
+        for (c, retuned) in retuned.into_iter().enumerate() {
+            let gates = match retuned[..] {
+                [(a, f), (b, _)] => vec![gate2(Gate::Cz, a, b, f)],
+                _ => vec![],
+            };
+            let active_couplings = if c == 0 { vec![(0, 1)] } else { vec![] };
+            let frequencies = crate::Frequencies::overlay(parking.clone(), retuned);
+            let cycle = Cycle { gates, frequencies, active_couplings, duration_ns: 60.0 };
+            let twin =
+                Cycle { frequencies: cycle.frequencies.to_vec().into(), ..cycle.clone() };
+            overlay.push_cycle(cycle);
+            dense.push_cycle(twin);
+        }
+        let config = NoiseConfig { include_distance2: true, ..NoiseConfig::default() };
+        assert_eq!(estimate(&d, &overlay, &config), estimate(&d, &dense, &config));
+        let (a, b) = (crate::error_budget(&d, &overlay), crate::error_budget(&d, &dense));
+        assert_eq!(a.crosstalk_sum().to_bits(), b.crosstalk_sum().to_bits());
+        assert_eq!(a.decoherence, b.decoherence);
     }
 
     #[test]
@@ -470,7 +596,7 @@ mod tests {
             let mut s = Schedule::new(4);
             s.push_cycle(Cycle {
                 gates: vec![gate2(Gate::Cz, 0, 1, f1), gate2(Gate::Cz, 2, 3, f2)],
-                frequencies: vec![f1, f1, f2, f2],
+                frequencies: vec![f1, f1, f2, f2].into(),
                 active_couplings: vec![],
                 duration_ns: 70.0,
             });
@@ -494,7 +620,7 @@ mod tests {
         // Colliding parking frequencies, but all couplers off.
         s.push_cycle(Cycle {
             gates: vec![],
-            frequencies: vec![5.0; 4],
+            frequencies: vec![5.0; 4].into(),
             active_couplings: vec![],
             duration_ns: 100.0,
         });
@@ -510,7 +636,7 @@ mod tests {
             let mut s = Schedule::new(4);
             s.push_cycle(Cycle {
                 gates: vec![],
-                frequencies: vec![5.0, 5.3, 5.3, 5.0],
+                frequencies: vec![5.0, 5.3, 5.3, 5.0].into(),
                 active_couplings: vec![],
                 duration_ns: 200.0,
             });
@@ -549,7 +675,7 @@ mod tests {
         let mut s = Schedule::new(2);
         s.push_cycle(Cycle {
             gates: vec![],
-            frequencies: vec![5.2, 5.2 + alpha],
+            frequencies: vec![5.2, 5.2 + alpha].into(),
             active_couplings: vec![],
             duration_ns: 100.0,
         });
@@ -571,7 +697,7 @@ mod tests {
         // Park far from both sweet spots (5 GHz low, ~7 GHz high).
         s.push_cycle(Cycle {
             gates: vec![],
-            frequencies: vec![6.0, 6.4, 6.4, 6.0],
+            frequencies: vec![6.0, 6.4, 6.4, 6.0].into(),
             active_couplings: vec![],
             duration_ns: 5_000.0,
         });
@@ -597,7 +723,7 @@ mod tests {
         // Qubits 0 and 2 (distance 2) at the same frequency.
         s.push_cycle(Cycle {
             gates: vec![],
-            frequencies: vec![5.2, 5.45, 5.2],
+            frequencies: vec![5.2, 5.45, 5.2].into(),
             active_couplings: vec![],
             duration_ns: 200.0,
         });

@@ -36,10 +36,12 @@ pub mod coupling;
 pub mod decoherence;
 pub mod diagnostics;
 mod estimator;
+mod frequencies;
 mod schedule;
 
 pub use diagnostics::{error_budget, ChannelKind, ErrorBudget};
 pub use estimator::{
     estimate, static_success_estimate, NoiseConfig, SuccessReport, NOMINAL_DEPTH_CYCLES,
 };
+pub use frequencies::{Frequencies, FrequencyScratch, Iter as FrequencyIter};
 pub use schedule::{Cycle, CycleScratch, Schedule, ScheduledGate};

@@ -1,6 +1,7 @@
 //! The compiled-schedule data model: what the compiler emits and the
 //! estimator consumes.
 
+use crate::Frequencies;
 use fastsc_ir::{Instruction, Operands};
 use std::fmt;
 
@@ -21,8 +22,11 @@ pub struct Cycle {
     /// Gates executing in this cycle (disjoint operand sets).
     pub gates: Vec<ScheduledGate>,
     /// Every qubit's 0-1 frequency (GHz) during this cycle — interaction
-    /// frequencies for gate qubits, parking frequencies for idle ones.
-    pub frequencies: Vec<f64>,
+    /// frequencies for two-qubit gate qubits, parking frequencies for
+    /// the others. Reads like a dense vector; the compiler stores a cycle
+    /// that retunes few of the device's qubits as an overlay on the
+    /// device's shared parking vector (see [`Frequencies`]).
+    pub frequencies: Frequencies,
     /// Couplings (normalized `(min, max)` qubit pairs) whose tunable
     /// coupler is active this cycle. Ignored on fixed-coupler hardware.
     pub active_couplings: Vec<(usize, usize)>,
@@ -96,7 +100,7 @@ impl Schedule {
     ///
     /// # Panics
     ///
-    /// Panics if the cycle's frequency vector does not cover every qubit,
+    /// Panics if the cycle's frequencies do not cover every qubit,
     /// if its duration is negative, if two gates share a qubit, or if any
     /// operand is out of range.
     pub fn push_cycle(&mut self, cycle: Cycle) {
@@ -168,7 +172,8 @@ impl Schedule {
     /// A pinned 64-bit digest of **everything** in the schedule: qubit
     /// count, cycle count, and for every cycle its gates (gate
     /// identity, parameters, operands, and interaction frequency bits),
-    /// the full per-qubit frequency vector, active couplings, and
+    /// every qubit's frequency (the logical values, so an overlay and its
+    /// dense twin hash equal), active couplings, and
     /// duration — all folded through the workspace's stable FNV-1a
     /// [`StableHasher`](fastsc_ir::hash::StableHasher) with exact
     /// IEEE-754 bit patterns for every float.
@@ -272,6 +277,7 @@ impl fmt::Display for Schedule {
 mod tests {
     use super::*;
     use fastsc_ir::{Gate, Instruction, Operands};
+    use std::sync::Arc;
 
     fn gate1(g: Gate, q: usize) -> ScheduledGate {
         ScheduledGate {
@@ -288,7 +294,12 @@ mod tests {
     }
 
     fn cycle(gates: Vec<ScheduledGate>, n: usize, t: f64) -> Cycle {
-        Cycle { gates, frequencies: vec![5.0; n], active_couplings: vec![], duration_ns: t }
+        Cycle {
+            gates,
+            frequencies: vec![5.0; n].into(),
+            active_couplings: vec![],
+            duration_ns: t,
+        }
     }
 
     #[test]
@@ -337,6 +348,50 @@ mod tests {
         assert_ne!(zero.stable_hash(), negzero.stable_hash());
     }
 
+    /// A two-cycle schedule whose frequencies overlay `parking`, and its
+    /// dense twin.
+    fn overlay_and_dense_twin(parking: &Arc<[f64]>) -> (Schedule, Schedule) {
+        let gates = [vec![gate1(Gate::H, 2)], vec![gate2(Gate::Cz, 1, 2, 6.5)]];
+        let retuned = [vec![], vec![(2, 6.5), (1, 6.5)]];
+        let (mut overlay, mut dense) = (Schedule::new(3), Schedule::new(3));
+        for (gates, retuned) in gates.into_iter().zip(retuned) {
+            let frequencies = Frequencies::overlay(Arc::clone(parking), retuned);
+            let twin = frequencies.to_vec().into();
+            for (s, frequencies) in [(&mut overlay, frequencies), (&mut dense, twin)] {
+                let gates = gates.clone();
+                s.push_cycle(Cycle {
+                    gates,
+                    frequencies,
+                    active_couplings: vec![],
+                    duration_ns: 50.0,
+                });
+            }
+        }
+        (overlay, dense)
+    }
+
+    #[test]
+    fn an_overlay_schedule_equals_and_hashes_like_its_dense_twin() {
+        let (overlay, dense) = overlay_and_dense_twin(&vec![5.0, 5.5, 5.0].into());
+        assert_eq!(overlay, dense);
+        assert_eq!(overlay.stable_hash(), dense.stable_hash());
+        assert_eq!(overlay.cycles()[1].frequencies.to_vec(), vec![5.0, 6.5, 6.5]);
+    }
+
+    #[test]
+    fn writes_to_one_overlay_cycle_leave_every_other_sharer_unchanged() {
+        let parking: Arc<[f64]> = vec![5.0, 5.5, 5.0].into();
+        let (mut edited, dense) = overlay_and_dense_twin(&parking);
+        let (untouched, _) = overlay_and_dense_twin(&parking);
+        edited.cycles[0].frequencies[0] = 4.0;
+        edited.cycles[1].frequencies.pop();
+        assert_eq!(edited.cycles[0].frequencies.to_vec(), vec![4.0, 5.5, 5.0]);
+        assert_eq!(edited.cycles[1].frequencies.to_vec(), vec![5.0, 6.5]);
+        assert_eq!(&parking[..], &[5.0, 5.5, 5.0]);
+        assert_eq!(untouched, dense);
+        assert_eq!(untouched.stable_hash(), dense.stable_hash());
+    }
+
     #[test]
     #[should_panic(expected = "share qubit")]
     fn rejects_overlapping_gates() {
@@ -350,7 +405,7 @@ mod tests {
         let mut s = Schedule::new(3);
         s.push_cycle(Cycle {
             gates: vec![],
-            frequencies: vec![5.0; 2],
+            frequencies: vec![5.0; 2].into(),
             active_couplings: vec![],
             duration_ns: 10.0,
         });

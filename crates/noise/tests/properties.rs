@@ -81,7 +81,7 @@ proptest! {
         for _ in 0..cycles {
             s.push_cycle(Cycle {
                 gates: vec![],
-                frequencies: freqs.clone(),
+                frequencies: freqs.clone().into(),
                 active_couplings: vec![],
                 duration_ns: duration,
             });
@@ -105,7 +105,7 @@ proptest! {
                 instruction: Instruction { gate: Gate::Cz, operands: Operands::Two(0, 1) },
                 interaction_freq: Some(6.5),
             }],
-            frequencies: vec![6.5, 6.5, 5.5, 4.5],
+            frequencies: vec![6.5, 6.5, 5.5, 4.5].into(),
             active_couplings: vec![],
             duration_ns: 70.0,
         };
@@ -132,7 +132,7 @@ proptest! {
         let mut s = Schedule::new(2);
         s.push_cycle(Cycle {
             gates: vec![],
-            frequencies: vec![fa, fb],
+            frequencies: vec![fa, fb].into(),
             active_couplings: vec![],
             duration_ns: 200.0,
         });

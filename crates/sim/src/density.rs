@@ -16,7 +16,7 @@ use crate::statevector::StateVector;
 use fastsc_device::Device;
 use fastsc_ir::math::{Mat2, Mat4, C64, ZERO};
 use fastsc_ir::{Instruction, Operands};
-use fastsc_noise::Schedule;
+use fastsc_noise::{FrequencyScratch, Schedule};
 
 /// An `n`-qubit density matrix (row-major `2^n x 2^n`). Qubit 0 is the
 /// most significant bit, matching [`StateVector`].
@@ -239,6 +239,7 @@ impl DensityMatrix {
 pub fn exact_success(device: &Device, schedule: &Schedule) -> f64 {
     let params = device.params();
     let mut rho = DensityMatrix::zero(schedule.n_qubits());
+    let mut scratch = FrequencyScratch::new();
     for cycle in schedule.cycles() {
         for gate in &cycle.gates {
             rho.apply_instruction(&gate.instruction);
@@ -258,6 +259,7 @@ pub fn exact_success(device: &Device, schedule: &Schedule) -> f64 {
             }
         }
         let t = cycle.duration_ns;
+        let freqs = scratch.dense(&cycle.frequencies);
         let busy = cycle.busy_couplings();
         for (_, (u, v)) in device.connectivity().edges() {
             if busy.contains(&(u, v)) {
@@ -269,7 +271,7 @@ pub fn exact_success(device: &Device, schedule: &Schedule) -> f64 {
             } else {
                 1.0
             };
-            let (wu, wv) = (cycle.frequencies[u], cycle.frequencies[v]);
+            let (wu, wv) = (freqs[u], freqs[v]);
             let g = factor * params.coupling_at(wu.max(wv));
             rho.apply_unitary2(u, v, &crate::trajectory::exchange_unitary_pub(g, wu - wv, t));
         }

@@ -20,7 +20,7 @@
 use crate::statevector::StateVector;
 use fastsc_device::Device;
 use fastsc_ir::math::{Mat4, C64, ONE, ZERO};
-use fastsc_noise::Schedule;
+use fastsc_noise::{FrequencyScratch, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,9 +83,11 @@ fn apply_cycle_noise<R: Rng + ?Sized>(
     state: &mut StateVector,
     device: &Device,
     cycle: &fastsc_noise::Cycle,
+    scratch: &mut FrequencyScratch,
     rng: &mut R,
 ) {
     let t = cycle.duration_ns;
+    let freqs = scratch.dense(&cycle.frequencies);
     let params = device.params();
     let busy = cycle.busy_couplings();
 
@@ -102,7 +104,7 @@ fn apply_cycle_noise<R: Rng + ?Sized>(
         } else {
             1.0
         };
-        let (wu, wv) = (cycle.frequencies[u], cycle.frequencies[v]);
+        let (wu, wv) = (freqs[u], freqs[v]);
         let g = factor * params.coupling_at(wu.max(wv));
         let delta = wu - wv;
         state.apply2(u, v, &exchange_unitary(g, delta, t));
@@ -200,6 +202,7 @@ pub fn run_trajectory<R: Rng + ?Sized>(
 ) -> StateVector {
     let params = *device.params();
     let mut state = StateVector::zero(schedule.n_qubits());
+    let mut scratch = FrequencyScratch::new();
     for cycle in schedule.cycles() {
         for gate in &cycle.gates {
             state.apply_instruction(&gate.instruction);
@@ -213,7 +216,7 @@ pub fn run_trajectory<R: Rng + ?Sized>(
                 inject_pauli_error(&mut state, &qubits, rng);
             }
         }
-        apply_cycle_noise(&mut state, device, cycle, rng);
+        apply_cycle_noise(&mut state, device, cycle, &mut scratch, rng);
     }
     state
 }
@@ -223,16 +226,18 @@ pub fn run_trajectory<R: Rng + ?Sized>(
 /// calibrated control stack tracks in software).
 pub fn ideal_state(device: &Device, schedule: &Schedule) -> StateVector {
     let mut state = StateVector::zero(schedule.n_qubits());
+    let mut scratch = FrequencyScratch::new();
     for cycle in schedule.cycles() {
         for gate in &cycle.gates {
             state.apply_instruction(&gate.instruction);
         }
+        let freqs = scratch.dense(&cycle.frequencies);
         let busy = cycle.busy_couplings();
         for (_, (u, v)) in device.connectivity().edges() {
             if busy.contains(&(u, v)) {
                 continue;
             }
-            let delta = cycle.frequencies[u] - cycle.frequencies[v];
+            let delta = freqs[u] - freqs[v];
             state.apply2(u, v, &free_unitary(delta, cycle.duration_ns));
         }
     }
@@ -360,13 +365,19 @@ mod tests {
         // One long idle cycle.
         schedule.push_cycle(fastsc_noise::Cycle {
             gates: vec![],
-            frequencies: vec![4.5, 5.5],
+            frequencies: vec![4.5, 5.5].into(),
             active_couplings: vec![],
             duration_ns: 10_000.0,
         });
         let mut rng = StdRng::seed_from_u64(1);
         let mut state = StateVector::basis(2, 0b10);
-        apply_cycle_noise(&mut state, &device, &schedule.cycles()[0], &mut rng);
+        apply_cycle_noise(
+            &mut state,
+            &device,
+            &schedule.cycles()[0],
+            &mut FrequencyScratch::new(),
+            &mut rng,
+        );
         assert!(state.excited_population(0) < 0.01);
     }
 
@@ -381,7 +392,7 @@ mod tests {
             let mut s = Schedule::new(2);
             s.push_cycle(fastsc_noise::Cycle {
                 gates: vec![],
-                frequencies: vec![f1, f2],
+                frequencies: vec![f1, f2].into(),
                 active_couplings: vec![],
                 duration_ns: 40.0,
             });
@@ -391,9 +402,21 @@ mod tests {
         let apart = mk_schedule(4.5, 5.5);
         let mut rng = StdRng::seed_from_u64(1);
         let mut psi_collide = StateVector::basis(2, 0b10);
-        apply_cycle_noise(&mut psi_collide, &device, &collide.cycles()[0], &mut rng);
+        apply_cycle_noise(
+            &mut psi_collide,
+            &device,
+            &collide.cycles()[0],
+            &mut FrequencyScratch::new(),
+            &mut rng,
+        );
         let mut psi_apart = StateVector::basis(2, 0b10);
-        apply_cycle_noise(&mut psi_apart, &device, &apart.cycles()[0], &mut rng);
+        apply_cycle_noise(
+            &mut psi_apart,
+            &device,
+            &apart.cycles()[0],
+            &mut FrequencyScratch::new(),
+            &mut rng,
+        );
         let reference = StateVector::basis(2, 0b10);
         assert!(psi_apart.fidelity(&reference) > 0.99);
         assert!(psi_collide.fidelity(&reference) < 0.9);

@@ -100,7 +100,15 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
-    fn f64_slice(&mut self, vs: &[f64]) {
+    /// A length prefix, then every value's bits: `&[f64]` and a cycle's
+    /// `&Frequencies` (in either layout) write the same bytes for the
+    /// same values.
+    fn f64_seq<'v, I>(&mut self, vs: I)
+    where
+        I: IntoIterator<Item = &'v f64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let vs = vs.into_iter();
         self.usize(vs.len());
         for &v in vs {
             self.f64_bits(v);
@@ -177,7 +185,7 @@ pub fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
                 w.usize(c);
             }
             w.usize(s.color_count);
-            w.f64_slice(&s.freqs);
+            w.f64_seq(&s.freqs);
         }
         Artifact::Smt(m) => {
             w.u8(KIND_SMT);
@@ -188,7 +196,7 @@ pub fn encode_artifact(artifact: &Artifact) -> Vec<u8> {
             w.u64(m.band_hi);
             w.u64(m.alpha);
             w.u64(m.tol);
-            w.f64_slice(&m.values);
+            w.f64_seq(&m.values);
         }
         Artifact::Schedule(s) => {
             w.u8(KIND_SCHEDULE);
@@ -336,7 +344,7 @@ fn encode_schedule(w: &mut Writer, schedule: &Schedule) {
                 }
             }
         }
-        w.f64_slice(&cycle.frequencies);
+        w.f64_seq(&cycle.frequencies);
         w.usize(cycle.active_couplings.len());
         for &(a, b) in &cycle.active_couplings {
             w.usize(a);
@@ -388,7 +396,12 @@ fn decode_schedule(r: &mut Reader<'_>) -> Option<Schedule> {
         if duration_ns.is_nan() || duration_ns < 0.0 {
             return None;
         }
-        schedule.push_cycle(Cycle { gates, frequencies, active_couplings, duration_ns });
+        schedule.push_cycle(Cycle {
+            gates,
+            frequencies: frequencies.into(),
+            active_couplings,
+            duration_ns,
+        });
     }
     Some(schedule)
 }
@@ -509,8 +522,9 @@ pub fn scan(bytes: &[u8]) -> ScanOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastsc_core::{Compiler, CompilerConfig, Strategy};
+    use fastsc_core::{CompileContext, Compiler, CompilerConfig, Strategy};
     use fastsc_device::Device;
+    use fastsc_noise::Frequencies;
     use fastsc_workloads::Benchmark;
 
     fn sample_schedule_artifact() -> ScheduleArtifact {
@@ -614,6 +628,56 @@ mod tests {
             back.compiled.stats.lowered_gate_count,
             artifact.compiled.stats.lowered_gate_count
         );
+    }
+
+    /// `artifact`'s schedule with every cycle's frequencies stored in one
+    /// layout: overlays on `parking` (`Some`), or dense vectors (`None`).
+    fn relaid(artifact: &ScheduleArtifact, parking: Option<&Arc<[f64]>>) -> Schedule {
+        let schedule = &artifact.compiled.schedule;
+        let mut relaid = Schedule::new(schedule.n_qubits());
+        for cycle in schedule.cycles() {
+            let values = cycle.frequencies.to_vec();
+            let frequencies = match parking {
+                Some(base) => {
+                    let retuned = (0..values.len())
+                        .filter(|&q| values[q].to_bits() != base[q].to_bits())
+                        .map(|q| (q, values[q]))
+                        .collect();
+                    Frequencies::overlay(Arc::clone(base), retuned)
+                }
+                None => values.into(),
+            };
+            relaid.push_cycle(Cycle { frequencies, ..cycle.clone() });
+        }
+        relaid
+    }
+
+    #[test]
+    fn overlay_and_dense_schedules_encode_to_the_same_pinned_bytes() {
+        let artifact = sample_schedule_artifact();
+        let context = CompileContext::new(Device::grid(3, 3, 7), CompilerConfig::default());
+        let parking: Arc<[f64]> = context.expect("context").parking().into();
+        // Zero the wall-clock compile time so the payload is reproducible.
+        let stats = CompileStats { compile_time: Duration::ZERO, ..artifact.compiled.stats };
+        let encode = |schedule: Schedule| {
+            let compiled = Arc::new(CompiledProgram { schedule, stats });
+            encode_artifact(&Artifact::Schedule(ScheduleArtifact {
+                compiled,
+                ..artifact.clone()
+            }))
+        };
+        let bytes = encode(relaid(&artifact, None));
+        assert_eq!(encode(relaid(&artifact, Some(&parking))), bytes);
+        assert_eq!(encode(artifact.compiled.schedule.clone()), bytes);
+        // The bytes the dense-only schedule model wrote for this artifact:
+        // the layout moved neither the format nor its version.
+        assert_eq!(checksum(&bytes), 0x5d16_7f7f_47b9_acdd, "pinned payload digest moved");
+        let Artifact::Schedule(back) = decode_artifact(&bytes).expect("decodes") else {
+            panic!("wrong kind")
+        };
+        let overlay = relaid(&artifact, Some(&parking));
+        assert_eq!(back.compiled.schedule, overlay);
+        assert_eq!(back.compiled.schedule.stable_hash(), overlay.stable_hash());
     }
 
     #[test]
