@@ -662,6 +662,7 @@ pub(crate) fn run_engine(
     let mut schedule = Schedule::new(n_qubits);
     let mut max_colors_used = static_color_count;
     let mut deferred_gates = 0usize;
+    let params = *device.params();
     let threshold = config.conflict_threshold;
 
     // ColorDynamic's scheduling loop *is* its dynamic coloring phase;
@@ -674,6 +675,7 @@ pub(crate) fn run_engine(
     while n_scheduled < n_inst {
         admitted.clear();
         admitted_couplings.clear();
+        sub_deferred.clear();
         let mut tile_color: Option<usize> = None;
 
         // Serial scheduler (Table I): Baseline U admits one two-qubit
@@ -783,7 +785,6 @@ pub(crate) fn run_engine(
 
             sub_color.clear();
             sub_color.resize(n_active, None);
-            sub_deferred.clear();
             used_colors.clear();
             used_colors.resize(budget, false);
             for &v in sub_order.iter() {
@@ -866,11 +867,53 @@ pub(crate) fn run_engine(
                 }
             }
         } else {
-            let gates = admitted.iter().map(|&i| ScheduledGate {
-                instruction: lowered.instructions()[i],
-                interaction_freq: (q1[i] != NO_QUBIT).then(|| interaction_freq(i)),
-            });
-            push_cycle(ctx, strategy, gates, &mut schedule, cycle_scratch);
+            // Assemble the cycle: its gate list, frequencies and (Baseline
+            // G only) active couplings are the only per-cycle
+            // allocations, each made once at its final size.
+            // (`admitted_couplings` still lists ColorDynamic's
+            // budget-deferred couplings.)
+            let two_qubit = admitted_couplings.len() - sub_deferred.len();
+            let mut frequencies = CycleFrequencies::parked(ctx, two_qubit);
+            let mut gates = Vec::with_capacity(admitted.len());
+            let mut active_couplings = if strategy == Strategy::BaselineG {
+                Vec::with_capacity(two_qubit)
+            } else {
+                Vec::new()
+            };
+            let mut max_gate_ns: f64 = 0.0;
+            let mut any_two_qubit = false;
+
+            for &i in admitted.iter() {
+                let inst = lowered.instructions()[i];
+                let interaction_freq = if q1[i] != NO_QUBIT {
+                    let (a, b) = (q0[i], q1[i]);
+                    let omega = interaction_freq(i);
+                    frequencies.retune(a, b, omega);
+                    if strategy == Strategy::BaselineG {
+                        active_couplings.push((a.min(b), a.max(b)));
+                    }
+                    any_two_qubit = true;
+                    max_gate_ns = max_gate_ns.max(match inst.gate {
+                        Gate::Cz => params.cz_duration_ns(omega),
+                        Gate::ISwap => params.iswap_duration_ns(omega),
+                        Gate::SqrtISwap => params.sqrt_iswap_duration_ns(omega),
+                        g => unreachable!("non-native two-qubit gate {g} survived"),
+                    });
+                    Some(omega)
+                } else {
+                    max_gate_ns = max_gate_ns.max(params.t_single_ns);
+                    None
+                };
+                gates.push(ScheduledGate { instruction: inst, interaction_freq });
+            }
+
+            let duration_ns =
+                max_gate_ns + if any_two_qubit { params.flux_settle_ns } else { 0.0 };
+            let frequencies = frequencies.finish(ctx);
+            schedule.push_cycle_with(
+                Cycle { gates, frequencies, active_couplings, duration_ns },
+                cycle_scratch,
+            );
         }
         if let Some(t) = trace.as_deref_mut() {
             t.push(admitted.clone());
@@ -949,83 +992,59 @@ pub(crate) fn run_engine(
 /// A cycle's frequencies overlay the shared parking vector only when the
 /// overlay (two `(qubit, frequency)` pairs of 16 bytes per two-qubit gate)
 /// is at least 16x smaller than the dense vector (8 bytes per qubit):
-/// `OVERLAY_MIN_QUBITS_PER_GATE × two-qubit gates < n_qubits`.
+/// `OVERLAY_MIN_QUBITS_PER_GATE × two-qubit gates < n_qubits`. Other
+/// cycles stay dense: building and sorting an overlay costs more than
+/// copying a short vector, and overlaying every cycle cost `paper_direct`
+/// (4–25-qubit grids) 1.4–4.1% of its jobs/s (`docs/ENGINE.md`).
 const OVERLAY_MIN_QUBITS_PER_GATE: usize = 64;
 
-/// Assembles one cycle from frequency-assigned gates and pushes it — the
-/// one place both the whole-device engine and the partitioned merge build
-/// cycles. Two-qubit gate qubits sit at their gate's interaction
-/// frequency and every other qubit at its parking frequency; a cycle that
-/// retunes few of the device's qubits stores that as an overlay on the
-/// context's shared parking vector, any other as a dense vector (see
-/// [`OVERLAY_MIN_QUBITS_PER_GATE`]). Baseline G's active couplings are
-/// collected in gate order, and the duration is the slowest gate plus
-/// flux settling when any two-qubit gate runs.
-///
-/// `gates` is walked twice: once to count the two-qubit gates, which
-/// fixes the layout and every buffer's size, then once to fill them, so
-/// the gate list, the frequency buffer (for a cycle with a two-qubit
-/// gate) and Baseline G's couplings are each allocated once at their
-/// final size.
-pub(crate) fn push_cycle<I>(
-    ctx: &CompileContext,
-    strategy: Strategy,
-    gates: I,
-    schedule: &mut Schedule,
-    scratch: &mut CycleScratch,
-) where
-    I: ExactSizeIterator<Item = ScheduledGate> + Clone,
-{
-    let params = ctx.device().params();
-    let parking = ctx.shared_parking();
-    let two_qubit = gates.clone().filter(|g| g.instruction.qubit_pair().is_some()).count();
-    let overlay = OVERLAY_MIN_QUBITS_PER_GATE * two_qubit < parking.len();
-    let (mut dense, mut retuned) = if overlay {
-        (Vec::new(), Vec::with_capacity(2 * two_qubit))
-    } else {
-        (parking.to_vec(), Vec::new())
-    };
-    let mut active_couplings = if strategy == Strategy::BaselineG {
-        Vec::with_capacity(two_qubit)
-    } else {
-        Vec::new()
-    };
-    let mut cycle_gates = Vec::with_capacity(gates.len());
-    let mut max_gate_ns: f64 = 0.0;
-    for g in gates {
-        match g.instruction.qubit_pair() {
-            Some((a, b)) => {
-                let omega = g.interaction_freq.expect("two-qubit gate has a frequency");
-                if overlay {
-                    retuned.extend([(a, omega), (b, omega)]);
-                } else {
-                    dense[a] = omega;
-                    dense[b] = omega;
-                }
-                if strategy == Strategy::BaselineG {
-                    active_couplings.push((a.min(b), a.max(b)));
-                }
-                max_gate_ns = max_gate_ns.max(match g.instruction.gate {
-                    Gate::Cz => params.cz_duration_ns(omega),
-                    Gate::ISwap => params.iswap_duration_ns(omega),
-                    Gate::SqrtISwap => params.sqrt_iswap_duration_ns(omega),
-                    gate => unreachable!("non-native two-qubit gate {gate} survived"),
-                });
-            }
-            None => max_gate_ns = max_gate_ns.max(params.t_single_ns),
+/// The frequencies of one cycle under assembly — the one layout rule the
+/// whole-device engine and the partitioned merge share. Two-qubit gate
+/// qubits sit at their gate's interaction frequency and every other
+/// qubit at its parking frequency; a cycle that retunes few of the
+/// device's qubits stores that as an overlay on the context's shared
+/// parking vector, any other as a dense vector (see
+/// [`OVERLAY_MIN_QUBITS_PER_GATE`]). Either way the buffer is allocated
+/// once, at its final size, and not at all for an overlay that retunes
+/// nothing.
+pub(crate) enum CycleFrequencies {
+    Dense(Vec<f64>),
+    Overlay(Vec<(usize, f64)>),
+}
+
+impl CycleFrequencies {
+    /// Parked frequencies for a cycle of `two_qubit` two-qubit gates, in
+    /// the layout that count picks.
+    pub(crate) fn parked(ctx: &CompileContext, two_qubit: usize) -> Self {
+        let parking = ctx.parking();
+        if OVERLAY_MIN_QUBITS_PER_GATE * two_qubit < parking.len() {
+            CycleFrequencies::Overlay(Vec::with_capacity(2 * two_qubit))
+        } else {
+            CycleFrequencies::Dense(parking.to_vec())
         }
-        cycle_gates.push(g);
     }
-    let frequencies = if overlay {
-        Frequencies::overlay(Arc::clone(parking), retuned)
-    } else {
-        Frequencies::from(dense)
-    };
-    let duration_ns = max_gate_ns + if two_qubit > 0 { params.flux_settle_ns } else { 0.0 };
-    schedule.push_cycle_with(
-        Cycle { gates: cycle_gates, frequencies, active_couplings, duration_ns },
-        scratch,
-    );
+
+    /// Tunes qubits `a` and `b` to a two-qubit gate's frequency `omega`.
+    #[inline]
+    pub(crate) fn retune(&mut self, a: usize, b: usize, omega: f64) {
+        match self {
+            CycleFrequencies::Dense(values) => {
+                values[a] = omega;
+                values[b] = omega;
+            }
+            CycleFrequencies::Overlay(retuned) => retuned.extend([(a, omega), (b, omega)]),
+        }
+    }
+
+    /// The cycle's [`Frequencies`].
+    pub(crate) fn finish(self, ctx: &CompileContext) -> Frequencies {
+        match self {
+            CycleFrequencies::Dense(values) => values.into(),
+            CycleFrequencies::Overlay(retuned) => {
+                Frequencies::overlay(Arc::clone(ctx.shared_parking()), retuned)
+            }
+        }
+    }
 }
 
 #[cfg(test)]

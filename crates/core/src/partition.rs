@@ -44,10 +44,10 @@
 //! for the exact equivalence guarantees and documented exemptions.
 
 use crate::context::CompileContext;
-use crate::engine::{push_cycle, run_engine, EngineOutput, Strategy};
+use crate::engine::{run_engine, CycleFrequencies, EngineOutput, Strategy};
 use crate::error::CompileError;
-use fastsc_ir::{Circuit, Instruction, Operands};
-use fastsc_noise::{CycleScratch, Schedule, ScheduledGate};
+use fastsc_ir::{Circuit, Gate, Instruction, Operands};
+use fastsc_noise::{Cycle, CycleScratch, Schedule, ScheduledGate};
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -415,8 +415,9 @@ pub(crate) fn run_partitioned(
 
         if let Some(run) = &cut_run {
             for at in run.seg_start[s]..run.seg_start[s + 1] {
-                let gates = run.trace[at].iter().map(|&li| gate_from_run(insts, run, li));
-                push_cycle(ctx, strategy, gates, &mut schedule, &mut scratch);
+                let gates: Vec<ScheduledGate> =
+                    run.trace[at].iter().map(|&li| gate_from_run(insts, run, li)).collect();
+                push_cycle_global(ctx, strategy, gates, &mut schedule, &mut scratch);
             }
         }
     }
@@ -469,8 +470,9 @@ fn merge_internal_wave(
         // frequency reconciliation is needed.
         for run in runs {
             for at in run.seg_start[s]..run.seg_start[s + 1] {
-                let gates = run.trace[at].iter().map(|&li| gate_from_run(insts, run, li));
-                push_cycle(ctx, strategy, gates, schedule, scratch);
+                let gates: Vec<ScheduledGate> =
+                    run.trace[at].iter().map(|&li| gate_from_run(insts, run, li)).collect();
+                push_cycle_global(ctx, strategy, gates, schedule, scratch);
             }
         }
         return Ok(());
@@ -632,7 +634,48 @@ fn stitch_and_push(
                 deferred.iter().rev().map(|&v| gates.remove(twoq[v].0)).collect();
             pending.push_back(removed.into_iter().rev().collect());
         }
-        push_cycle(ctx, strategy, gates.iter().copied(), schedule, scratch);
+        push_cycle_global(ctx, strategy, gates, schedule, scratch);
     }
     Ok(())
+}
+
+/// Builds and pushes one global cycle from already-frequency-assigned
+/// gates: frequencies follow the whole-device engine's layout rule
+/// ([`CycleFrequencies`]), the duration is recomputed from the merged gate
+/// set (identical formula to the whole-device engine), and Baseline G's
+/// active couplings are collected in gate order.
+fn push_cycle_global(
+    ctx: &CompileContext,
+    strategy: Strategy,
+    gates: Vec<ScheduledGate>,
+    schedule: &mut Schedule,
+    scratch: &mut CycleScratch,
+) {
+    let params = *ctx.device().params();
+    let two_qubit = gates.iter().filter(|g| g.interaction_freq.is_some()).count();
+    let mut frequencies = CycleFrequencies::parked(ctx, two_qubit);
+    let mut active_couplings = Vec::new();
+    let mut max_gate_ns: f64 = 0.0;
+    for g in &gates {
+        match g.instruction.qubit_pair() {
+            Some((a, b)) => {
+                let omega = g.interaction_freq.expect("two-qubit gate has a frequency");
+                frequencies.retune(a, b, omega);
+                if strategy == Strategy::BaselineG {
+                    active_couplings.push((a.min(b), a.max(b)));
+                }
+                max_gate_ns = max_gate_ns.max(match g.instruction.gate {
+                    Gate::Cz => params.cz_duration_ns(omega),
+                    Gate::ISwap => params.iswap_duration_ns(omega),
+                    Gate::SqrtISwap => params.sqrt_iswap_duration_ns(omega),
+                    gate => unreachable!("non-native two-qubit gate {gate} survived"),
+                });
+            }
+            None => max_gate_ns = max_gate_ns.max(params.t_single_ns),
+        }
+    }
+    let duration_ns = max_gate_ns + if two_qubit > 0 { params.flux_settle_ns } else { 0.0 };
+    let frequencies = frequencies.finish(ctx);
+    schedule
+        .push_cycle_with(Cycle { gates, frequencies, active_couplings, duration_ns }, scratch);
 }

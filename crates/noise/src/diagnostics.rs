@@ -11,7 +11,6 @@
 
 use crate::coupling;
 use crate::decoherence::{flux_adjusted_t2, DecoherenceModel};
-use crate::estimator::CycleIndex;
 use crate::frequencies::FrequencyScratch;
 use crate::schedule::Schedule;
 use fastsc_device::Device;
@@ -129,7 +128,6 @@ pub fn error_budget(device: &Device, schedule: &Schedule) -> ErrorBudget {
     };
 
     let mut scratch = FrequencyScratch::new();
-    let mut index = CycleIndex::new(n);
     for (cycle_idx, cycle) in schedule.cycles().iter().enumerate() {
         let t = cycle.duration_ns;
         let freqs = scratch.dense(&cycle.frequencies);
@@ -141,16 +139,16 @@ pub fn error_budget(device: &Device, schedule: &Schedule) -> ErrorBudget {
             };
             gate_survival *= 1.0 - e;
         }
-        index.load(cycle);
+        let busy = cycle.busy_couplings();
         for (idx, &(u, v)) in edges.iter().enumerate() {
             let ep = &mut eps[idx];
             let alpha_u = device.qubit(u).anharmonicity;
             let alpha_v = device.qubit(v).anharmonicity;
-            if index.runs_gate(u, v) {
+            if busy.contains(&(u, v)) {
                 ep.active = false;
                 continue;
             }
-            let coupler_on = index.is_active(u, v);
+            let coupler_on = cycle.active_couplings.contains(&(u, v));
             let factor = if device.coupler().is_tunable() && !coupler_on {
                 device.coupler().inactive_factor()
             } else {
@@ -169,7 +167,7 @@ pub fn error_budget(device: &Device, schedule: &Schedule) -> ErrorBudget {
             if ep.active {
                 ep.t_ns += t;
             }
-            if index.is_busy(u) || index.is_busy(v) {
+            if cycle.is_qubit_busy(u) || cycle.is_qubit_busy(v) {
                 close(ep, (u, v), cycle_idx, alpha_u, alpha_v, &mut budget.crosstalk);
             }
         }

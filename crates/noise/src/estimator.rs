@@ -3,9 +3,8 @@
 use crate::coupling;
 use crate::decoherence::{flux_adjusted_t2, DecoherenceModel};
 use crate::frequencies::FrequencyScratch;
-use crate::schedule::{Cycle, Schedule};
+use crate::schedule::Schedule;
 use fastsc_device::Device;
-use fastsc_ir::Operands;
 
 /// Toggles for the noise channels included in the estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,70 +82,6 @@ struct Episode {
     /// Fully attenuated effective coupling for this episode, GHz.
     g0: f64,
     t_ns: f64,
-}
-
-/// One cycle's gates indexed by qubit, rebuilt per cycle in O(gates) so
-/// the per-coupling questions — does this coupling run its own gate, is
-/// an endpoint busy, is its coupler on — cost O(1) (O(log) for the
-/// coupler) instead of a scan of the cycle's gate list.
-#[derive(Debug, Default)]
-pub(crate) struct CycleIndex {
-    /// `stamp[q] == current` iff `q` executes a gate in the loaded cycle.
-    stamp: Vec<usize>,
-    /// The other operand of `q`'s two-qubit gate, `usize::MAX` for a
-    /// single-qubit gate; meaningful only where `q` is stamped.
-    partner: Vec<usize>,
-    /// The loaded cycle's active couplings, sorted.
-    active: Vec<(usize, usize)>,
-    current: usize,
-}
-
-impl CycleIndex {
-    /// An index over `n_qubits` qubits, with no cycle loaded.
-    pub(crate) fn new(n_qubits: usize) -> Self {
-        CycleIndex {
-            stamp: vec![0; n_qubits],
-            partner: vec![usize::MAX; n_qubits],
-            ..Default::default()
-        }
-    }
-
-    /// Indexes `cycle`, forgetting the previous one.
-    pub(crate) fn load(&mut self, cycle: &Cycle) {
-        self.current += 1;
-        for g in &cycle.gates {
-            let (a, b) = match g.instruction.operands {
-                Operands::One(q) => (q, usize::MAX),
-                Operands::Two(a, b) => {
-                    self.stamp[b] = self.current;
-                    self.partner[b] = a;
-                    (a, b)
-                }
-            };
-            self.stamp[a] = self.current;
-            self.partner[a] = b;
-        }
-        self.active.clear();
-        self.active.extend_from_slice(&cycle.active_couplings);
-        self.active.sort_unstable();
-    }
-
-    /// Whether `q` executes any gate this cycle
-    /// ([`Cycle::is_qubit_busy`]).
-    pub(crate) fn is_busy(&self, q: usize) -> bool {
-        self.stamp[q] == self.current
-    }
-
-    /// Whether the coupling `(u, v)` (`u < v`) executes its own
-    /// two-qubit gate this cycle (is in [`Cycle::busy_couplings`]).
-    pub(crate) fn runs_gate(&self, u: usize, v: usize) -> bool {
-        self.is_busy(u) && self.partner[u] == v
-    }
-
-    /// Whether `(u, v)` (`u < v`) is one of the cycle's active couplings.
-    pub(crate) fn is_active(&self, u: usize, v: usize) -> bool {
-        self.active.binary_search(&(u, v)).is_ok()
-    }
 }
 
 struct ChannelLedger {
@@ -228,7 +163,6 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
     let mut x1 = vec![0.0f64; n]; // accumulated t/T1
     let mut x2 = vec![0.0f64; n]; // accumulated t/T2_eff
     let mut scratch = FrequencyScratch::new();
-    let mut index = CycleIndex::new(n);
 
     for cycle in schedule.cycles() {
         let t = cycle.duration_ns;
@@ -244,19 +178,23 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
             gate_survival *= 1.0 - eps;
         }
 
-        index.load(cycle);
+        let busy = cycle.busy_couplings();
+        let coupler_on = |a: usize, b: usize| -> bool {
+            let key = (a.min(b), a.max(b));
+            busy.contains(&key) || cycle.active_couplings.contains(&key)
+        };
 
         // Advance per-coupling episodes.
         for (idx, &(u, v)) in edges.iter().enumerate() {
             let ep = &mut edge_eps[idx];
             let alpha_u = device.qubit(u).anharmonicity;
             let alpha_v = device.qubit(v).anharmonicity;
-            if index.runs_gate(u, v) {
+            if busy.contains(&(u, v)) {
                 // Own gate: close without charging a crosstalk channel.
                 ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
                 continue;
             }
-            let factor = if device.coupler().is_tunable() && !index.is_active(u, v) {
+            let factor = if device.coupler().is_tunable() && !coupler_on(u, v) {
                 device.coupler().inactive_factor()
             } else {
                 1.0
@@ -276,7 +214,7 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
             }
             // Drive or flux activity on an endpoint scrambles the channel
             // phase: charge this episode now and restart.
-            if index.is_busy(u) || index.is_busy(v) {
+            if cycle.is_qubit_busy(u) || cycle.is_qubit_busy(v) {
                 ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
             }
         }
@@ -310,7 +248,7 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
             if ep.active {
                 ep.t_ns += t;
             }
-            if index.is_busy(u) || index.is_busy(v) {
+            if cycle.is_qubit_busy(u) || cycle.is_qubit_busy(v) {
                 ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
             }
         }
@@ -446,41 +384,6 @@ mod tests {
         ScheduledGate {
             instruction: Instruction { gate: g, operands: Operands::Two(a, b) },
             interaction_freq: Some(f),
-        }
-    }
-
-    #[test]
-    fn the_cycle_index_answers_like_the_cycle_it_indexes() {
-        let h = |q| ScheduledGate {
-            instruction: Instruction { gate: Gate::H, operands: Operands::One(q) },
-            interaction_freq: None,
-        };
-        let cycles = [
-            Cycle {
-                gates: vec![gate2(Gate::Cz, 3, 1, 6.5), h(0), gate2(Gate::ISwap, 4, 5, 6.2)],
-                frequencies: vec![5.0; 6].into(),
-                active_couplings: vec![(4, 5), (1, 3), (0, 2)],
-                duration_ns: 50.0,
-            },
-            Cycle {
-                gates: vec![h(1), gate2(Gate::Cz, 0, 2, 6.5)],
-                frequencies: vec![5.0; 6].into(),
-                active_couplings: vec![],
-                duration_ns: 50.0,
-            },
-        ];
-        let mut index = CycleIndex::new(6);
-        for cycle in &cycles {
-            index.load(cycle);
-            let busy = cycle.busy_couplings();
-            for u in 0..6 {
-                assert_eq!(index.is_busy(u), cycle.is_qubit_busy(u), "qubit {u}");
-                for v in u + 1..6 {
-                    assert_eq!(index.runs_gate(u, v), busy.contains(&(u, v)), "({u}, {v})");
-                    let active = cycle.active_couplings.contains(&(u, v));
-                    assert_eq!(index.is_active(u, v), active, "({u}, {v})");
-                }
-            }
         }
     }
 
