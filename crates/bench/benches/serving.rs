@@ -23,7 +23,7 @@ use fastsc_service::{
     CompileService, Composite, ProgramAffinity, RoundRobin, ShardPolicy, ShardSpec,
 };
 use fastsc_store::ArtifactStore;
-use fastsc_telemetry::{set_metrics_enabled, set_trace_mode, TraceMode};
+use fastsc_telemetry::{set_trace_mode, TraceMode};
 use fastsc_workloads::Benchmark;
 use rayon::prelude::*;
 use std::hint::black_box;
@@ -352,22 +352,23 @@ fn warm_start() -> Vec<BenchRecord> {
 
 /// `observability_overhead`: a saturated flood of representative 16-qubit
 /// jobs (a job's tracing cost is fixed, so toy circuits would measure the
-/// span clock) with tracing and metrics fully off, then fully on — every
-/// job recording a complete span tree, drained like a real consumer
-/// would. Each side runs two floods per sample; the ratio is on over off.
+/// span clock) with tracing off, then fully on — every job recording a
+/// complete span tree, drained like a real consumer would. Both sides
+/// record metrics: each event is counted once by the record that owns it
+/// (queue, shard, context), which has no off switch, so the row measures
+/// tracing alone. Each side runs two floods per sample; the ratio is on
+/// over off.
 fn observability_overhead() -> Vec<BenchRecord> {
     let jobs = job_mix(24, (16, 6), 12, (8, 5));
     let queue = || queue_over(uncached_fleet(4, &[7, 11]), RetryPolicy::none());
     let (dark, lit) = (queue(), queue());
     let mut off = || {
-        set_metrics_enabled(false);
         set_trace_mode(TraceMode::Off);
         for _ in 0..2 {
             black_box(flood(&dark, &jobs));
         }
     };
     let mut on = || {
-        set_metrics_enabled(true);
         set_trace_mode(TraceMode::On);
         for _ in 0..2 {
             let handles = flood(&lit, &jobs);
@@ -379,8 +380,7 @@ fn observability_overhead() -> Vec<BenchRecord> {
         record::samples(21, 25),
         &mut [&mut off as &mut dyn FnMut(), &mut on],
     );
-    // Back to the process defaults.
-    set_metrics_enabled(true);
+    // Back to the process default.
     set_trace_mode(TraceMode::Off);
     let mut records = sampled.records("observability_overhead", &["disabled", "enabled"]);
     records.push(sampled.ratio_record("observability_overhead", 1));

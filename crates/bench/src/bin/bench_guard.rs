@@ -41,7 +41,8 @@ const GATES: [Gate; 16] = [
     Gate { workload: "scale256", strategy: "partitioned", bound: VsPost(2.0) },
     // Distance-1 crosstalk-graph build plus Welsh–Powell, 64x64 mesh: 40 ms.
     Gate { workload: "xtalk_coloring", strategy: "4096", bound: Ceiling(40_000_000) },
-    // Tracing and metrics fully on vs off on the same flood.
+    // Tracing fully on vs off on the same flood (metrics record on both
+    // sides: each event's owning record always counts).
     Gate { workload: "observability_overhead", strategy: PAIRED_RATIO, bound: Ceiling(1100) },
     // A store-warmed restart vs the identical cold one: at most half.
     Gate { workload: "warm_start", strategy: PAIRED_RATIO, bound: Ceiling(500) },

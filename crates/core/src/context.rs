@@ -24,8 +24,10 @@ use crate::frequency;
 use fastsc_device::{Band, Device};
 use fastsc_graph::coloring;
 use fastsc_graph::crosstalk::CrosstalkGraph;
+use fastsc_telemetry::Histogram;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// The program-independent static frequency assignment shared by
 /// Baseline S and Baseline G: one Welsh–Powell coloring of the full
@@ -86,6 +88,28 @@ impl SmtKey {
     }
 }
 
+/// The concurrent `smt_find` memo plus the one record of its lookups:
+/// a partition's region sub-contexts share the whole thing, so their
+/// hits and solves count toward the context that owns the memo.
+#[derive(Debug, Default)]
+struct SmtMemo {
+    entries: RwLock<HashMap<SmtKey, Arc<Vec<f64>>>>,
+    hits: AtomicU64,
+    /// One observation per solver run.
+    solve_time: Histogram,
+}
+
+/// A context's `smt_find` memo counters at one instant (see
+/// [`CompileContext::smt_stats`]).
+#[derive(Debug, Clone)]
+pub struct SmtStats {
+    /// Lookups answered from the memo.
+    pub memo_hits: u64,
+    /// Time each solver run took; its `count()` is the number of runs
+    /// (memo misses, racing losers included).
+    pub solve_time: Histogram,
+}
+
 /// Per-device precomputation shared across compiles (see the
 /// [module docs](self)).
 ///
@@ -131,12 +155,13 @@ pub struct CompileContext {
     /// when partitioning is disabled or the device does not split.
     partitioned:
         OnceLock<Result<Option<Arc<crate::partition::PartitionedState>>, CompileError>>,
-    /// Concurrent `smt_find` memo keyed by `(k, band, alpha, tol)`.
-    /// Behind an `Arc` so region sub-contexts of a partitioned device
-    /// share the parent's memo: the key includes every input of the
-    /// solve, so a region never re-derives a value the whole device (or
-    /// a sibling region) already solved.
-    smt_memo: Arc<RwLock<HashMap<SmtKey, Arc<Vec<f64>>>>>,
+    /// Concurrent `smt_find` memo keyed by `(k, band, alpha, tol)`, with
+    /// its hit and solve counters. Behind an `Arc` so region
+    /// sub-contexts of a partitioned device share the parent's memo: the
+    /// key includes every input of the solve, so a region never
+    /// re-derives a value the whole device (or a sibling region) already
+    /// solved.
+    smt_memo: Arc<SmtMemo>,
     /// Hard cap on memoized `smt_find` entries (see
     /// [`smt_memo_capacity`](Self::smt_memo_capacity)).
     smt_memo_capacity: usize,
@@ -225,7 +250,7 @@ impl CompileContext {
             baseline_u_freqs,
             statics: OnceLock::new(),
             partitioned: OnceLock::new(),
-            smt_memo: Arc::new(RwLock::new(HashMap::new())),
+            smt_memo: Arc::default(),
             smt_memo_capacity: DEFAULT_SMT_MEMO_CAPACITY,
         }
     }
@@ -382,8 +407,8 @@ impl CompileContext {
     /// same key the first insert wins, every racer observes the identical
     /// value, and only the winner reports `true` — so the flag (and
     /// [`CompileStats::smt_calls`](crate::CompileStats::smt_calls)) does
-    /// not depend on thread interleaving. The `smt_solves` metric still
-    /// counts every solver run, racing losers included.
+    /// not depend on thread interleaving. [`smt_stats`](Self::smt_stats)
+    /// still counts every solver run, racing losers included.
     ///
     /// # Errors
     ///
@@ -392,16 +417,14 @@ impl CompileContext {
     pub fn smt_frequencies(&self, k: usize) -> Result<(Arc<Vec<f64>>, bool), CompileError> {
         let key = SmtKey::new(k, self.band, self.alpha, self.config.smt_tolerance);
         if let Some(hit) = self.read_memo(&key) {
-            fastsc_telemetry::metrics().smt_memo_hits.inc();
+            self.smt_memo.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((hit, false));
         }
         let solve_started = std::time::Instant::now();
         let solved =
             Arc::new(frequency::smt_find(k, self.band, self.alpha, self.config.smt_tolerance)?);
-        let registry = fastsc_telemetry::metrics();
-        registry.smt_solves.inc();
-        registry.smt_solve.observe(solve_started.elapsed());
-        let mut memo = self.smt_memo.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.smt_memo.solve_time.observe(solve_started.elapsed());
+        let mut memo = self.smt_memo.entries.write().unwrap_or_else(PoisonError::into_inner);
         let value = match memo.get(&key) {
             // A concurrent solver won the race: its value is canonical,
             // and this call counts as a hit on it.
@@ -446,7 +469,7 @@ impl CompileContext {
 
     /// Every memoized `smt_find` result in portable form, sorted by key.
     pub fn export_smt_memo(&self) -> Vec<SmtMemoEntry> {
-        let memo = self.smt_memo.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let memo = self.smt_memo.entries.read().unwrap_or_else(PoisonError::into_inner);
         let mut entries: Vec<SmtMemoEntry> = memo
             .iter()
             .map(|(key, values)| SmtMemoEntry {
@@ -472,7 +495,7 @@ impl CompileContext {
     /// matches `k`, the key is not already memoized (first write wins,
     /// as everywhere in the stack), and the capacity allows it.
     pub fn seed_smt_memo(&self, entries: impl IntoIterator<Item = SmtMemoEntry>) -> usize {
-        let mut memo = self.smt_memo.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut memo = self.smt_memo.entries.write().unwrap_or_else(PoisonError::into_inner);
         let mut adopted = 0;
         for e in entries {
             let key = SmtKey {
@@ -499,13 +522,27 @@ impl CompileContext {
     }
 
     fn read_memo(&self, key: &SmtKey) -> Option<Arc<Vec<f64>>> {
-        let memo = self.smt_memo.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        memo.get(key).map(Arc::clone)
+        self.smt_memo
+            .entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .map(Arc::clone)
     }
 
     /// Number of distinct `smt_find` results currently memoized.
     pub fn smt_memo_len(&self) -> usize {
-        self.smt_memo.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.smt_memo.entries.read().unwrap_or_else(PoisonError::into_inner).len()
+    }
+
+    /// The memo's lookup counters: hits, solver runs and their times,
+    /// region sub-contexts of a partitioned device included (they share
+    /// this memo).
+    pub fn smt_stats(&self) -> SmtStats {
+        SmtStats {
+            memo_hits: self.smt_memo.hits.load(Ordering::Relaxed),
+            solve_time: self.smt_memo.solve_time.clone(),
+        }
     }
 }
 
@@ -597,6 +634,8 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "memo must be bit-identical to a fresh solve");
         }
         assert_eq!(c.smt_memo_len(), 1);
+        let stats = c.smt_stats();
+        assert_eq!((stats.memo_hits, stats.solve_time.count()), (1, 1));
     }
 
     #[test]

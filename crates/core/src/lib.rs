@@ -47,6 +47,6 @@ pub mod partition;
 pub mod router;
 
 pub use config::{CompilerConfig, PartitionConfig};
-pub use context::{CompileContext, SmtMemoEntry, StaticAssignment};
+pub use context::{CompileContext, SmtMemoEntry, SmtStats, StaticAssignment};
 pub use engine::{CompileStats, CompiledProgram, Compiler, ParseStrategyError, Strategy};
 pub use error::{CompileError, FailedAttempt};

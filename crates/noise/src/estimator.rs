@@ -168,12 +168,19 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
         let t = cycle.duration_ns;
         let freqs = scratch.dense(&cycle.frequencies);
 
-        // Intended-gate base errors.
+        // Intended-gate base errors. A two-qubit gate must sit on a
+        // coupling: one adjacency probe per gate, next to the walk over
+        // every coupling below.
         for g in &cycle.gates {
-            let eps = if g.instruction.gate.is_two_qubit() {
-                params.base_two_qubit_error
-            } else {
-                params.base_single_qubit_error
+            let eps = match g.instruction.qubit_pair() {
+                Some((a, b)) => {
+                    assert!(
+                        device.are_coupled(a, b),
+                        "two-qubit gate on uncoupled qubits ({a}, {b})"
+                    );
+                    params.base_two_qubit_error
+                }
+                None => params.base_single_qubit_error,
             };
             gate_survival *= 1.0 - eps;
         }
@@ -645,6 +652,21 @@ mod tests {
     fn rejects_mismatched_schedule() {
         let d = device();
         let s = Schedule::new(9);
+        let _ = estimate(&d, &s, &NoiseConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "two-qubit gate on uncoupled qubits (0, 3)")]
+    fn rejects_a_two_qubit_gate_on_an_uncoupled_pair() {
+        // Qubits 0 and 3 sit diagonally on the 2x2 grid.
+        let d = device();
+        let mut s = Schedule::new(4);
+        s.push_cycle(Cycle {
+            gates: vec![gate2(Gate::Cz, 0, 3, 6.5)],
+            frequencies: vec![6.5, 5.5, 5.5, 6.5].into(),
+            active_couplings: vec![],
+            duration_ns: 70.0,
+        });
         let _ = estimate(&d, &s, &NoiseConfig::default());
     }
 

@@ -98,8 +98,9 @@ impl QueueStats {
     /// `fastsc_queue_wait_seconds` — a summary per priority class with
     /// the window's p50/p90/p99 as quantiles 0.5/0.9/0.99 and the
     /// lifetime `_sum`/`_count` (classes with no samples are omitted).
-    /// Scraped next to [`fastsc_telemetry::Metrics::to_prometheus`],
-    /// which holds no queue family.
+    /// A server's scrape appends the compile service's families
+    /// ([`CompileService::to_prometheus`](fastsc_service::CompileService::to_prometheus)),
+    /// none of which is a queue family.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(1024);
         gauge(

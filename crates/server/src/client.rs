@@ -248,8 +248,8 @@ impl Client {
         field_u64(&reply, "job")
     }
 
-    /// One Prometheus text-exposition scrape of the server's metrics
-    /// registry (the `metrics` frame's `body`).
+    /// One Prometheus text-exposition scrape of the server's queue,
+    /// compile service and sockets (the `metrics` frame's `body`).
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
         let reply = self.call(vec![("type", Json::str("metrics"))])?;
         field_str(&reply, "body").map(str::to_string)

@@ -79,8 +79,8 @@ pub enum Request {
         /// [`MAX_TELEMETRY_INTERVAL_MS`]).
         interval_ms: u64,
     },
-    /// One Prometheus text-exposition scrape of the process-global
-    /// metrics registry, answered with a `metrics` frame.
+    /// One Prometheus text-exposition scrape of this server's queue,
+    /// compile service and sockets, answered with a `metrics` frame.
     Metrics,
     /// Export the fleet's compile artifacts (statics, SMT memo,
     /// cached schedules) as a store-format bundle, answered with a
@@ -411,8 +411,8 @@ pub fn result_frame(
 }
 
 /// The `metrics` frame: one Prometheus text-exposition scrape of the
-/// process-global registry, carried in `"body"` with its content type
-/// alongside so an HTTP gateway can proxy it verbatim.
+/// server's queue, compile service and sockets, carried in `"body"` with
+/// its content type alongside so an HTTP gateway can proxy it verbatim.
 pub fn metrics_frame(seq: u64, body: &str) -> Json {
     reply(
         "metrics",

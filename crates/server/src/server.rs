@@ -41,11 +41,11 @@ use fastsc_queue::{
     ClientId, Completions, JobHandle, JobId, JobResult, QueueService, Submission,
 };
 use fastsc_service::FaultInjector;
-use fastsc_telemetry::metrics;
+use fastsc_telemetry::metrics::counter_family;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -81,6 +81,12 @@ struct ServerShared {
     router: Mutex<RouterState>,
     readers: Mutex<Vec<JoinHandle<()>>>,
     writers: Mutex<Vec<JoinHandle<()>>>,
+    /// Client connections accepted.
+    connections: AtomicU64,
+    /// Frame bytes read off client sockets (see [`wire_bytes`]).
+    bytes_read: AtomicU64,
+    /// Frame bytes written to client sockets.
+    bytes_written: AtomicU64,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -129,6 +135,9 @@ impl Server {
             router: Mutex::new(RouterState::default()),
             readers: Mutex::new(Vec::new()),
             writers: Mutex::new(Vec::new()),
+            connections: AtomicU64::new(0),
+            bytes_read: AtomicU64::new(0),
+            bytes_written: AtomicU64::new(0),
         });
         let router = {
             let shared = Arc::clone(&shared);
@@ -226,7 +235,7 @@ fn accept_loop(
             drop(stream);
             continue;
         }
-        metrics().connections.inc();
+        shared.connections.fetch_add(1, Ordering::Relaxed);
         let conn_shared = Arc::clone(&shared);
         let conn_queue = Arc::clone(&queue);
         let reader = thread::Builder::new()
@@ -293,12 +302,12 @@ fn wire_bytes(payload: &str) -> u64 {
     payload.len() as u64 + 4
 }
 
-fn writer_loop(mut stream: TcpStream, frames: mpsc::Receiver<String>) {
+fn writer_loop(mut stream: TcpStream, frames: mpsc::Receiver<String>, shared: &ServerShared) {
     while let Ok(frame) = frames.recv() {
         if write_frame(&mut stream, &frame).is_err() {
             break;
         }
-        metrics().bytes_written.add(wire_bytes(&frame));
+        shared.bytes_written.fetch_add(wire_bytes(&frame), Ordering::Relaxed);
     }
 }
 
@@ -321,9 +330,10 @@ fn serve_connection(stream: TcpStream, shared: Arc<ServerShared>, queue: Arc<Que
     }
     let Ok(write_half) = stream.try_clone() else { return };
     let (out, frames) = mpsc::channel::<String>();
+    let writer_shared = Arc::clone(&shared);
     let writer = thread::Builder::new()
         .name("fastsc-server-writer".into())
-        .spawn(move || writer_loop(write_half, frames));
+        .spawn(move || writer_loop(write_half, frames, &writer_shared));
     match writer {
         Ok(handle) => lock(&shared.writers).push(handle),
         Err(_) => return,
@@ -355,7 +365,7 @@ impl Connection {
                 // Peer closed, or shutdown while idle.
                 Ok(None) => break,
                 Ok(Some(text)) => {
-                    metrics().bytes_read.add(wire_bytes(&text));
+                    self.shared.bytes_read.fetch_add(wire_bytes(&text), Ordering::Relaxed);
                     match Json::parse(&text) {
                         // An undecodable frame means the peer is broken (or
                         // hostile); explain once, then hang up — there is no
@@ -418,10 +428,26 @@ impl Connection {
                 self.telemetry(seq, count, interval_ms)
             }
             Request::Metrics => {
-                // This server's queue, then the process registry (which
-                // holds no queue family): each family appears once.
+                // This server's queue, then its compile service, then the
+                // server itself: each renders only its own families.
                 let mut body = self.queue.stats().to_prometheus();
-                body.push_str(&metrics().to_prometheus());
+                body.push_str(&self.queue.service().to_prometheus());
+                let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+                counter_family(
+                    &mut body,
+                    "fastsc_server_bytes_total",
+                    "Frame bytes moved over client sockets.",
+                    &[
+                        ("{direction=\"read\"}", count(&self.shared.bytes_read)),
+                        ("{direction=\"written\"}", count(&self.shared.bytes_written)),
+                    ],
+                );
+                counter_family(
+                    &mut body,
+                    "fastsc_server_connections_total",
+                    "Client connections accepted.",
+                    &[("", count(&self.shared.connections))],
+                );
                 self.send(metrics_frame(seq, &body))
             }
             Request::CacheExport => {

@@ -7,6 +7,9 @@ use fastsc_ir::qasm::{from_qasm, malformed_corpus};
 use fastsc_queue::QueueService;
 use fastsc_server::{Client, ClientError, Json, Server, TenantConfig};
 use fastsc_service::{CompileService, Composite, ShardSpec};
+use fastsc_store::ArtifactStore;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The sample program the tests submit: well-formed OpenQASM 2.0 using
@@ -323,42 +326,115 @@ fn metrics_request_returns_prometheus_exposition() {
         "# TYPE fastsc_queue_wait_seconds summary",
         "# TYPE fastsc_queue_jobs_total counter",
         "fastsc_queue_jobs_total{event=\"admitted\"}",
+        "# TYPE fastsc_compile_duration_seconds histogram",
         "# TYPE fastsc_server_connections_total counter",
         "# TYPE fastsc_server_bytes_total counter",
     ] {
         assert!(text.contains(family), "missing {family:?} in scrape:\n{text}");
     }
-    // Valid exposition shape: every line is a comment or `name value`,
-    // and the queue and registry halves declare each family once.
-    let mut declared = std::collections::HashSet::new();
-    for line in text.lines() {
-        assert!(line.starts_with('#') || line.split(' ').count() == 2, "bad line: {line}");
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let name = rest.split(' ').next().expect("TYPE names a family");
-            assert!(declared.insert(name), "family {name} declared twice:\n{text}");
-        }
-    }
+    // Valid exposition shape (the queue, service and server parts
+    // declare each family once), and the compile landed on its shard.
+    let scrape = parse_scrape(&text);
+    let compiled =
+        "fastsc_compile_duration_seconds_count{shard=\"0\",strategy=\"color_dynamic\"}";
+    assert_eq!(scrape.get(compiled), Some(&1.0), "{text}");
     server.shutdown();
 }
 
-#[test]
-fn each_server_scrapes_only_its_own_queue() {
-    let mut a = start_server(one_tenant());
-    let mut b = start_server(one_tenant());
-    let mut client_a = connect(&a, "alpha-token");
-    for _ in 0..2 {
-        let job = client_a.submit(DEMO_QASM, "ColorDynamic", "batch", None).expect("submit");
-        assert!(client_a.wait(job, 30_000).expect("wait").expect("finishes").ok);
+/// A scrape's samples keyed by `name{labels}`, after checking that every
+/// line is a comment or `name value` and each family is declared once.
+fn parse_scrape(text: &str) -> HashMap<String, f64> {
+    let mut declared = std::collections::HashSet::new();
+    let mut samples = HashMap::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let name = rest.split(' ').next().expect("TYPE names a family");
+            assert!(declared.insert(name), "family {name} declared twice:\n{text}");
+        } else if !line.starts_with('#') {
+            let (key, value) = line.rsplit_once(' ').expect("`name value`");
+            assert!(!key.contains(' '), "bad line: {line}");
+            samples.insert(key.to_string(), value.parse().expect("numeric sample"));
+        }
     }
-    let text_a = client_a.metrics_text().expect("scrape A");
-    let text_b = connect(&b, "alpha-token").metrics_text().expect("scrape B");
-    let has = |text: &str, line: &str| text.lines().any(|l| l == line);
-    assert!(has(&text_a, "fastsc_queue_jobs_total{event=\"admitted\"} 2"), "{text_a}");
-    assert!(has(&text_a, "fastsc_queue_jobs_total{event=\"completed\"} 2"), "{text_a}");
-    assert!(has(&text_b, "fastsc_queue_jobs_total{event=\"admitted\"} 0"), "{text_b}");
-    assert!(has(&text_b, "fastsc_queue_depth 0"), "{text_b}");
+    samples
+}
+
+#[test]
+fn each_server_scrapes_only_its_own_queue_and_fleet() {
+    // Two fleets in one process. A: a store-backed shard that an
+    // operator quarantined and restored, three jobs. B: a plain shard,
+    // five jobs.
+    let path = std::env::temp_dir()
+        .join(format!("fastsc-loopback-scrape-{}.store", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let store = Arc::new(ArtifactStore::open(&path).expect("store opens"));
+    let service = CompileService::new(Composite::capacity_aware());
+    let spec = ShardSpec::new(test_device(), CompilerConfig::default());
+    service.add_shard(ShardSpec { store: Some(Arc::clone(&store)), ..spec }).expect("register");
+    assert!(service.quarantine_shard(0) && service.restore_shard(0));
+    let mut a =
+        Server::start(QueueService::with_defaults(service), one_tenant()).expect("starts");
+    let mut b = start_server(one_tenant());
+    let run = |server: &Server, strategies: &[&str]| {
+        let mut client = connect(server, "alpha-token");
+        for strategy in strategies {
+            let job = client.submit(DEMO_QASM, strategy, "batch", None).expect("submit");
+            assert!(client.wait(job, 30_000).expect("wait").expect("finishes").ok);
+        }
+        client
+    };
+    let client_a = run(&a, &["ColorDynamic", "BaselineS", "ColorDynamic"]);
+    let client_b = run(&b, &["BaselineN"; 5]);
+    // Draining flushes A's shard to its store, so its bytes series moves.
+    a.queue().service().drain_shard(0);
+
+    for (server, mut client, jobs, breaker, store) in
+        [(&a, client_a, 3.0, 1.0, Some(&store)), (&b, client_b, 5.0, 0.0, None)]
+    {
+        let text = client.metrics_text().expect("scrape");
+        let scrape = parse_scrape(&text);
+        let at = |key: &str| *scrape.get(key).unwrap_or_else(|| panic!("no {key}:\n{text}"));
+        assert_eq!(at("fastsc_queue_jobs_total{event=\"admitted\"}"), jobs);
+        assert_eq!(at("fastsc_queue_jobs_total{event=\"completed\"}"), jobs);
+        assert_eq!(at("fastsc_server_connections_total"), 1.0);
+
+        let views = server.queue().service().shard_views();
+        assert_eq!(views.len(), 1);
+        let view = &views[0];
+        let compiles: f64 = scrape
+            .iter()
+            .filter(|(key, _)| {
+                key.starts_with("fastsc_compile_duration_seconds_count{shard=\"0\",")
+            })
+            .map(|(_, count)| count)
+            .sum();
+        assert_eq!(compiles, view.health.attempts as f64, "{text}");
+        let (hits, misses) = (
+            at("fastsc_cache_requests_total{shard=\"0\",result=\"hit\"}"),
+            at("fastsc_cache_requests_total{shard=\"0\",result=\"miss\"}"),
+        );
+        assert_eq!(misses, view.cache.misses as f64);
+        assert!(hits >= view.cache.hits as f64, "coalesced hits only add");
+        assert_eq!(hits + misses, jobs, "every job is one hit or one miss");
+        assert_eq!(misses, compiles);
+
+        assert_eq!(at("fastsc_breaker_transitions_total{shard=\"0\",to=\"open\"}"), breaker);
+        assert_eq!(at("fastsc_breaker_transitions_total{shard=\"0\",to=\"closed\"}"), breaker);
+        assert_eq!(at("fastsc_breaker_transitions_total{shard=\"0\",to=\"half_open\"}"), 0.0);
+
+        // A fresh store holds no statics: one miss at hydrate, no hits.
+        let written = store.map_or(0, |store| store.stats().bytes_written);
+        assert_eq!(at("fastsc_store_requests_total{shard=\"0\",result=\"hit\"}"), 0.0);
+        assert_eq!(
+            at("fastsc_store_requests_total{shard=\"0\",result=\"miss\"}"),
+            if store.is_some() { 1.0 } else { 0.0 }
+        );
+        assert_eq!(at("fastsc_store_bytes_written_total{shard=\"0\"}"), written as f64);
+        assert_eq!(written > 0, store.is_some());
+    }
     a.shutdown();
     b.shutdown();
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -32,7 +32,7 @@
 //! uses that lock as a barrier so it can wait out every job already
 //! routed to the shard. Shard indices are dense and stable for the
 //! service's lifetime: removal leaves a tombstone that keeps the index
-//! (and the shard's final cache counters) in place.
+//! (and the shard's final counters) in place.
 //!
 //! Compilation is pure per `(device, config, program, strategy)`, so
 //! routing, stealing, and caching are all invisible in the output: every
@@ -49,7 +49,7 @@ use fastsc_core::{
 };
 use fastsc_device::Device;
 use fastsc_store::ArtifactStore;
-use fastsc_telemetry::{metrics, phase, AttrValue, TraceHandle};
+use fastsc_telemetry::{phase, AttrValue, TraceHandle};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -57,8 +57,10 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 mod persist;
+mod scrape;
 
 pub use persist::ImportReport;
+use scrape::{bump, ShardEvents, ShardSeries};
 
 /// One successfully compiled job, with routing/caching provenance.
 #[derive(Debug, Clone)]
@@ -171,6 +173,10 @@ struct Shard {
     /// Whether a HalfOpen probe job is in flight on this shard (at most
     /// one at a time).
     probing: AtomicBool,
+    /// The events only a scrape reads (compile latency histograms,
+    /// coalesced duplicates, store lookups, breaker transitions); a
+    /// removed shard's tombstone keeps it.
+    events: Arc<ShardEvents>,
 }
 
 impl Shard {
@@ -201,25 +207,46 @@ impl Shard {
         }
     }
 
+    /// Opens the breaker if the shard is Active: quarantines it with a
+    /// fresh cooldown and streak, and counts the transition. Returns
+    /// whether it opened.
+    fn open_breaker(&self) -> bool {
+        let cas = self.state.compare_exchange(
+            STATE_ACTIVE,
+            STATE_QUARANTINED,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        if cas.is_ok() {
+            bump(&self.events.breaker_opened);
+            self.cooldown_routed.store(0, Ordering::Release);
+            self.consecutive_failures.store(0, Ordering::Relaxed);
+        }
+        cas.is_ok()
+    }
+
+    /// Closes the breaker if the shard is Quarantined (a drain or removal
+    /// that raced it wins) and counts the transition. Returns whether it
+    /// closed.
+    fn close_breaker(&self) -> bool {
+        let cas = self.state.compare_exchange(
+            STATE_QUARANTINED,
+            STATE_ACTIVE,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        if cas.is_ok() {
+            bump(&self.events.breaker_closed);
+            self.cooldown_routed.store(0, Ordering::Release);
+        }
+        cas.is_ok()
+    }
+
     /// Closes the breaker if this shard was serving a HalfOpen probe:
     /// the probe came back, so the shard returns to rotation.
     fn close_breaker_if_probing(&self) {
         if self.probing.swap(false, Ordering::AcqRel) {
-            // Only a quarantined shard may be restored: a drain or
-            // removal that raced the probe wins.
-            if self
-                .state
-                .compare_exchange(
-                    STATE_QUARANTINED,
-                    STATE_ACTIVE,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                metrics().breaker_closed.inc();
-            }
-            self.cooldown_routed.store(0, Ordering::Release);
+            self.close_breaker();
         }
     }
 
@@ -242,33 +269,23 @@ impl Shard {
             // HalfOpen probe failed: reopen with a fresh cooldown. The
             // probe job itself fails over through the queue's retry
             // path.
-            metrics().breaker_opened.inc();
+            bump(&self.events.breaker_opened);
             self.cooldown_routed.store(0, Ordering::Release);
             self.consecutive_failures.store(0, Ordering::Relaxed);
             return;
         }
         let streak = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(config) = breaker {
-            if streak >= config.failure_threshold
-                && self
-                    .state
-                    .compare_exchange(
-                        STATE_ACTIVE,
-                        STATE_QUARANTINED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-            {
+            if streak >= config.failure_threshold && self.open_breaker() {
                 self.trips.fetch_add(1, Ordering::Relaxed);
-                metrics().breaker_opened.inc();
-                self.cooldown_routed.store(0, Ordering::Release);
-                self.consecutive_failures.store(0, Ordering::Relaxed);
             }
         }
     }
 
-    fn record_latency(&self, sample: Duration) {
+    /// The one latency recorder: feeds the routing EWMA and the
+    /// per-strategy histogram a scrape reads.
+    fn record_latency(&self, strategy: Strategy, sample: Duration) {
+        self.events.compile[usize::from(strategy.stable_code())].observe(sample);
         let sample_ns = u64::try_from(sample.as_nanos()).unwrap_or(u64::MAX).max(1);
         let mut current = self.ewma_latency_ns.load(Ordering::Relaxed);
         loop {
@@ -304,25 +321,25 @@ impl Drop for InflightGuard<'_> {
 }
 
 /// One registration index: a live shard, or the tombstone a removed
-/// shard leaves behind (frozen profile + final cache counters, so
-/// indices stay stable and fleet cache totals never lose history).
+/// shard leaves behind (frozen profile + final counters, so indices stay
+/// stable and neither fleet cache totals nor a scrape lose history).
 #[derive(Debug, Clone)]
 enum Slot {
     Live(Arc<Shard>),
-    Retired { profile: Arc<ShardProfile>, final_cache: CacheStats },
+    Retired { profile: Arc<ShardProfile>, last: Box<ShardSeries> },
 }
 
 impl Slot {
     fn view(&self, shard: usize) -> ShardView {
         match self {
             Slot::Live(live) => live.view(shard),
-            Slot::Retired { profile, final_cache } => ShardView {
+            Slot::Retired { profile, last } => ShardView {
                 shard,
                 profile: Arc::clone(profile),
                 state: ShardState::Retired,
                 load: 0,
                 ewma_compile_latency: Duration::ZERO,
-                cache: *final_cache,
+                cache: last.cache,
                 health: ShardHealth::default(),
             },
         }
@@ -486,6 +503,7 @@ impl CompileService {
             trips: AtomicU64::new(0),
             cooldown_routed: AtomicU64::new(0),
             probing: AtomicBool::new(false),
+            events: Arc::default(),
         });
         if let Some(store) = &shard.store {
             let mut span = phase("store");
@@ -539,12 +557,13 @@ impl CompileService {
 
     /// Drains shard `shard` (see [`drain_shard`](Self::drain_shard)),
     /// releases its compile context and result cache, and leaves a
-    /// tombstone holding its **final cache counters** — so shard indices
-    /// stay dense and stable and
-    /// [`cache_stats_total`](Self::cache_stats_total) keeps counting the
-    /// retired shard's history instead of silently dropping it. Returns
-    /// those final counters. Idempotent; removing an already-retired
-    /// shard returns its frozen counters again.
+    /// tombstone holding its **final counters** — so shard indices stay
+    /// dense and stable, and both
+    /// [`cache_stats_total`](Self::cache_stats_total) and
+    /// [`to_prometheus`](Self::to_prometheus) keep counting the retired
+    /// shard's history instead of silently dropping it. Returns the final
+    /// cache counters. Idempotent; removing an already-retired shard
+    /// returns its frozen counters again.
     ///
     /// # Panics
     ///
@@ -553,11 +572,11 @@ impl CompileService {
         self.drain_shard(shard);
         let mut shards = self.write_shards();
         match &shards[shard] {
-            Slot::Retired { final_cache, .. } => *final_cache,
+            Slot::Retired { last, .. } => last.cache,
             Slot::Live(live) => {
-                let final_cache = live.cache.stats();
-                shards[shard] =
-                    Slot::Retired { profile: Arc::clone(&live.profile), final_cache };
+                let last = Box::new(live.series());
+                let final_cache = last.cache;
+                shards[shard] = Slot::Retired { profile: Arc::clone(&live.profile), last };
                 final_cache
             }
         }
@@ -614,21 +633,7 @@ impl CompileService {
         let shards = self.read_shards();
         assert!(shard < shards.len(), "shard {shard} of {}", shards.len());
         let Slot::Live(live) = &shards[shard] else { return false };
-        let tripped = live
-            .state
-            .compare_exchange(
-                STATE_ACTIVE,
-                STATE_QUARANTINED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok();
-        if tripped {
-            metrics().breaker_opened.inc();
-            live.cooldown_routed.store(0, Ordering::Release);
-            live.consecutive_failures.store(0, Ordering::Relaxed);
-        }
-        tripped
+        live.open_breaker()
     }
 
     /// Manually closes shard `shard`'s breaker, returning it from
@@ -642,18 +647,8 @@ impl CompileService {
         let shards = self.read_shards();
         assert!(shard < shards.len(), "shard {shard} of {}", shards.len());
         let Slot::Live(live) = &shards[shard] else { return false };
-        let restored = live
-            .state
-            .compare_exchange(
-                STATE_QUARANTINED,
-                STATE_ACTIVE,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok();
+        let restored = live.close_breaker();
         if restored {
-            metrics().breaker_closed.inc();
-            live.cooldown_routed.store(0, Ordering::Release);
             live.consecutive_failures.store(0, Ordering::Relaxed);
             live.probing.store(false, Ordering::Release);
         }
@@ -753,7 +748,7 @@ impl CompileService {
     pub fn cache_stats(&self, shard: usize) -> CacheStats {
         match &self.read_shards()[shard] {
             Slot::Live(live) => live.cache.stats(),
-            Slot::Retired { final_cache, .. } => *final_cache,
+            Slot::Retired { last, .. } => last.cache,
         }
     }
 
@@ -766,7 +761,7 @@ impl CompileService {
         self.read_shards().iter().fold(CacheStats::zero(), |acc, slot| {
             acc.merge(match slot {
                 Slot::Live(live) => live.cache.stats(),
-                Slot::Retired { final_cache, .. } => *final_cache,
+                Slot::Retired { last, .. } => last.cache,
             })
         })
     }
@@ -860,10 +855,18 @@ impl CompileService {
             let (slot_source, unique) = Self::coalesce(&shards, routed);
             (shards.clone(), slot_source, unique)
         };
-        let unique_shards: Vec<usize> = unique.iter().map(|(shard, _, _)| *shard).collect();
+        let unique_shards: Vec<usize> = unique.iter().map(|(shard, ..)| *shard).collect();
         let injector = injector.as_deref();
-        let run = |(shard, hash, job): (usize, u64, CompileJob)| {
-            Self::run_routed(slots[shard].live(shard), shard, hash, &job, injector, breaker)
+        let run = |(shard, hash, job, duplicates): (usize, u64, CompileJob, u64)| {
+            let live = slots[shard].live(shard);
+            // Held until the duplicates are counted, so a drain (and the
+            // tombstone `remove_shard` freezes after it) sees the count.
+            let _inflight = InflightGuard(&live.inflight);
+            let result = Self::run_routed(live, shard, hash, &job, injector, breaker);
+            if result.is_ok() {
+                live.events.coalesced.fetch_add(duplicates, Ordering::Relaxed);
+            }
+            result
         };
         let results: Vec<Result<ServiceReply, CompileError>> = if parallel {
             unique.into_par_iter().map(run).collect()
@@ -886,7 +889,6 @@ impl CompileService {
                 if owner_seen[source] {
                     if let Ok(r) = &mut reply {
                         r.cache_hit = true;
-                        metrics().cache_hits.inc();
                     }
                 } else {
                     owner_seen[source] = true;
@@ -908,15 +910,16 @@ impl CompileService {
     /// [`drain_shard`](CompileService::drain_shard)).
     ///
     /// Returns `(slot_source, unique)`: `unique` is the dispatch list,
+    /// each entry with the number of duplicate slots it also serves, and
     /// `slot_source[i]` the `unique` index serving submission slot `i` —
     /// or the routing error that refused slot `i`.
     #[allow(clippy::type_complexity)]
     fn coalesce(
         slots: &[Slot],
         routed: Vec<Result<(usize, u64, CompileJob), CompileError>>,
-    ) -> (Vec<Result<usize, CompileError>>, Vec<(usize, u64, CompileJob)>) {
+    ) -> (Vec<Result<usize, CompileError>>, Vec<(usize, u64, CompileJob, u64)>) {
         let mut slot_source = Vec::with_capacity(routed.len());
-        let mut unique: Vec<(usize, u64, CompileJob)> = Vec::with_capacity(routed.len());
+        let mut unique: Vec<(usize, u64, CompileJob, u64)> = Vec::with_capacity(routed.len());
         let mut first_of: HashMap<(usize, CacheKey), usize> = HashMap::new();
         for slot in routed {
             let (shard_index, program_hash, job) = match slot {
@@ -935,6 +938,7 @@ impl CompileService {
                     // must compile on its own, never borrow another
                     // program's schedule.
                     Some(&source) if unique[source].2.program == job.program => {
+                        unique[source].3 += 1;
                         slot_source.push(Ok(source));
                         continue;
                     }
@@ -946,7 +950,7 @@ impl CompileService {
             }
             shard.inflight.fetch_add(1, Ordering::Release);
             slot_source.push(Ok(unique.len()));
-            unique.push((shard_index, program_hash, job));
+            unique.push((shard_index, program_hash, job, 0));
         }
         (slot_source, unique)
     }
@@ -1111,7 +1115,7 @@ impl CompileService {
             if live.probing.swap(true, Ordering::AcqRel) {
                 continue;
             }
-            metrics().breaker_half_open.inc();
+            bump(&live.events.breaker_half_opened);
             return Some(index);
         }
         None
@@ -1128,7 +1132,6 @@ impl CompileService {
         injector: Option<&FaultInjector>,
         breaker: Option<BreakerConfig>,
     ) -> Result<ServiceReply, CompileError> {
-        let _inflight = InflightGuard(&shard.inflight);
         // The injection gate sits before the cache: a sick shard fails
         // everything routed to it, cached schedules included, which is
         // how a real shard-wide crash behaves. Latency faults fall
@@ -1154,19 +1157,16 @@ impl CompileService {
             // does answer a HalfOpen probe: the shard responded, and the
             // injection gate above already had its chance to fail it.
             shard.close_breaker_if_probing();
-            metrics().cache_hits.inc();
             if let Some(trace) = &job.trace {
                 trace.span("cache_hit").attr("shard", shard_index);
             }
             return Ok(ServiceReply { shard: shard_index, cache_hit: true, compiled });
         }
-        metrics().cache_misses.inc();
         let _trace = job.trace.as_ref().map(TraceHandle::install);
         let started = Instant::now();
         let result = compile_isolated(&shard.compiler, &job.program, job.strategy);
         let elapsed = started.elapsed();
-        shard.record_latency(elapsed);
-        metrics().compile_duration[usize::from(job.strategy.stable_code())].observe(elapsed);
+        shard.record_latency(job.strategy, elapsed);
         match &result {
             Ok(_) => shard.record_attempt(true, false, breaker),
             Err(error) => shard.record_attempt(false, error.is_transient(), breaker),
@@ -1335,6 +1335,69 @@ mod tests {
         // probed the cache.
         let stats = service.cache_stats(0);
         assert_eq!((stats.misses, stats.hits, stats.len), (1, 0, 1));
+        // The scrape counts the five duplicates as hits on their shard.
+        let scrape = series(&service.to_prometheus());
+        assert_eq!(scrape["fastsc_cache_requests_total{shard=\"0\",result=\"hit\"}"], 5.0);
+        assert_eq!(scrape["fastsc_cache_requests_total{shard=\"0\",result=\"miss\"}"], 1.0);
+    }
+
+    /// A scrape's samples keyed by `name{labels}`.
+    fn series(scrape: &str) -> HashMap<String, f64> {
+        scrape
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| {
+                let (key, value) = line.rsplit_once(' ').expect("`name value`");
+                (key.to_string(), value.parse().expect("numeric sample"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_removed_shard_scrapes_its_final_series() {
+        let path = temp_store_path("final-series");
+        let store = Arc::new(fastsc_store::ArtifactStore::open(&path).expect("opens"));
+        let service = CompileService::new(RoundRobin::new());
+        service
+            .add_shard(ShardSpec { store: Some(store), ..spec(Device::grid(3, 3, 7)) })
+            .expect("registers");
+        service.add_shard(spec(Device::grid(3, 3, 11))).expect("registers");
+        let jobs = || -> Vec<CompileJob> {
+            [Strategy::ColorDynamic, Strategy::BaselineS, Strategy::ColorDynamic]
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| CompileJob::new(Benchmark::Bv(4 + i).build(1), s))
+                .collect()
+        };
+        let _ = service.compile_batch(jobs());
+        assert!(service.quarantine_shard(0) && service.restore_shard(0));
+        let before = series(&service.to_prometheus());
+        service.remove_shard(0);
+        let after = series(&service.to_prometheus());
+        assert_eq!(
+            before.keys().collect::<std::collections::BTreeSet<_>>(),
+            after.keys().collect(),
+            "removal keeps every series"
+        );
+        for (key, value) in &before {
+            assert!(after[key] >= *value, "{key} went backwards: {value} -> {}", after[key]);
+        }
+        for key in [
+            "fastsc_compile_duration_seconds_count{shard=\"0\",strategy=\"color_dynamic\"}",
+            "fastsc_breaker_transitions_total{shard=\"0\",to=\"open\"}",
+            "fastsc_breaker_transitions_total{shard=\"0\",to=\"closed\"}",
+            "fastsc_smt_memo_total{shard=\"0\",result=\"solve\"}",
+            "fastsc_store_bytes_written_total{shard=\"0\"}",
+        ] {
+            assert!(after[key] > 0.0, "{key} is 0 in the final series");
+        }
+        // Later traffic lands on shard 1 only: shard 0's series stay frozen.
+        let _ = service.compile_batch(jobs());
+        let later = series(&service.to_prometheus());
+        for (key, value) in after.iter().filter(|(key, _)| key.contains("shard=\"0\"")) {
+            assert_eq!(later[key], *value, "{key} moved after removal");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! and the cache's equality-verify collision defense — so a damaged or
 //! foreign artifact costs a cold solve, never a wrong schedule.
 
-use super::{CompileService, Shard, Slot};
+use super::{bump, CompileService, Shard, Slot};
 use crate::cache::CacheKey;
 use fastsc_core::{CompiledProgram, SmtMemoEntry, StaticAssignment};
 use fastsc_ir::Circuit;
 use fastsc_store::{Artifact, ArtifactStore, ScheduleArtifact, SmtArtifact, StaticsArtifact};
-use fastsc_telemetry::{metrics, phase};
+use fastsc_telemetry::phase;
 use std::sync::Arc;
 
 /// What [`CompileService::import_artifacts`] did with a peer's exported
@@ -92,7 +92,7 @@ pub(super) fn hydrate(store: &ArtifactStore, shard: &Shard) {
     let (device, config) = (shard.fingerprint, shard.config_fingerprint);
     let statics = store.get_statics(device, config);
     if statics.is_none() {
-        metrics().store_misses.inc();
+        bump(&shard.events.store_misses);
     }
     let artifacts = statics
         .map(Artifact::Statics)
@@ -100,11 +100,11 @@ pub(super) fn hydrate(store: &ArtifactStore, shard: &Shard) {
         .chain(store.smt_entries(device, config).into_iter().map(Artifact::Smt))
         .chain(store.schedules(device, config).into_iter().map(Artifact::Schedule));
     for artifact in artifacts {
-        if adopt_artifact(shard, &artifact) {
-            metrics().store_hits.inc();
+        bump(if adopt_artifact(shard, &artifact) {
+            &shard.events.store_hits
         } else {
-            metrics().store_misses.inc();
-        }
+            &shard.events.store_misses
+        });
     }
 }
 

@@ -3,7 +3,6 @@
 
 use crate::codec::{self, ScanOutcome};
 use crate::{Artifact, ScheduleArtifact, ScheduleKey, SmtArtifact, StaticsArtifact};
-use fastsc_telemetry::metrics;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -40,6 +39,9 @@ pub struct StoreStats {
     /// The file had a foreign magic/version: the store is empty and
     /// refuses to write (the file is preserved for its real owner).
     pub read_only: bool,
+    /// Bytes appended to the file through this handle (puts and
+    /// imports; never reset, compaction included).
+    pub bytes_written: u64,
 }
 
 /// Outcome of [`ArtifactStore::import_bundle`].
@@ -118,6 +120,7 @@ struct Inner {
     dropped: usize,
     torn_bytes: usize,
     read_only: bool,
+    bytes_written: u64,
 }
 
 /// The persistent compile-artifact store.
@@ -168,6 +171,7 @@ impl ArtifactStore {
                     dropped: 0,
                     torn_bytes: 0,
                     read_only: true,
+                    bytes_written: 0,
                 }),
             });
         }
@@ -199,6 +203,7 @@ impl ArtifactStore {
                 dropped,
                 torn_bytes,
                 read_only: false,
+                bytes_written: 0,
             }),
         })
     }
@@ -245,7 +250,7 @@ impl ArtifactStore {
             None => false,
         };
         if wrote {
-            metrics().store_bytes_written.add(pending.len() as u64);
+            inner.bytes_written += pending.len() as u64;
         }
         // On a write error the in-memory index still holds the
         // artifacts — this process serves them; persistence degrades.
@@ -378,6 +383,7 @@ impl ArtifactStore {
             dropped_records: inner.dropped,
             torn_bytes_truncated: inner.torn_bytes,
             read_only: inner.read_only,
+            bytes_written: inner.bytes_written,
         }
     }
 
@@ -438,8 +444,11 @@ mod tests {
             assert!(store.put(smt(3)));
             assert!(!store.put(smt(3)), "duplicate key is not re-inserted");
             assert_eq!(store.len(), 2);
+            let file_len = std::fs::metadata(&path).expect("stat").len();
+            assert_eq!(store.stats().bytes_written, file_len - codec::HEADER_LEN as u64);
         }
         let store = ArtifactStore::open(&path).expect("reopen");
+        assert_eq!(store.stats().bytes_written, 0, "counts this handle's appends only");
         assert_eq!(store.stats().dropped_records, 0);
         assert_eq!(store.stats().statics, 1);
         let s = store.get_statics(0xd, 0xc).expect("statics survive");

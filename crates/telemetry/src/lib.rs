@@ -1,5 +1,6 @@
-//! Observability for the FastSC serving stack: per-job span trees and a
-//! process-global metrics registry, std-only with zero dependencies.
+//! Observability for the FastSC serving stack: per-job span trees and
+//! the metric instruments and writers behind every scrape, std-only with
+//! zero dependencies.
 //!
 //! Two halves, threaded through every layer (engine → batch → sharded
 //! service → queue → TCP server):
@@ -13,15 +14,16 @@
 //!   stitch) attach through a thread-local context installed around the
 //!   compile, so the engine itself never threads tracer handles through
 //!   its hot loop.
-//! * [`metrics`](mod@metrics) — fixed-instrument atomic counters and
-//!   fixed-bucket histograms covering per-strategy compile latency,
-//!   SMT solve time, breaker transitions, cache and store hits, and
-//!   bytes on the wire, rendered as Prometheus text exposition format
-//!   by [`Metrics::to_prometheus`]. The module's writers
+//! * [`metrics`](mod@metrics) — the fixed-bucket duration [`Histogram`]
+//!   and the Prometheus text-exposition writers
 //!   ([`counter_family`](metrics::counter_family),
-//!   [`gauge`](metrics::gauge), [`summary`](metrics::summary)) also
-//!   render the queue families, which each queue keeps in its own
-//!   `QueueStats` rather than in this process-global registry.
+//!   [`gauge`](metrics::gauge), [`summary`](metrics::summary),
+//!   [`histogram`](metrics::histogram)). There is no process-global
+//!   registry: each event is counted once, by the record that owns it
+//!   (a queue's `QueueStats`, a compile service's shards, a compile
+//!   context's SMT memo, an artifact store, a server), and each renders
+//!   its own families, so two services in one process never report
+//!   each other's work.
 //!
 //! Both span exports, the server's wire frames and the bench records
 //! encode through the workspace's one JSON codec, [`json`].
@@ -41,10 +43,7 @@ pub mod metrics;
 pub mod span;
 
 pub use json::{Json, JsonError};
-pub use metrics::{
-    metrics, metrics_enabled, set_metrics_enabled, Counter, Histogram, HistogramSnapshot,
-    Metrics, STRATEGY_LABELS,
-};
+pub use metrics::{Histogram, STRATEGY_LABELS};
 pub use span::{
     install_engine_trace, phase, set_trace_mode, should_trace, trace_mode, tracing_active,
     AttrValue, EngineTraceGuard, PhaseGuard, SpanGuard, SpanId, SpanNode, SpanTree,

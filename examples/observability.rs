@@ -7,11 +7,12 @@
 //! `chrome://tracing` or Perfetto). Over the wire: `submit` with
 //! `trace: true` against a loopback TCP server, printing the span tree
 //! that rides the result frame, then a `metrics` scrape — the server's
-//! queue families followed by the process-wide registry — in Prometheus
-//! text exposition format. The scrape is checked, not only printed:
-//! every line must be a comment or `name value`, each family must be
-//! declared once, and both halves must be present, so the example
-//! fails if the two renderers stop merging cleanly.
+//! queue families, then its compile service's (one series per shard),
+//! then the server's own — in Prometheus text exposition format. The
+//! scrape is checked, not only printed: every line must be a comment or
+//! `name value`, each family must be declared once, all three parts
+//! must be present and the compile must show up on its shard, so the
+//! example fails if the renderers stop merging cleanly.
 //!
 //! ```console
 //! $ cargo run --release --example observability
@@ -103,7 +104,7 @@ fn main() {
     println!("\n== span tree (over the wire, job {job}) ==");
     print_wire_span(outcome.trace.as_ref().expect("traced frame carries the tree"), 0);
 
-    // One Prometheus scrape: this server's queue, then the registry.
+    // One Prometheus scrape: this server's queue, its fleet, itself.
     let text = client.metrics_text().expect("metrics scrape");
     let mut families = Vec::new();
     for line in text.lines() {
@@ -123,6 +124,13 @@ fn main() {
     ] {
         assert!(families.contains(&family), "scrape is missing {family}");
     }
+    assert!(
+        text.lines().any(|line| {
+            line.starts_with("fastsc_compile_duration_seconds_count{shard=\"")
+                && line.contains("strategy=\"color_dynamic\"")
+        }),
+        "the compile is missing from its shard's series"
+    );
     println!("\n== prometheus exposition ({} lines) ==", text.lines().count());
     for family in &families {
         println!("{family}");
