@@ -258,7 +258,7 @@ impl Compiler {
                 Some(state) => {
                     crate::partition::run_partitioned(ctx, &state, lowered, strategy)?
                 }
-                None => run_engine(ctx, lowered, strategy, None, None)?,
+                None => run_engine(ctx, lowered, strategy, None)?,
             };
             compile_span.attr("max_colors_used", out.max_colors_used);
             compile_span.attr("smt_calls", out.smt_calls);
@@ -368,20 +368,75 @@ pub(crate) struct EngineOutput {
     pub(crate) max_colors_used: usize,
     pub(crate) smt_calls: usize,
     pub(crate) deferred_gates: usize,
-    /// Per-instruction criticality, copied out of the workspace only when a
-    /// `trace` was requested (the partitioned merge keys on it; a second
-    /// DAG build to recompute it would double the per-wave fixed cost).
-    /// Empty on traceless runs.
+    /// Per-instruction criticality, copied out of the workspace only on
+    /// wave-gated runs (the partitioned merge keys on it; a second DAG
+    /// build to recompute it would double the per-wave fixed cost).
+    /// Empty otherwise.
     pub(crate) crit: Vec<usize>,
-    /// The wave id of each emitted cycle, non-decreasing; empty unless
-    /// the run was wave-gated (see [`run_engine`]'s `waves`).
-    pub(crate) wave_of_cycle: Vec<usize>,
+    /// What each cycle admitted, and which cycles each wave spans; empty
+    /// unless the run was wave-gated (see [`run_engine`]'s `waves`).
+    pub(crate) trace: CycleTrace,
     /// Per-instruction interaction frequency (`NaN` for single-qubit
     /// gates); filled only on wave-gated runs, which skip schedule
     /// assembly entirely — the merge rebuilds global cycles from the
     /// trace plus this table, so materializing region-local cycles
     /// (frequency overlays, durations, validation) would be pure waste.
     pub(crate) freq_of_inst: Vec<f64>,
+}
+
+/// The admission trace of a wave-gated run, in three flat buffers: cycle
+/// `c` admitted `insts[offsets[c]..offsets[c + 1]]`, in admission order,
+/// and wave `w` spans cycles `wave_start[w]..wave_start[w + 1]`. A run
+/// allocates each buffer once, at its final size (see
+/// `crates/core/tests/alloc_budget.rs`).
+#[derive(Debug, Default)]
+pub(crate) struct CycleTrace {
+    insts: Vec<usize>,
+    offsets: Vec<usize>,
+    wave_start: Vec<usize>,
+}
+
+impl CycleTrace {
+    /// The local instruction indices cycle `c` admitted.
+    pub(crate) fn cycle(&self, c: usize) -> &[usize] {
+        &self.insts[self.offsets[c]..self.offsets[c + 1]]
+    }
+
+    /// The cycles wave `w` spans; empty for waves past the run's last.
+    pub(crate) fn wave_cycles(&self, w: usize) -> std::ops::Range<usize> {
+        let at =
+            |w: usize| self.wave_start.get(w).or(self.wave_start.last()).copied().unwrap_or(0);
+        at(w)..at(w + 1)
+    }
+}
+
+/// The admission key of instruction `index` at criticality `crit`:
+/// `(u32::MAX − crit) << 32 | index`. Ascending keys order exactly like
+/// `(Reverse(crit), index)` — criticality descending, then index
+/// ascending — and a key is unique per instruction, so an unstable sort
+/// of keys gives the stable order. Both fields fit once
+/// [`assert_key_range`] has passed: criticality is at most the
+/// instruction count.
+#[inline]
+pub(crate) fn admission_key(crit: usize, index: usize) -> u64 {
+    debug_assert!(crit <= u32::MAX as usize && index <= u32::MAX as usize);
+    (u64::from(u32::MAX - crit as u32) << 32) | index as u64
+}
+
+/// The instruction index an [`admission_key`] carries.
+#[inline]
+pub(crate) fn key_index(key: u64) -> usize {
+    (key & u64::from(u32::MAX)) as usize
+}
+
+/// Asserts that a circuit of `n_inst` instructions fits
+/// [`admission_key`]'s 32-bit fields. It cannot fail in practice: 2^32
+/// instructions of 40 bytes each would take more than 160 GiB.
+pub(crate) fn assert_key_range(n_inst: usize) {
+    assert!(
+        u32::try_from(n_inst).is_ok(),
+        "{n_inst} instructions exceed the 32-bit admission key"
+    );
 }
 
 /// Sentinel: instruction has no coupling (single-qubit gate).
@@ -406,17 +461,17 @@ struct Workspace {
     flags: Vec<bool>,
     /// ColorDynamic's per-cycle frequency of each admitted coupling.
     freq_of_coupling: Vec<f64>,
-    /// The ready queue, sorted by `(Reverse(crit), index)`, and the
-    /// buffer the next cycle's queue is merged into.
-    ready: Vec<usize>,
-    ready_next: Vec<usize>,
-    /// Baseline U's ready two-qubit instructions, sorted like `ready`,
-    /// and how many of them each wave holds (one wave when the run is
-    /// not wave-gated).
-    serial_lane: Vec<usize>,
+    /// The ready queue as [`admission_key`]s, ascending, and the buffer
+    /// the next cycle's queue is merged into.
+    ready: Vec<u64>,
+    ready_next: Vec<u64>,
+    /// Baseline U's ready two-qubit instructions, keyed and sorted like
+    /// `ready`, and how many of them each wave holds (one wave when the
+    /// run is not wave-gated).
+    serial_lane: Vec<u64>,
     serial_in_wave: Vec<usize>,
-    /// Instructions that became ready this cycle.
-    newly_ready: Vec<usize>,
+    /// Keys of the instructions that became ready this cycle.
+    newly_ready: Vec<u64>,
     admitted: Vec<usize>,
     admitted_couplings: Vec<usize>,
     active_colors: Vec<usize>,
@@ -426,6 +481,9 @@ struct Workspace {
     sub_deferred: Vec<usize>,
     used_colors: Vec<bool>,
     wave_remaining: Vec<usize>,
+    /// A wave-gated run's per-cycle trace offsets, copied out at their
+    /// final length.
+    trace_offsets: Vec<usize>,
     /// This run's view of the context's SMT memo, indexed by color
     /// count. Emptied at the end of every run: the values belong to one
     /// context.
@@ -482,17 +540,12 @@ fn qubit_disjoint(admitted: &[usize], q0: &[usize], q1: &[usize]) -> bool {
 /// Per-instruction state is laid out struct-of-arrays (`q0`/`q1`/
 /// `coupling_of` lanes resolved once per run), so the per-cycle
 /// admission loop does plain indexed loads: no hash lookup, no enum
-/// matching per instruction per cycle. The ready queue stays sorted by
-/// `(criticality desc, index asc)`: each cycle's newly ready
-/// instructions are sorted among themselves and merged with the
-/// survivors in one pass. `docs/ENGINE.md` documents the invariants, and
+/// matching per instruction per cycle. The ready queue holds
+/// [`admission_key`]s, sorted ascending (criticality desc, index asc):
+/// each cycle's newly ready instructions are sorted among themselves
+/// and merged with the survivors in one pass of `u64` comparisons.
+/// `docs/ENGINE.md` documents the invariants, and
 /// `crates/core/tests/alloc_budget.rs` pins the allocation budget.
-///
-/// `trace`, when supplied, receives one entry per emitted cycle: the
-/// indices into `lowered` of that cycle's admitted instructions, in
-/// admission order (the partitioned merge uses this to map scheduled
-/// gates back to their originating instructions). The whole-device path
-/// passes `None` and pays nothing.
 ///
 /// `waves`, when supplied, gives each instruction a wave id and gates
 /// admission: only instructions of the lowest unfinished wave are
@@ -501,12 +554,16 @@ fn qubit_disjoint(admitted: &[usize], q0: &[usize], q1: &[usize]) -> bool {
 /// run while keeping cycles splittable at segment boundaries (where cut
 /// gates — invisible to the region's DAG — must interleave). Wave ids
 /// must be monotone along dependencies (`waves[i] >= waves[pred]`),
-/// which segment indices are by construction.
+/// which segment indices are by construction. A wave-gated run
+/// assembles no schedule: it returns the [`CycleTrace`] of the indices
+/// into `lowered` each cycle admitted, with each instruction's
+/// criticality and interaction frequency, from which the partitioned
+/// merge rebuilds global cycles. The whole-device path passes `None`
+/// and pays nothing.
 pub(crate) fn run_engine(
     ctx: &CompileContext,
     lowered: &Circuit,
     strategy: Strategy,
-    mut trace: Option<&mut Vec<Vec<usize>>>,
     waves: Option<&[usize]>,
 ) -> Result<EngineOutput, CompileError> {
     let device = ctx.device();
@@ -515,6 +572,7 @@ pub(crate) fn run_engine(
     let n_couplings = xtalk.coupling_count();
     let n_qubits = device.n_qubits();
     let n_inst = lowered.len();
+    assert_key_range(n_inst);
     let mut smt_calls = 0usize;
 
     // Static per-coupling interaction frequencies for the baselines.
@@ -562,6 +620,7 @@ pub(crate) fn run_engine(
         sub_deferred,
         used_colors,
         wave_remaining,
+        trace_offsets,
         smt_local,
         cycle_scratch,
         mult_scratch,
@@ -612,26 +671,26 @@ pub(crate) fn run_engine(
     }
     let mut n_scheduled = 0usize;
 
-    // The ready queue is sorted by (criticality desc, index asc). The
-    // key is a strict total order (ties broken by the unique index), so
-    // merging each cycle's sorted newly ready instructions into the
-    // sorted survivors yields exactly the order a per-cycle re-sort
-    // would. Baseline U keeps its ready two-qubit instructions apart, in
-    // `serial_lane` (same key), and moves one per cycle into the queue
-    // at its key position, so the queue it walks is again in that order.
+    // The ready queue holds admission keys, sorted ascending: (criticality
+    // desc, index asc). Keys are unique, so merging each cycle's sorted
+    // newly ready keys into the sorted survivors yields exactly the order
+    // a per-cycle re-sort would. Baseline U keeps its ready two-qubit
+    // instructions apart, in `serial_lane` (same keys), and moves one per
+    // cycle into the queue at its key position, so the queue it walks is
+    // again in that order.
     let crit = &*crit;
-    let ready_key = |i: usize| (std::cmp::Reverse(crit[i]), i);
+    let key = |i: usize| admission_key(crit[i], i);
     let serial = strategy == Strategy::BaselineU;
-    let two_qubit = |i: usize| q1[i] != NO_QUBIT;
+    let two_qubit = |k: u64| q1[key_index(k)] != NO_QUBIT;
     ready.clear();
-    ready.extend((0..n_inst).filter(|&i| remaining_preds[i] == 0));
+    ready.extend((0..n_inst).filter(|&i| remaining_preds[i] == 0).map(key));
     serial_lane.clear();
     if serial {
-        serial_lane.extend(ready.iter().copied().filter(|&i| two_qubit(i)));
-        serial_lane.sort_unstable_by_key(|&i| ready_key(i));
-        ready.retain(|&i| !two_qubit(i));
+        serial_lane.extend(ready.iter().copied().filter(|&k| two_qubit(k)));
+        serial_lane.sort_unstable();
+        ready.retain(|&k| !two_qubit(k));
     }
-    ready.sort_unstable_by_key(|&i| ready_key(i));
+    ready.sort_unstable();
 
     // Wave gating: unscheduled-instruction count per wave and the
     // current (lowest unfinished) wave. The current wave only advances
@@ -649,15 +708,23 @@ pub(crate) fn run_engine(
             wave_cur += 1;
         }
     }
-    let wave_of = |i: usize| waves.map_or(0, |w| w[i]);
+    let wave_of = |k: u64| waves.map_or(0, |w| w[key_index(k)]);
     serial_in_wave.clear();
     serial_in_wave.resize(wave_remaining.len().max(1), 0);
-    for &i in serial_lane.iter() {
-        serial_in_wave[wave_of(i)] += 1;
+    for &k in serial_lane.iter() {
+        serial_in_wave[wave_of(k)] += 1;
     }
-    let mut wave_of_cycle: Vec<usize> = Vec::new();
-    let mut freq_of_inst: Vec<f64> =
-        if waves.is_some() { vec![f64::NAN; n_inst] } else { Vec::new() };
+    // Wave-gated outputs, each allocated once at its final size (the
+    // offsets grow in the workspace and are copied out at the end).
+    let mut trace = CycleTrace::default();
+    let mut freq_of_inst: Vec<f64> = Vec::new();
+    trace_offsets.clear();
+    if waves.is_some() {
+        trace.insts.reserve_exact(n_inst);
+        trace.wave_start.resize(wave_remaining.len() + 1, 0);
+        trace_offsets.push(0);
+        freq_of_inst.resize(n_inst, f64::NAN);
+    }
 
     let mut schedule = Schedule::new(n_qubits);
     let mut max_colors_used = static_color_count;
@@ -685,10 +752,10 @@ pub(crate) fn run_engine(
         // is deferred, so they are counted here and never visited.
         // Entries ahead of it in the lane belong to later waves.
         if serial {
-            if let Some(p) = serial_lane.iter().position(|&i| wave_of(i) == wave_cur) {
+            if let Some(p) = serial_lane.iter().position(|&k| wave_of(k) == wave_cur) {
                 let head = serial_lane.remove(p);
                 serial_in_wave[wave_cur] -= 1;
-                let at = ready.partition_point(|&i| ready_key(i) < ready_key(head));
+                let at = ready.partition_point(|&k| k < head);
                 ready.insert(at, head);
             }
             deferred_gates += serial_in_wave[wave_cur];
@@ -696,7 +763,8 @@ pub(crate) fn run_engine(
 
         // The ready set is qubit-disjoint (`docs/ENGINE.md`), so no
         // candidate can collide on a qubit with an admitted one.
-        for &i in ready.iter() {
+        for &k in ready.iter() {
+            let i = key_index(k);
             // Later-wave instructions wait for the barrier; not a
             // deferral — they were never candidates this cycle.
             if let Some(w) = waves {
@@ -915,8 +983,9 @@ pub(crate) fn run_engine(
                 cycle_scratch,
             );
         }
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(admitted.clone());
+        if waves.is_some() {
+            trace.insts.extend_from_slice(admitted);
+            trace_offsets.push(trace.insts.len());
         }
 
         // `coupling_admitted` clears sparsely via `admitted_couplings`,
@@ -935,15 +1004,15 @@ pub(crate) fn run_engine(
             for &s in dag.succs(i) {
                 remaining_preds[s] -= 1;
                 if remaining_preds[s] == 0 {
-                    newly_ready.push(s);
+                    newly_ready.push(key(s));
                 }
             }
         }
         n_scheduled += admitted.len();
-        newly_ready.sort_unstable_by_key(|&i| ready_key(i));
+        newly_ready.sort_unstable();
         if serial {
             for &s in newly_ready.iter().filter(|&&s| two_qubit(s)) {
-                let at = serial_lane.partition_point(|&i| ready_key(i) < ready_key(s));
+                let at = serial_lane.partition_point(|&k| k < s);
                 serial_lane.insert(at, s);
                 serial_in_wave[wave_of(s)] += 1;
             }
@@ -951,17 +1020,17 @@ pub(crate) fn run_engine(
         }
         ready_next.clear();
         let mut fresh = newly_ready.iter().copied().peekable();
-        for &i in ready.iter().filter(|&&i| !scheduled[i]) {
-            while let Some(s) = fresh.next_if(|&s| ready_key(s) < ready_key(i)) {
+        for &k in ready.iter().filter(|&&k| !scheduled[key_index(k)]) {
+            while let Some(s) = fresh.next_if(|&s| s < k) {
                 ready_next.push(s);
             }
-            ready_next.push(i);
+            ready_next.push(k);
         }
         ready_next.extend(fresh);
         std::mem::swap(ready, ready_next);
 
         if waves.is_some() {
-            wave_of_cycle.push(wave_cur);
+            trace.wave_start[wave_cur + 1] += 1;
             // Everything admitted this cycle belonged to the current wave.
             wave_remaining[wave_cur] -= admitted.len();
             while wave_cur < wave_remaining.len() && wave_remaining[wave_cur] == 0 {
@@ -975,7 +1044,15 @@ pub(crate) fn run_engine(
     scheduling_span.attr("deferred_gates", deferred_gates);
     drop(scheduling_span);
 
-    let crit = if trace.is_some() { crit.to_vec() } else { Vec::new() };
+    let mut crit_out = Vec::new();
+    if waves.is_some() {
+        crit_out = crit.to_vec();
+        trace.offsets = trace_offsets.to_vec();
+        // Per-wave cycle counts into each wave's first cycle.
+        for w in 1..trace.wave_start.len() {
+            trace.wave_start[w] += trace.wave_start[w - 1];
+        }
+    }
     smt_local.clear();
     let _ = WORKSPACE.try_with(|slot| slot.set(ws));
     Ok(EngineOutput {
@@ -983,8 +1060,8 @@ pub(crate) fn run_engine(
         max_colors_used,
         smt_calls,
         deferred_gates,
-        crit,
-        wave_of_cycle,
+        crit: crit_out,
+        trace,
         freq_of_inst,
     })
 }
@@ -1281,6 +1358,44 @@ mod tests {
             } else {
                 assert!((cycle.duration_ns - params.t_single_ns).abs() < 1e-9);
             }
+        }
+    }
+
+    /// A `u32` field value: half the time an edge (0, 1, 2, `u32::MAX −
+    /// 1`, `u32::MAX`), so equal values and the field's limits come up
+    /// often; otherwise any `u32`.
+    fn arb_field() -> impl proptest::strategy::Strategy<Value = usize> {
+        use proptest::arbitrary::any;
+        use proptest::strategy::Strategy as _;
+        let edges = proptest::sample::select(vec![0, 1, 2, u32::MAX - 1, u32::MAX]);
+        (any::<bool>(), edges, any::<u32>())
+            .prop_map(|(edge, e, x)| if edge { e } else { x } as usize)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Ordering by the packed key equals ordering by
+        /// `(Reverse(crit), index)`, and a key gives its index back.
+        #[test]
+        fn admission_key_orders_like_the_tuple(
+            pairs in proptest::collection::vec((arb_field(), arb_field()), 1..40),
+        ) {
+            use std::cmp::Reverse;
+            for &(ca, ia) in &pairs {
+                proptest::prop_assert_eq!(key_index(admission_key(ca, ia)), ia);
+                for &(cb, ib) in &pairs {
+                    proptest::prop_assert_eq!(
+                        admission_key(ca, ia).cmp(&admission_key(cb, ib)),
+                        (Reverse(ca), ia).cmp(&(Reverse(cb), ib))
+                    );
+                }
+            }
+            let mut by_key = pairs.clone();
+            by_key.sort_unstable_by_key(|&(crit, index)| admission_key(crit, index));
+            let mut by_tuple = pairs;
+            by_tuple.sort_by_key(|&(crit, index)| (Reverse(crit), index));
+            proptest::prop_assert_eq!(by_key, by_tuple);
         }
     }
 

@@ -22,9 +22,9 @@
 //!    interaction band, anharmonicity, and Baseline N table, so region
 //!    compiles agree with whole-device compiles wherever schedules
 //!    overlap.
-//! 4. **Merge** — per-wave region schedules interleave cycle-by-cycle,
-//!    each merged cycle ordered by the same `(criticality desc, index
-//!    asc)` key the whole-device engine admits by.
+//! 4. **Merge** — per-wave region traces interleave cycle-by-cycle,
+//!    each merged cycle ordered by the same packed admission key
+//!    (criticality desc, index asc) the whole-device engine admits by.
 //! 5. **Stitch** — merged ColorDynamic cycles are checked against the
 //!    distance-1 cross-region conflicts that no region could see; when
 //!    two adjacent cross-boundary gates land within the SMT tolerance
@@ -44,12 +44,15 @@
 //! for the exact equivalence guarantees and documented exemptions.
 
 use crate::context::CompileContext;
-use crate::engine::{run_engine, CycleFrequencies, EngineOutput, Strategy};
+use crate::engine::{
+    admission_key, assert_key_range, key_index, run_engine, CycleFrequencies, CycleTrace,
+    EngineOutput, Strategy,
+};
 use crate::error::CompileError;
 use fastsc_ir::{Circuit, Gate, Instruction, Operands};
 use fastsc_noise::{Cycle, CycleScratch, Schedule, ScheduledGate};
 use rayon::prelude::*;
-use std::cmp::Reverse;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -226,32 +229,79 @@ fn remap(inst: Instruction, f: impl Fn(usize) -> usize) -> Instruction {
     Instruction { gate: inst.gate, operands }
 }
 
-/// One region's engine run covering every segment at once (the engine's
-/// wave gating keeps cycles splittable at segment boundaries), plus what
-/// the merge needs: the global instruction index of each local
-/// instruction, the per-cycle admitted local indices, and the cycle
-/// range `seg_start[s]..seg_start[s + 1]` each segment occupies (the
-/// run's criticalities and frequencies ride along in `out.crit` /
-/// `out.freq_of_inst` — wave-gated runs emit no schedule).
-struct RegionRun {
+/// One engine run's input — a region's instructions, or the cut's —
+/// rebuilt per compile in reused buffers.
+#[derive(Debug, Default)]
+struct RunInput {
+    /// The global instruction index of each local instruction.
     globals: Vec<usize>,
-    out: EngineOutput,
-    trace: Vec<Vec<usize>>,
-    seg_start: Vec<usize>,
+    /// The instructions over the run's local qubits.
+    circuit: Circuit,
+    /// Each local instruction's segment: the engine's wave ids.
+    waves: Vec<usize>,
 }
 
-/// Cycle-range boundaries per segment, from a wave-gated run's
-/// non-decreasing `wave_of_cycle`: segment `s` occupies cycles
-/// `starts[s]..starts[s + 1]` (empty segments collapse to empty ranges).
-fn seg_starts(wave_of_cycle: &[usize], n_segs: usize) -> Vec<usize> {
-    let mut starts = vec![0usize; n_segs + 1];
-    for &w in wave_of_cycle {
-        starts[w + 1] += 1;
+impl RunInput {
+    fn reset(&mut self, n_qubits: usize) {
+        self.globals.clear();
+        self.circuit.reset(n_qubits);
+        self.waves.clear();
     }
-    for s in 0..n_segs {
-        starts[s + 1] += starts[s];
+
+    /// Appends global instruction `global` (operands already local) in
+    /// segment `seg`, returning its local index.
+    fn push(&mut self, global: usize, local: Instruction, seg: usize) -> usize {
+        self.circuit.push(local).expect("run operands are in range and distinct");
+        self.globals.push(global);
+        self.waves.push(seg);
+        self.globals.len() - 1
     }
-    starts
+
+    /// The global gate for local instruction `li` of `run`, this input's
+    /// engine run: the original lowered instruction (so no qubit
+    /// remapping) at the frequency the run's engine resolved.
+    fn gate(&self, insts: &[Instruction], run: &EngineOutput, li: usize) -> ScheduledGate {
+        let instruction = insts[self.globals[li]];
+        let interaction_freq = instruction.qubit_pair().map(|_| run.freq_of_inst[li]);
+        ScheduledGate { instruction, interaction_freq }
+    }
+}
+
+/// Every buffer [`run_partitioned`] works in besides the engine's own,
+/// one set per thread (see [`SCRATCH`]), next to the engine's workspace
+/// and front end. Each is reset, never shrunk, per compile, so a warm
+/// thread allocates only the returned schedule plus what each region's
+/// engine run hands back (`crates/core/tests/alloc_budget.rs`).
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Per instruction: its owning region, or [`CUT`].
+    class: Vec<usize>,
+    /// Per instruction: its segment.
+    seg: Vec<usize>,
+    /// Per instruction: its index in its region's (or the cut's) run.
+    /// With `class` this maps a global index to its `(run, local
+    /// index)`, which the merge gathers gates through.
+    local: Vec<usize>,
+    /// Per qubit: the last instruction on it, while segmenting.
+    last_on_qubit: Vec<usize>,
+    /// One input per region, at least as many as the largest plan seen
+    /// (a compile uses the first `n_regions`), and the cut's.
+    regions: Vec<RunInput>,
+    cut: RunInput,
+    /// Each region's engine run, `None` for a region with no
+    /// instructions; emptied at the end of every compile.
+    runs: Vec<Option<EngineOutput>>,
+    /// One merged cycle's admission keys.
+    keys: Vec<u64>,
+    cycle: CycleScratch,
+    stitch: StitchScratch,
+}
+
+thread_local! {
+    /// The calling thread's [`Scratch`]. [`run_partitioned`] takes it for
+    /// the length of a compile and puts it back, also when a region run
+    /// fails; a compile that panics drops it instead.
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
 }
 
 /// Aggregated stitch-time counters.
@@ -270,254 +320,312 @@ pub(crate) fn run_partitioned(
     lowered: &Circuit,
     strategy: Strategy,
 ) -> Result<EngineOutput, CompileError> {
-    let device = ctx.device();
-    let insts = lowered.instructions();
-    let n = insts.len();
+    let mut scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
+    let out = scratch.run(ctx, state, lowered, strategy);
+    scratch.runs.clear();
+    let _ = SCRATCH.try_with(|slot| slot.set(scratch));
+    out
+}
 
-    // 1. Classify: owning region, or CUT for region-crossing gates.
-    let mut class = vec![0usize; n];
-    for (i, inst) in insts.iter().enumerate() {
-        class[i] = match inst.qubit_pair() {
+impl Scratch {
+    fn run(
+        &mut self,
+        ctx: &CompileContext,
+        state: &PartitionedState,
+        lowered: &Circuit,
+        strategy: Strategy,
+    ) -> Result<EngineOutput, CompileError> {
+        let device = ctx.device();
+        let n_qubits = device.n_qubits();
+        let insts = lowered.instructions();
+        let n = insts.len();
+        // The merge keys gates by global index.
+        assert_key_range(n);
+        let Scratch {
+            class,
+            seg,
+            local,
+            last_on_qubit,
+            regions,
+            cut,
+            runs,
+            keys,
+            cycle,
+            stitch,
+        } = self;
+
+        // 1. Classify: owning region, or CUT for region-crossing gates.
+        class.clear();
+        class.extend(insts.iter().map(|inst| match inst.qubit_pair() {
             Some((a, b)) if state.region_of_qubit[a] != state.region_of_qubit[b] => CUT,
             _ => state.region_of_qubit[inst.operands.first()],
+        }));
+
+        // 2. Wave-split: a dependency that crosses the internal/cut class
+        // boundary starts a new wave. Dependencies share a qubit, and a
+        // qubit has one region, so internal instructions linked by a
+        // dependency always share a region — waves group by (segment,
+        // internal-vs-cut) and regions never entangle within a wave.
+        // Dependencies are per-qubit last writers, so one linear pass
+        // suffices (no DAG materialization).
+        seg.clear();
+        seg.resize(n, 0);
+        last_on_qubit.clear();
+        last_on_qubit.resize(n_qubits, usize::MAX);
+        for (i, inst) in insts.iter().enumerate() {
+            let ci = class[i] == CUT;
+            for q in inst.operands {
+                let p = last_on_qubit[q];
+                if p != usize::MAX {
+                    seg[i] = seg[i].max(seg[p] + usize::from((class[p] == CUT) != ci));
+                }
+                last_on_qubit[q] = i;
+            }
+        }
+        let n_segs = seg.iter().copied().max().map_or(0, |m| m + 1);
+
+        let mut partition_span = fastsc_telemetry::phase("partition");
+        partition_span.attr("regions", state.regions.len());
+        partition_span.attr("waves", n_segs);
+
+        // 3. One engine run per region covering every segment: the
+        // engine's wave gating (waves = segment indices) keeps each
+        // emitted cycle inside one segment, so the merge can still
+        // interleave cut cycles at segment boundaries. One run amortizes
+        // the engine's fixed cost (lane setup, DAG, ready queue) over the
+        // whole instruction stream instead of paying it per (region,
+        // segment) pair.
+        let n_regions = state.regions.len();
+        if regions.len() < n_regions {
+            regions.resize_with(n_regions, RunInput::default);
+        }
+        let regions = &mut regions[..n_regions];
+        for (input, region) in regions.iter_mut().zip(&state.regions) {
+            input.reset(region.qubits.len());
+        }
+        let cut_state = state.cut.as_ref();
+        cut.reset(cut_state.map_or(0, |c| c.qubits.len()));
+        local.clear();
+        local.extend(insts.iter().enumerate().map(|(i, &inst)| match class[i] {
+            CUT => {
+                let cut_state = cut_state.expect("cut gates imply cut edges");
+                cut.push(i, remap(inst, |q| cut_state.local_of[q]), seg[i])
+            }
+            r => regions[r].push(i, remap(inst, |q| state.local_of_qubit[q]), seg[i]),
+        }));
+        let regions = &*regions;
+        let run_one = |r: usize| -> Result<Option<EngineOutput>, CompileError> {
+            let input = &regions[r];
+            if input.globals.is_empty() {
+                return Ok(None);
+            }
+            // Inert on rayon workers (the trace context is thread-local);
+            // the sequential path records one span per region.
+            let mut region_span = fastsc_telemetry::phase("region");
+            region_span.attr("region", r);
+            region_span.attr("instructions", input.globals.len());
+            run_engine(&state.regions[r].ctx, &input.circuit, strategy, Some(&input.waves))
+                .map(Some)
         };
-    }
-
-    // 2. Wave-split: a dependency that crosses the internal/cut class
-    // boundary starts a new wave. Dependencies share a qubit, and a
-    // qubit has one region, so internal instructions linked by a
-    // dependency always share a region — waves group by (segment,
-    // internal-vs-cut) and regions never entangle within a wave.
-    // Dependencies are per-qubit last writers, so one linear pass
-    // suffices (no DAG materialization).
-    let mut seg = vec![0usize; n];
-    let mut last_on_qubit = vec![usize::MAX; device.n_qubits()];
-    for (i, inst) in insts.iter().enumerate() {
-        let ci = class[i] == CUT;
-        for q in inst.operands {
-            let p = last_on_qubit[q];
-            if p != usize::MAX {
-                seg[i] = seg[i].max(seg[p] + usize::from((class[p] == CUT) != ci));
+        // Every region runs before the first error (in region order) is
+        // returned, on either path. Fan out only when the pool can
+        // actually run regions concurrently: on a single-thread pool,
+        // `into_par_iter` still pays the job dispatch and steal machinery
+        // — measurably more than the runs themselves for small regions.
+        runs.clear();
+        let mut first_error = None;
+        let mut keep = |result| match result {
+            Ok(out) => runs.push(out),
+            Err(e) => {
+                first_error.get_or_insert(e);
             }
-            last_on_qubit[q] = i;
+        };
+        if rayon::current_num_threads() > 1 {
+            let results: Vec<_> = (0..n_regions).into_par_iter().map(run_one).collect();
+            results.into_iter().for_each(&mut keep);
+        } else {
+            (0..n_regions).map(run_one).for_each(&mut keep);
         }
-    }
-    let n_segs = seg.iter().copied().max().map_or(0, |m| m + 1);
-
-    let mut partition_span = fastsc_telemetry::phase("partition");
-    partition_span.attr("regions", state.regions.len());
-    partition_span.attr("waves", n_segs);
-
-    let mut schedule = Schedule::new(device.n_qubits());
-    let mut scratch = CycleScratch::new();
-    let mut stitch =
-        StitchScratch { gate_of_qubit: vec![NO_GATE; device.n_qubits()], entries: Vec::new() };
-    let mut counters = Counters { max_colors_used: 0, smt_calls: 0, deferred_gates: 0 };
-
-    // 3. One engine run per region covering every segment: the engine's
-    // wave gating (waves = segment indices) keeps each emitted cycle
-    // inside one segment, so the merge can still interleave cut cycles
-    // at segment boundaries. One run amortizes the engine's fixed cost
-    // (lane setup, DAG, ready queue) over the whole instruction stream
-    // instead of paying it per (region, segment) pair.
-    let mut jobs: Vec<(usize, Vec<usize>, Circuit, Vec<usize>)> = state
-        .regions
-        .iter()
-        .enumerate()
-        .map(|(r, region)| (r, Vec::new(), Circuit::new(region.qubits.len()), Vec::new()))
-        .collect();
-    let mut cut_globals: Vec<usize> = Vec::new();
-    for (i, inst) in insts.iter().enumerate() {
-        let r = class[i];
-        if r == CUT {
-            cut_globals.push(i);
-            continue;
+        if let Some(e) = first_error {
+            return Err(e);
         }
-        let (_, globals, circ, waves) = &mut jobs[r];
-        globals.push(i);
-        circ.push(remap(*inst, |q| state.local_of_qubit[q]))
-            .expect("region operands are in range and distinct");
-        waves.push(seg[i]);
-    }
-    jobs.retain(|(_, globals, _, _)| !globals.is_empty());
-    let run_one = |(r, globals, circ, waves): (usize, Vec<usize>, Circuit, Vec<usize>)| {
-        // Inert on rayon workers (the trace context is thread-local);
-        // the sequential path records one span per region.
-        let mut region_span = fastsc_telemetry::phase("region");
-        region_span.attr("region", r);
-        region_span.attr("instructions", globals.len());
-        let mut trace = Vec::new();
-        let out =
-            run_engine(&state.regions[r].ctx, &circ, strategy, Some(&mut trace), Some(&waves))?;
-        let seg_start = seg_starts(&out.wave_of_cycle, n_segs);
-        Ok::<RegionRun, CompileError>(RegionRun { globals, out, trace, seg_start })
-    };
-    // Fan out only when the pool can actually run regions concurrently:
-    // on a single-thread pool, `into_par_iter` still pays the job
-    // dispatch and steal machinery — measurably more than the runs
-    // themselves for small regions.
-    let results: Vec<Result<RegionRun, CompileError>> = if rayon::current_num_threads() > 1 {
-        jobs.into_par_iter().map(run_one).collect()
-    } else {
-        jobs.into_iter().map(run_one).collect()
-    };
-    let mut runs = Vec::with_capacity(results.len());
-    for result in results {
-        runs.push(result?);
-    }
-    // One engine run for every cut gate, wave-gated the same way.
-    let cut_run: Option<RegionRun> = if cut_globals.is_empty() {
-        None
-    } else {
-        let cut = state.cut.as_ref().expect("cut gates imply cut edges");
-        let mut circ = Circuit::new(cut.qubits.len());
-        let mut waves = Vec::with_capacity(cut_globals.len());
-        for &i in &cut_globals {
-            let local = remap(insts[i], |q| cut.local_of[q]);
-            circ.push(local).expect("cut operands are in range and distinct");
-            waves.push(seg[i]);
+        let runs = &*runs;
+        // One engine run for every cut gate, wave-gated the same way.
+        let cut_run = match cut_state {
+            Some(cut_state) if !cut.globals.is_empty() => {
+                let mut cut_span = fastsc_telemetry::phase("region");
+                cut_span.attr("cut", true);
+                cut_span.attr("instructions", cut.globals.len());
+                Some(run_engine(&cut_state.ctx, &cut.circuit, strategy, Some(&cut.waves))?)
+            }
+            _ => None,
+        };
+
+        let mut counters = Counters { max_colors_used: 0, smt_calls: 0, deferred_gates: 0 };
+        for run in runs.iter().flatten().chain(&cut_run) {
+            counters.max_colors_used = counters.max_colors_used.max(run.max_colors_used);
+            counters.smt_calls += run.smt_calls;
+            counters.deferred_gates += run.deferred_gates;
         }
-        let mut cut_span = fastsc_telemetry::phase("region");
-        cut_span.attr("cut", true);
-        cut_span.attr("instructions", cut_globals.len());
-        let mut trace = Vec::new();
-        let out = run_engine(&cut.ctx, &circ, strategy, Some(&mut trace), Some(&waves))?;
-        drop(cut_span);
-        let seg_start = seg_starts(&out.wave_of_cycle, n_segs);
-        Some(RegionRun { globals: cut_globals, out, trace, seg_start })
-    };
 
-    for run in runs.iter().chain(&cut_run) {
-        counters.max_colors_used = counters.max_colors_used.max(run.out.max_colors_used);
-        counters.smt_calls += run.out.smt_calls;
-        counters.deferred_gates += run.out.deferred_gates;
-    }
-
-    // 4. Merge segment by segment. A cut instruction in segment `s`
-    // never depends on an internal instruction of segment `s` (the
-    // class change would have bumped its segment), so each segment's
-    // internal cycles can precede its cut cycles.
-    let mut stitch_span = fastsc_telemetry::phase("stitch");
-    let deferred_before_stitch = counters.deferred_gates;
-    for s in 0..n_segs {
-        merge_internal_wave(
-            ctx,
-            state,
-            strategy,
-            insts,
-            &runs,
-            s,
-            &mut schedule,
-            &mut scratch,
-            &mut stitch,
-            &mut counters,
-        )?;
-
-        if let Some(run) = &cut_run {
-            for at in run.seg_start[s]..run.seg_start[s + 1] {
-                let gates: Vec<ScheduledGate> =
-                    run.trace[at].iter().map(|&li| gate_from_run(insts, run, li)).collect();
-                push_cycle_global(ctx, strategy, gates, &mut schedule, &mut scratch);
+        // 4. Merge segment by segment. A cut instruction in segment `s`
+        // never depends on an internal instruction of segment `s` (the
+        // class change would have bumped its segment), so each segment's
+        // internal cycles can precede its cut cycles.
+        let mut stitch_span = fastsc_telemetry::phase("stitch");
+        let deferred_before_stitch = counters.deferred_gates;
+        let mut schedule = Schedule::new(n_qubits);
+        stitch.reset(n_qubits);
+        let merge = Merge { ctx, state, strategy, insts, class, local, regions, runs };
+        for s in 0..n_segs {
+            merge.internal_wave(s, keys, &mut schedule, cycle, stitch, &mut counters);
+            if let Some(run) = &cut_run {
+                merge.push_wave(cut, run, s, &mut schedule, cycle);
             }
         }
+        stitch_span.attr("cut_gates", cut.globals.len());
+        stitch_span.attr("deferred_gates", counters.deferred_gates - deferred_before_stitch);
+        drop(stitch_span);
+        partition_span.attr("deferred_gates", counters.deferred_gates);
+        drop(partition_span);
+
+        Ok(EngineOutput {
+            schedule,
+            max_colors_used: counters.max_colors_used,
+            smt_calls: counters.smt_calls,
+            deferred_gates: counters.deferred_gates,
+            crit: Vec::new(),
+            trace: CycleTrace::default(),
+            freq_of_inst: Vec::new(),
+        })
     }
-    stitch_span.attr("cut_gates", cut_run.as_ref().map_or(0usize, |r| r.globals.len()));
-    stitch_span.attr("deferred_gates", counters.deferred_gates - deferred_before_stitch);
-    drop(stitch_span);
-    partition_span.attr("deferred_gates", counters.deferred_gates);
-    drop(partition_span);
-
-    Ok(EngineOutput {
-        schedule,
-        max_colors_used: counters.max_colors_used,
-        smt_calls: counters.smt_calls,
-        deferred_gates: counters.deferred_gates,
-        crit: Vec::new(),
-        wave_of_cycle: Vec::new(),
-        freq_of_inst: Vec::new(),
-    })
 }
 
-/// Rebuilds the global [`ScheduledGate`] for local instruction `li` of
-/// `run`: the instruction is the original lowered one (so no qubit
-/// remapping), the frequency is what the region engine resolved.
-fn gate_from_run(insts: &[Instruction], run: &RegionRun, li: usize) -> ScheduledGate {
-    let instruction = insts[run.globals[li]];
-    let interaction_freq = instruction.qubit_pair().map(|_| run.out.freq_of_inst[li]);
-    ScheduledGate { instruction, interaction_freq }
-}
-
-/// Merges segment `s`'s slice of every region run into the global
-/// schedule and runs the stitch pass on each merged cycle.
-#[allow(clippy::too_many_arguments)]
-fn merge_internal_wave(
-    ctx: &CompileContext,
-    state: &PartitionedState,
+/// What merging a segment's region cycles reads: the compile's inputs,
+/// the `(run, local index)` map (`class`, `local`) and the region runs.
+struct Merge<'a> {
+    ctx: &'a CompileContext,
+    state: &'a PartitionedState,
     strategy: Strategy,
-    insts: &[Instruction],
-    runs: &[RegionRun],
-    s: usize,
-    schedule: &mut Schedule,
-    scratch: &mut CycleScratch,
-    stitch: &mut StitchScratch,
-    counters: &mut Counters,
-) -> Result<(), CompileError> {
-    if strategy == Strategy::BaselineU {
-        // Baseline U's contract is one two-qubit gate per cycle, which a
-        // cycle-by-cycle region merge would break. Concatenate the
-        // region cycles sequentially instead (deterministic: region
-        // order). The uniform interaction frequency is global, so no
-        // frequency reconciliation is needed.
-        for run in runs {
-            for at in run.seg_start[s]..run.seg_start[s + 1] {
-                let gates: Vec<ScheduledGate> =
-                    run.trace[at].iter().map(|&li| gate_from_run(insts, run, li)).collect();
-                push_cycle_global(ctx, strategy, gates, schedule, scratch);
-            }
+    insts: &'a [Instruction],
+    class: &'a [usize],
+    local: &'a [usize],
+    regions: &'a [RunInput],
+    runs: &'a [Option<EngineOutput>],
+}
+
+impl Merge<'_> {
+    /// Pushes the cycles `run`, the engine run over `input`, emitted in
+    /// segment `s`, unmerged.
+    fn push_wave(
+        &self,
+        input: &RunInput,
+        run: &EngineOutput,
+        s: usize,
+        schedule: &mut Schedule,
+        cycle: &mut CycleScratch,
+    ) {
+        for at in run.trace.wave_cycles(s) {
+            let gates: Vec<ScheduledGate> =
+                run.trace.cycle(at).iter().map(|&li| input.gate(self.insts, run, li)).collect();
+            push_cycle_global(self.ctx, self.strategy, gates, schedule, cycle);
         }
-        return Ok(());
     }
 
-    let depth = runs.iter().map(|r| r.seg_start[s + 1] - r.seg_start[s]).max().unwrap_or(0);
-    for t in 0..depth {
-        // Interleave the regions' cycle-`t` gates by the whole-device
-        // admission key — (criticality desc, original instruction index
-        // asc) — so a workload whose gates never approach a boundary
-        // merges into exactly the cycles the whole-device engine emits.
-        let entries = &mut stitch.entries;
-        entries.clear();
-        for run in runs {
-            let at = run.seg_start[s] + t;
-            if at >= run.seg_start[s + 1] {
-                continue;
+    /// Merges segment `s`'s slice of every region run into the global
+    /// schedule and runs the stitch pass on each merged cycle.
+    fn internal_wave(
+        &self,
+        s: usize,
+        keys: &mut Vec<u64>,
+        schedule: &mut Schedule,
+        cycle: &mut CycleScratch,
+        stitch: &mut StitchScratch,
+        counters: &mut Counters,
+    ) {
+        let (ctx, strategy, insts) = (self.ctx, self.strategy, self.insts);
+        let runs = || {
+            self.regions
+                .iter()
+                .zip(self.runs)
+                .filter_map(|(input, run)| Some((input, run.as_ref()?)))
+        };
+        if strategy == Strategy::BaselineU {
+            // Baseline U's contract is one two-qubit gate per cycle, which a
+            // cycle-by-cycle region merge would break. Concatenate the
+            // region cycles sequentially instead (deterministic: region
+            // order). The uniform interaction frequency is global, so no
+            // frequency reconciliation is needed.
+            for (input, run) in runs() {
+                self.push_wave(input, run, s, schedule, cycle);
             }
-            for &li in &run.trace[at] {
-                entries.push((
-                    Reverse(run.out.crit[li]),
-                    run.globals[li],
-                    gate_from_run(insts, run, li),
-                ));
-            }
+            return;
         }
-        entries.sort_by_key(|&(c, gi, _)| (c, gi));
-        let gates: Vec<ScheduledGate> = entries.drain(..).map(|e| e.2).collect();
-        stitch_and_push(ctx, state, strategy, gates, schedule, scratch, stitch, counters)?;
+
+        let depth = runs().map(|(_, run)| run.trace.wave_cycles(s).len()).max().unwrap_or(0);
+        for t in 0..depth {
+            // Interleave the regions' cycle-`t` gates by the whole-device
+            // admission key (criticality desc, original instruction index
+            // asc), so a workload whose gates never approach a boundary
+            // merges into exactly the cycles the whole-device engine
+            // emits.
+            keys.clear();
+            for (input, run) in runs() {
+                let cycles = run.trace.wave_cycles(s);
+                if t < cycles.len() {
+                    keys.extend(
+                        run.trace
+                            .cycle(cycles.start + t)
+                            .iter()
+                            .map(|&li| admission_key(run.crit[li], input.globals[li])),
+                    );
+                }
+            }
+            keys.sort_unstable();
+            let gates: Vec<ScheduledGate> = keys
+                .iter()
+                .map(|&key| {
+                    let gi = key_index(key);
+                    let r = self.class[gi];
+                    let run = self.runs[r].as_ref().expect("a merged gate's region ran");
+                    self.regions[r].gate(insts, run, self.local[gi])
+                })
+                .collect();
+            stitch_and_push(
+                ctx, self.state, strategy, gates, schedule, cycle, stitch, counters,
+            );
+        }
     }
-    Ok(())
 }
 
 /// Sentinel for "no gate on this qubit in the current cycle".
 const NO_GATE: usize = usize::MAX;
 
-/// Reusable stitch-pass scratch: `gate_of_qubit[q]` maps a qubit to the
-/// index of the cycle's two-qubit gate touching it (couplings in one
-/// cycle never share a qubit). Filled and sparse-cleared per cycle, so
-/// conflict detection costs the boundary size, not the cycle squared.
+/// Reusable stitch-pass scratch, sized once per compile and cleared per
+/// merged cycle.
+#[derive(Debug, Default)]
 struct StitchScratch {
+    /// Maps a qubit to the index (into `twoq`) of the cycle's two-qubit
+    /// gate touching it (couplings in one cycle never share a qubit).
+    /// Filled and sparse-cleared per cycle, so conflict detection costs
+    /// the boundary size, not the cycle squared.
     gate_of_qubit: Vec<usize>,
-    /// Reused merge buffer: one cycle's `(criticality, global index,
-    /// gate)` entries, sorted by the whole-device admission key.
-    entries: Vec<(Reverse<usize>, usize, ScheduledGate)>,
+    /// Merged cycles still to push: the incoming one, then the follow-up
+    /// cycles deferrals insert.
+    pending: VecDeque<Vec<ScheduledGate>>,
+    /// The cycle's two-qubit gates: position in the cycle, qubit pair.
+    twoq: Vec<(usize, (usize, usize))>,
+    /// Per `twoq` entry: deferred to the follow-up cycle.
+    defer_flag: Vec<bool>,
+    /// The distinct frequency bit patterns kept so far, in merged order.
+    distinct: Vec<u64>,
+}
+
+impl StitchScratch {
+    fn reset(&mut self, n_qubits: usize) {
+        self.gate_of_qubit.clear();
+        self.gate_of_qubit.resize(n_qubits, NO_GATE);
+    }
 }
 
 /// The stitch pass: pushes a merged internal cycle, serializing the
@@ -539,29 +647,28 @@ fn stitch_and_push(
     strategy: Strategy,
     gates: Vec<ScheduledGate>,
     schedule: &mut Schedule,
-    scratch: &mut CycleScratch,
+    cycle: &mut CycleScratch,
     stitch: &mut StitchScratch,
     counters: &mut Counters,
-) -> Result<(), CompileError> {
+) {
     let tolerance = ctx.config().smt_tolerance;
     let alpha = ctx.alpha();
     let budget = ctx.config().max_colors;
-    let mut pending: VecDeque<Vec<ScheduledGate>> = VecDeque::new();
+    let StitchScratch { gate_of_qubit: map, pending, twoq, defer_flag, distinct } = stitch;
     pending.push_back(gates);
 
     while let Some(mut gates) = pending.pop_front() {
-        let twoq: Vec<(usize, (usize, usize))> = if strategy == Strategy::ColorDynamic {
-            gates
-                .iter()
-                .enumerate()
-                .filter_map(|(at, g)| g.instruction.qubit_pair().map(|pair| (at, pair)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut deferred: Vec<usize> = Vec::new();
+        twoq.clear();
+        if strategy == Strategy::ColorDynamic {
+            twoq.extend(
+                gates
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(at, g)| g.instruction.qubit_pair().map(|pair| (at, pair))),
+            );
+        }
+        let mut deferred = 0;
         if !twoq.is_empty() {
-            let map = &mut stitch.gate_of_qubit;
             for (v, &(_, (a, b))) in twoq.iter().enumerate() {
                 map[a] = v;
                 map[b] = v;
@@ -571,7 +678,8 @@ fn stitch_and_push(
                     .interaction_freq
                     .expect("region engines assign every two-qubit frequency")
             };
-            let mut defer_flag = vec![false; twoq.len()];
+            defer_flag.clear();
+            defer_flag.resize(twoq.len(), false);
             // Cross-region conflicts: two internal couplings in
             // different regions conflict at distance 1 exactly when a
             // cut edge links their endpoints. Region tables for equal
@@ -603,7 +711,7 @@ fn stitch_and_push(
             // frequencies than any single region cycle used; gates past
             // the budget defer in merged order. The earliest gate always
             // survives, so the insertion loop terminates.
-            let mut distinct: Vec<u64> = Vec::new();
+            distinct.clear();
             for (v, flag) in defer_flag.iter_mut().enumerate() {
                 if *flag {
                     continue;
@@ -621,22 +729,26 @@ fn stitch_and_push(
             }
             counters.max_colors_used = counters.max_colors_used.max(distinct.len());
             // Sparse-clear the qubit → gate map for the next cycle.
-            for &(_, (a, b)) in &twoq {
+            for &(_, (a, b)) in twoq.iter() {
                 map[a] = NO_GATE;
                 map[b] = NO_GATE;
             }
-            deferred = (0..twoq.len()).filter(|&v| defer_flag[v]).collect();
+            deferred = defer_flag.iter().filter(|&&f| f).count();
         }
 
-        if !deferred.is_empty() {
-            counters.deferred_gates += deferred.len();
-            let removed: Vec<ScheduledGate> =
-                deferred.iter().rev().map(|&v| gates.remove(twoq[v].0)).collect();
-            pending.push_back(removed.into_iter().rev().collect());
+        if deferred > 0 {
+            counters.deferred_gates += deferred;
+            // Remove the deferred gates back to front (positions stay
+            // valid), then restore merged order.
+            let mut removed = Vec::with_capacity(deferred);
+            for (&(at, _), _) in twoq.iter().zip(defer_flag.iter()).rev().filter(|(_, &f)| f) {
+                removed.push(gates.remove(at));
+            }
+            removed.reverse();
+            pending.push_back(removed);
         }
-        push_cycle_global(ctx, strategy, gates, schedule, scratch);
+        push_cycle_global(ctx, strategy, gates, schedule, cycle);
     }
-    Ok(())
 }
 
 /// Builds and pushes one global cycle from already-frequency-assigned
@@ -654,7 +766,11 @@ fn push_cycle_global(
     let params = *ctx.device().params();
     let two_qubit = gates.iter().filter(|g| g.interaction_freq.is_some()).count();
     let mut frequencies = CycleFrequencies::parked(ctx, two_qubit);
-    let mut active_couplings = Vec::new();
+    let mut active_couplings = if strategy == Strategy::BaselineG {
+        Vec::with_capacity(two_qubit)
+    } else {
+        Vec::new()
+    };
     let mut max_gate_ns: f64 = 0.0;
     for g in &gates {
         match g.instruction.qubit_pair() {

@@ -21,7 +21,15 @@
 //! per-compile or per-cycle working buffer added to either fails this
 //! test.
 //!
-//! A second test bounds the bytes of a warm whole-device Baseline U
+//! A warm partitioned compile (`CompilerConfig::with_partition`, the
+//! 256-qubit scale tier, every strategy, regions run on the calling
+//! thread) has the same budget plus [`PER_REGION_RUN`] allocations per
+//! region engine run: what each run hands the merge. Classification,
+//! segmentation, the region and cut circuits, the merge keys and the
+//! stitch buffers all live in a per-thread scratch, so a per-compile or
+//! per-cycle buffer added to the partitioned path fails that test too.
+//!
+//! A third test bounds the bytes of a warm whole-device Baseline U
 //! compile of the 1024-qubit scale-tier XEB program under [`U1024_BYTES`]:
 //! its ~2,000 cycles each retune at most a few qubits, so overlays keep
 //! the schedule far smaller than one dense 8 KiB vector per cycle.
@@ -31,6 +39,7 @@ use fastsc_core::{Compiler, CompilerConfig, Strategy};
 use fastsc_device::{CouplerKind, Device};
 use fastsc_ir::decompose::decompose;
 use fastsc_ir::optimize::peephole;
+use fastsc_noise::Schedule;
 use fastsc_workloads::Benchmark;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,6 +108,19 @@ fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, BYTES.with(Cell::get) - before)
 }
 
+/// Allocations a schedule may make: one gate list per cycle, one
+/// frequency buffer per cycle with a two-qubit gate, one active-coupling
+/// list per Baseline G cycle that has one, and the cycle list's growth.
+fn schedule_allocations(schedule: &Schedule) -> usize {
+    let cycles = schedule.cycles();
+    let two_qubit_cycles = cycles
+        .iter()
+        .filter(|c| c.gates.iter().any(|g| g.instruction.gate.is_two_qubit()))
+        .count();
+    let coupler_cycles = cycles.iter().filter(|c| !c.active_couplings.is_empty()).count();
+    cycles.len() + two_qubit_cycles + coupler_cycles + doubling_allocations(cycles.len())
+}
+
 #[test]
 fn warm_compiles_allocate_only_the_schedule() {
     const SEED: u64 = 2020;
@@ -132,26 +154,60 @@ fn warm_compiles_allocate_only_the_schedule() {
         let routed = route(program, compiler.device()).expect("routes");
         let lowered = peephole(&decompose(&routed.circuit, config.decomposition));
         assert_eq!(compiled.stats.lowered_gate_count, lowered.len());
-        let cycles = compiled.schedule.cycles();
-        let two_qubit_cycles = cycles
-            .iter()
-            .filter(|c| c.gates.iter().any(|g| g.instruction.gate.is_two_qubit()))
-            .count();
-        let coupler_cycles = cycles.iter().filter(|c| !c.active_couplings.is_empty()).count();
-        let budget = cycles.len()
-            + two_qubit_cycles
-            + coupler_cycles
-            + doubling_allocations(cycles.len())
-            + OWN;
+        let budget = schedule_allocations(&compiled.schedule) + OWN;
         if allocs > budget {
             failures.push(format!(
-                "{bench} {strategy}: {allocs} allocations > budget {budget} (depth {}, \
-                 two-qubit cycles {two_qubit_cycles}, coupler cycles {coupler_cycles})",
-                cycles.len()
+                "{bench} {strategy}: {allocs} allocations > budget {budget} (depth {})",
+                compiled.schedule.depth()
             ));
         }
     }
     assert!(failures.is_empty(), "over budget:\n{}", failures.join("\n"));
+}
+
+/// Allocations one wave-gated region engine run hands back to the
+/// partitioned merge, each made once at its final size: its trace
+/// (admitted instructions, per-cycle offsets, per-wave cycle starts),
+/// its criticalities and its per-instruction frequencies.
+const PER_REGION_RUN: usize = 5;
+
+#[test]
+fn warm_partitioned_compiles_allocate_only_the_schedule_and_region_outputs() {
+    let tier = fastsc_workloads::scale_tiers()
+        .into_iter()
+        .find(|t| t.n_qubits() == 256)
+        .expect("the ladder has a 256-qubit tier");
+    let device = Device::grid(tier.side, tier.side, tier.seed);
+    // Every region may run, plus one run for the cut gates.
+    let region_runs =
+        fastsc_graph::regions::grow_regions(device.connectivity(), tier.partition_cap).len()
+            + 1;
+    assert!(region_runs > 2, "the tier splits");
+    let compiler = Compiler::new(device, CompilerConfig::with_partition(tier.partition_cap));
+    let program = tier.circuit();
+    // One worker: the regions run on this thread, where they are counted.
+    let one_worker =
+        rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("infallible");
+    one_worker.install(|| {
+        for strategy in Strategy::all() {
+            compiler.compile(&program, strategy).expect("compiles");
+        }
+        let mut failures = Vec::new();
+        for strategy in Strategy::all() {
+            let (compiled, allocs) =
+                counted(|| compiler.compile(&program, strategy).expect("compiles"));
+            let budget =
+                schedule_allocations(&compiled.schedule) + PER_REGION_RUN * region_runs + OWN;
+            if allocs > budget {
+                failures.push(format!(
+                    "{strategy}: {allocs} allocations > budget {budget} (depth {}, {} runs)",
+                    compiled.schedule.depth(),
+                    region_runs
+                ));
+            }
+        }
+        assert!(failures.is_empty(), "over budget:\n{}", failures.join("\n"));
+    });
 }
 
 /// Bytes a warm whole-device Baseline U compile of the 1024-qubit

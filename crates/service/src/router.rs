@@ -198,12 +198,16 @@ impl Shard {
                 self.ewma_latency_ns.load(Ordering::Relaxed),
             ),
             cache: self.cache.stats(),
-            health: ShardHealth {
-                attempts: self.attempts.load(Ordering::Relaxed),
-                failures: self.failures.load(Ordering::Relaxed),
-                consecutive_failures: self.consecutive_failures.load(Ordering::Relaxed),
-                breaker_trips: self.trips.load(Ordering::Relaxed),
-            },
+            health: self.health(),
+        }
+    }
+
+    fn health(&self) -> ShardHealth {
+        ShardHealth {
+            attempts: self.attempts.load(Ordering::Relaxed),
+            failures: self.failures.load(Ordering::Relaxed),
+            consecutive_failures: self.consecutive_failures.load(Ordering::Relaxed),
+            breaker_trips: self.trips.load(Ordering::Relaxed),
         }
     }
 
@@ -321,26 +325,27 @@ impl Drop for InflightGuard<'_> {
 }
 
 /// One registration index: a live shard, or the tombstone a removed
-/// shard leaves behind (frozen profile + final counters, so indices stay
-/// stable and neither fleet cache totals nor a scrape lose history).
+/// shard leaves behind (frozen profile, final scrape series and health,
+/// so indices stay stable and neither fleet cache totals, a scrape nor
+/// a shard view lose history).
 #[derive(Debug, Clone)]
 enum Slot {
     Live(Arc<Shard>),
-    Retired { profile: Arc<ShardProfile>, last: Box<ShardSeries> },
+    Retired { profile: Arc<ShardProfile>, last: Box<ShardSeries>, health: ShardHealth },
 }
 
 impl Slot {
     fn view(&self, shard: usize) -> ShardView {
         match self {
             Slot::Live(live) => live.view(shard),
-            Slot::Retired { profile, last } => ShardView {
+            Slot::Retired { profile, last, health } => ShardView {
                 shard,
                 profile: Arc::clone(profile),
                 state: ShardState::Retired,
                 load: 0,
                 ewma_compile_latency: Duration::ZERO,
                 cache: last.cache,
-                health: ShardHealth::default(),
+                health: *health,
             },
         }
     }
@@ -558,12 +563,13 @@ impl CompileService {
     /// Drains shard `shard` (see [`drain_shard`](Self::drain_shard)),
     /// releases its compile context and result cache, and leaves a
     /// tombstone holding its **final counters** — so shard indices stay
-    /// dense and stable, and both
-    /// [`cache_stats_total`](Self::cache_stats_total) and
-    /// [`to_prometheus`](Self::to_prometheus) keep counting the retired
-    /// shard's history instead of silently dropping it. Returns the final
-    /// cache counters. Idempotent; removing an already-retired shard
-    /// returns its frozen counters again.
+    /// dense and stable, and
+    /// [`cache_stats_total`](Self::cache_stats_total),
+    /// [`to_prometheus`](Self::to_prometheus) and the retired shard's
+    /// [`ShardView::health`] keep counting its history instead of
+    /// silently dropping it. Returns the final cache counters.
+    /// Idempotent; removing an already-retired shard returns its frozen
+    /// counters again.
     ///
     /// # Panics
     ///
@@ -576,7 +582,8 @@ impl CompileService {
             Slot::Live(live) => {
                 let last = Box::new(live.series());
                 let final_cache = last.cache;
-                shards[shard] = Slot::Retired { profile: Arc::clone(&live.profile), last };
+                let profile = Arc::clone(&live.profile);
+                shards[shard] = Slot::Retired { profile, last, health: live.health() };
                 final_cache
             }
         }
@@ -1802,6 +1809,27 @@ mod tests {
         assert_eq!(health.breaker_trips, 1);
         assert_eq!(health.failures, 2);
         assert_eq!(injector.injected(), 2);
+    }
+
+    #[test]
+    fn a_removed_shard_keeps_its_health() {
+        let service = two_shard_service();
+        service.set_breaker(Some(BreakerConfig { failure_threshold: 1, cooldown_jobs: 1 }));
+        let plan = FaultPlan::new(17)
+            .rule(FaultRule::new(FaultKind::Error).on_shard(0).for_attempts(0..1));
+        service.set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+        for i in 0..4 {
+            let _ = service.compile_batch_sequential(vec![distinct_job(i)]);
+        }
+        let before = service.shard_views()[0].health;
+        assert!(before.attempts > 1 && before.failures == 1 && before.breaker_trips == 1);
+        service.remove_shard(0);
+        let after = service.shard_views();
+        assert_eq!(after[0].state, ShardState::Retired);
+        assert_eq!(after[0].health, before, "removal keeps the shard's health");
+        // Later traffic lands on shard 1 only: shard 0's health stays frozen.
+        let _ = service.compile_batch_sequential(vec![distinct_job(4)]);
+        assert_eq!(service.shard_views()[0].health, before);
     }
 
     #[test]
