@@ -380,7 +380,7 @@ pub(crate) struct EngineOutput {
     /// gates); filled only on wave-gated runs, which skip schedule
     /// assembly entirely — the merge rebuilds global cycles from the
     /// trace plus this table, so materializing region-local cycles
-    /// (frequency overlays, durations, validation) would be pure waste.
+    /// (frequency blocks, durations, validation) would be pure waste.
     pub(crate) freq_of_inst: Vec<f64>,
 }
 
@@ -488,7 +488,9 @@ struct Workspace {
     /// count. Emptied at the end of every run: the values belong to one
     /// context.
     smt_local: Vec<Option<Arc<Vec<f64>>>>,
-    cycle_scratch: CycleScratch,
+    /// The run's cycles and their frequency blocks, until the schedule
+    /// is built from them.
+    blocks: CycleBlocks,
     mult_scratch: frequency::MultiplicityScratch,
 }
 
@@ -570,7 +572,6 @@ pub(crate) fn run_engine(
     let config = ctx.config();
     let xtalk = ctx.xtalk();
     let n_couplings = xtalk.coupling_count();
-    let n_qubits = device.n_qubits();
     let n_inst = lowered.len();
     assert_key_range(n_inst);
     let mut smt_calls = 0usize;
@@ -622,7 +623,7 @@ pub(crate) fn run_engine(
         wave_remaining,
         trace_offsets,
         smt_local,
-        cycle_scratch,
+        blocks,
         mult_scratch,
     } = &mut ws;
 
@@ -726,7 +727,8 @@ pub(crate) fn run_engine(
         freq_of_inst.resize(n_inst, f64::NAN);
     }
 
-    let mut schedule = Schedule::new(n_qubits);
+    blocks.clear();
+    let parking = ctx.parking();
     let mut max_colors_used = static_color_count;
     let mut deferred_gates = 0usize;
     let params = *device.params();
@@ -935,13 +937,13 @@ pub(crate) fn run_engine(
                 }
             }
         } else {
-            // Assemble the cycle: its gate list, frequencies and (Baseline
-            // G only) active couplings are the only per-cycle
-            // allocations, each made once at its final size.
-            // (`admitted_couplings` still lists ColorDynamic's
-            // budget-deferred couplings.)
+            // Assemble the cycle: its gate list and (Baseline G only)
+            // active couplings are the only per-cycle allocations, each
+            // made once at its final size; its frequencies go into the
+            // run's blocks. (`admitted_couplings` still lists
+            // ColorDynamic's budget-deferred couplings.)
             let two_qubit = admitted_couplings.len() - sub_deferred.len();
-            let mut frequencies = CycleFrequencies::parked(ctx, two_qubit);
+            blocks.begin(parking, two_qubit);
             let mut gates = Vec::with_capacity(admitted.len());
             let mut active_couplings = if strategy == Strategy::BaselineG {
                 Vec::with_capacity(two_qubit)
@@ -956,7 +958,7 @@ pub(crate) fn run_engine(
                 let interaction_freq = if q1[i] != NO_QUBIT {
                     let (a, b) = (q0[i], q1[i]);
                     let omega = interaction_freq(i);
-                    frequencies.retune(a, b, omega);
+                    blocks.retune(a, b, omega);
                     if strategy == Strategy::BaselineG {
                         active_couplings.push((a.min(b), a.max(b)));
                     }
@@ -977,11 +979,7 @@ pub(crate) fn run_engine(
 
             let duration_ns =
                 max_gate_ns + if any_two_qubit { params.flux_settle_ns } else { 0.0 };
-            let frequencies = frequencies.finish(ctx);
-            schedule.push_cycle_with(
-                Cycle { gates, frequencies, active_couplings, duration_ns },
-                cycle_scratch,
-            );
+            blocks.push(gates, active_couplings, duration_ns);
         }
         if waves.is_some() {
             trace.insts.extend_from_slice(admitted);
@@ -1054,6 +1052,7 @@ pub(crate) fn run_engine(
         }
     }
     smt_local.clear();
+    let schedule = blocks.finish(ctx);
     let _ = WORKSPACE.try_with(|slot| slot.set(ws));
     Ok(EngineOutput {
         schedule,
@@ -1066,61 +1065,138 @@ pub(crate) fn run_engine(
     })
 }
 
-/// A cycle's frequencies overlay the shared parking vector only when the
-/// overlay (two `(qubit, frequency)` pairs of 16 bytes per two-qubit gate)
-/// is at least 16x smaller than the dense vector (8 bytes per qubit):
-/// `OVERLAY_MIN_QUBITS_PER_GATE × two-qubit gates < n_qubits`. Other
-/// cycles stay dense: building and sorting an overlay costs more than
-/// copying a short vector, and overlaying every cycle cost `paper_direct`
-/// (4–25-qubit grids) 1.4–4.1% of its jobs/s (`docs/ENGINE.md`).
+/// A cycle's frequencies are its retuned pairs over the shared parking
+/// vector only when the pairs (two `(qubit, frequency)` pairs of 16 bytes
+/// per two-qubit gate) take at least 16x less room than a dense row (8
+/// bytes per qubit): `OVERLAY_MIN_QUBITS_PER_GATE × two-qubit gates <
+/// n_qubits`. Other cycles get a dense row: pairs are sorted per cycle and
+/// every reader patches them over the base, which costs more than a short
+/// row, and giving every cycle pairs cost `paper_direct` (4–25-qubit
+/// grids) 1.4–4.1% of its jobs/s (`docs/ENGINE.md`). Both layouts append
+/// to per-thread buffers ([`CycleBlocks`]), so the rule trades only
+/// copying and reading, not allocations.
 const OVERLAY_MIN_QUBITS_PER_GATE: usize = 64;
 
-/// The frequencies of one cycle under assembly — the one layout rule the
-/// whole-device engine and the partitioned merge share. Two-qubit gate
-/// qubits sit at their gate's interaction frequency and every other
-/// qubit at its parking frequency; a cycle that retunes few of the
-/// device's qubits stores that as an overlay on the context's shared
-/// parking vector, any other as a dense vector (see
-/// [`OVERLAY_MIN_QUBITS_PER_GATE`]). Either way the buffer is allocated
-/// once, at its final size, and not at all for an overlay that retunes
-/// nothing.
-pub(crate) enum CycleFrequencies {
-    Dense(Vec<f64>),
-    Overlay(Vec<(usize, f64)>),
+/// The cycles of one schedule under assembly, with their frequencies
+/// laid into two blocks the finished schedule shares: `rows`, the dense
+/// cycles' rows back to back, and `pairs`, every other cycle's retuned
+/// `(qubit, frequency)` pairs back to back, each cycle's sorted by qubit
+/// and read over the context's shared parking vector. This is the one
+/// layout rule ([`OVERLAY_MIN_QUBITS_PER_GATE`]) the whole-device engine
+/// and the partitioned merge share: two-qubit gate qubits sit at their
+/// gate's interaction frequency and every other qubit at its parking
+/// frequency. One lives in each thread's engine workspace (and one in the
+/// partitioned path's scratch); its buffers keep their capacity, so a
+/// warm thread allocates per cycle only what the caller hands to
+/// [`push`](Self::push), and [`finish`](Self::finish) allocates the
+/// blocks (each only when a cycle reads it) and the cycle list, each once
+/// at its final size.
+#[derive(Debug, Default)]
+pub(crate) struct CycleBlocks {
+    rows: Vec<f64>,
+    pairs: Vec<(usize, f64)>,
+    cycles: Vec<Assembled>,
+    /// Where the cycle under assembly writes its frequencies.
+    row: Row,
+    scratch: CycleScratch,
 }
 
-impl CycleFrequencies {
-    /// Parked frequencies for a cycle of `two_qubit` two-qubit gates, in
-    /// the layout that count picks.
-    pub(crate) fn parked(ctx: &CompileContext, two_qubit: usize) -> Self {
-        let parking = ctx.parking();
-        if OVERLAY_MIN_QUBITS_PER_GATE * two_qubit < parking.len() {
-            CycleFrequencies::Overlay(Vec::with_capacity(2 * two_qubit))
-        } else {
-            CycleFrequencies::Dense(parking.to_vec())
-        }
+/// Where a cycle's frequencies are: its dense row, starting at
+/// `rows[start]`, or its pairs `pairs[start..end]`.
+#[derive(Debug, Clone, Copy)]
+enum Row {
+    Dense(usize),
+    Pairs(usize, usize),
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::Dense(0)
+    }
+}
+
+/// An assembled cycle whose frequencies wait in the blocks.
+#[derive(Debug)]
+struct Assembled {
+    gates: Vec<ScheduledGate>,
+    active_couplings: Vec<(usize, usize)>,
+    duration_ns: f64,
+    row: Row,
+}
+
+impl CycleBlocks {
+    /// Empties the blocks and the cycle list for a new schedule, keeping
+    /// their capacity.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.pairs.clear();
+        self.cycles.clear();
     }
 
-    /// Tunes qubits `a` and `b` to a two-qubit gate's frequency `omega`.
+    /// Starts a cycle of `two_qubit` two-qubit gates with every qubit at
+    /// its `parking` frequency, in the layout that count picks.
+    #[inline]
+    pub(crate) fn begin(&mut self, parking: &[f64], two_qubit: usize) {
+        self.row = if OVERLAY_MIN_QUBITS_PER_GATE * two_qubit < parking.len() {
+            Row::Pairs(self.pairs.len(), self.pairs.len())
+        } else {
+            self.rows.extend_from_slice(parking);
+            Row::Dense(self.rows.len() - parking.len())
+        };
+    }
+
+    /// Tunes qubits `a` and `b` of the cycle begun last to a two-qubit
+    /// gate's frequency `omega`.
     #[inline]
     pub(crate) fn retune(&mut self, a: usize, b: usize, omega: f64) {
-        match self {
-            CycleFrequencies::Dense(values) => {
-                values[a] = omega;
-                values[b] = omega;
+        match self.row {
+            Row::Dense(at) => {
+                self.rows[at + a] = omega;
+                self.rows[at + b] = omega;
             }
-            CycleFrequencies::Overlay(retuned) => retuned.extend([(a, omega), (b, omega)]),
+            Row::Pairs(..) => self.pairs.extend([(a, omega), (b, omega)]),
         }
     }
 
-    /// The cycle's [`Frequencies`].
-    pub(crate) fn finish(self, ctx: &CompileContext) -> Frequencies {
-        match self {
-            CycleFrequencies::Dense(values) => values.into(),
-            CycleFrequencies::Overlay(retuned) => {
-                Frequencies::overlay(Arc::clone(ctx.shared_parking()), retuned)
-            }
+    /// Ends the cycle begun last, with its gates, active couplings and
+    /// duration.
+    pub(crate) fn push(
+        &mut self,
+        gates: Vec<ScheduledGate>,
+        active_couplings: Vec<(usize, usize)>,
+        duration_ns: f64,
+    ) {
+        if let Row::Pairs(start, _) = self.row {
+            self.pairs[start..].sort_unstable_by_key(|&(q, _)| q);
+            self.row = Row::Pairs(start, self.pairs.len());
         }
+        self.cycles.push(Assembled { gates, active_couplings, duration_ns, row: self.row });
+    }
+
+    /// The schedule of the cycles pushed since [`clear`](Self::clear),
+    /// each a window onto the two blocks and validated by
+    /// [`Schedule::push_cycle_with`]. Leaves the cycle list empty.
+    pub(crate) fn finish(&mut self, ctx: &CompileContext) -> Schedule {
+        let parking = ctx.shared_parking();
+        let n = parking.len();
+        let mut schedule = Schedule::with_capacity(n, self.cycles.len());
+        // A block is allocated only when some cycle reads it.
+        let rows: Option<Arc<[f64]>> = (!self.rows.is_empty()).then(|| self.rows[..].into());
+        let pairs: Option<Arc<[(usize, f64)]>> =
+            (!self.pairs.is_empty()).then(|| self.pairs[..].into());
+        for Assembled { gates, active_couplings, duration_ns, row } in self.cycles.drain(..) {
+            let frequencies = match (row, &rows, &pairs) {
+                (Row::Dense(at), Some(rows), _) => Frequencies::row(rows, at..at + n),
+                (Row::Pairs(start, end), _, Some(pairs)) => {
+                    Frequencies::window(parking, 0..n, pairs, start..end)
+                }
+                // No pairs, or the (empty) row of a device without qubits.
+                _ => Frequencies::row(parking, 0..n),
+            };
+            let cycle = Cycle { gates, frequencies, active_couplings, duration_ns };
+            schedule.push_cycle_with(cycle, &mut self.scratch);
+        }
+        schedule
     }
 }
 

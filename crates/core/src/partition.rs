@@ -45,12 +45,12 @@
 
 use crate::context::CompileContext;
 use crate::engine::{
-    admission_key, assert_key_range, key_index, run_engine, CycleFrequencies, CycleTrace,
+    admission_key, assert_key_range, key_index, run_engine, CycleBlocks, CycleTrace,
     EngineOutput, Strategy,
 };
 use crate::error::CompileError;
 use fastsc_ir::{Circuit, Gate, Instruction, Operands};
-use fastsc_noise::{Cycle, CycleScratch, Schedule, ScheduledGate};
+use fastsc_noise::ScheduledGate;
 use rayon::prelude::*;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -293,7 +293,7 @@ struct Scratch {
     runs: Vec<Option<EngineOutput>>,
     /// One merged cycle's admission keys.
     keys: Vec<u64>,
-    cycle: CycleScratch,
+    blocks: CycleBlocks,
     stitch: StitchScratch,
 }
 
@@ -350,7 +350,7 @@ impl Scratch {
             cut,
             runs,
             keys,
-            cycle,
+            blocks,
             stitch,
         } = self;
 
@@ -474,13 +474,13 @@ impl Scratch {
         // internal cycles can precede its cut cycles.
         let mut stitch_span = fastsc_telemetry::phase("stitch");
         let deferred_before_stitch = counters.deferred_gates;
-        let mut schedule = Schedule::new(n_qubits);
+        blocks.clear();
         stitch.reset(n_qubits);
         let merge = Merge { ctx, state, strategy, insts, class, local, regions, runs };
         for s in 0..n_segs {
-            merge.internal_wave(s, keys, &mut schedule, cycle, stitch, &mut counters);
+            merge.internal_wave(s, keys, blocks, stitch, &mut counters);
             if let Some(run) = &cut_run {
-                merge.push_wave(cut, run, s, &mut schedule, cycle);
+                merge.push_wave(cut, run, s, blocks);
             }
         }
         stitch_span.attr("cut_gates", cut.globals.len());
@@ -490,7 +490,7 @@ impl Scratch {
         drop(partition_span);
 
         Ok(EngineOutput {
-            schedule,
+            schedule: blocks.finish(ctx),
             max_colors_used: counters.max_colors_used,
             smt_calls: counters.smt_calls,
             deferred_gates: counters.deferred_gates,
@@ -522,13 +522,12 @@ impl Merge<'_> {
         input: &RunInput,
         run: &EngineOutput,
         s: usize,
-        schedule: &mut Schedule,
-        cycle: &mut CycleScratch,
+        blocks: &mut CycleBlocks,
     ) {
         for at in run.trace.wave_cycles(s) {
             let gates: Vec<ScheduledGate> =
                 run.trace.cycle(at).iter().map(|&li| input.gate(self.insts, run, li)).collect();
-            push_cycle_global(self.ctx, self.strategy, gates, schedule, cycle);
+            push_cycle_global(self.ctx, self.strategy, gates, blocks);
         }
     }
 
@@ -538,8 +537,7 @@ impl Merge<'_> {
         &self,
         s: usize,
         keys: &mut Vec<u64>,
-        schedule: &mut Schedule,
-        cycle: &mut CycleScratch,
+        blocks: &mut CycleBlocks,
         stitch: &mut StitchScratch,
         counters: &mut Counters,
     ) {
@@ -557,7 +555,7 @@ impl Merge<'_> {
             // order). The uniform interaction frequency is global, so no
             // frequency reconciliation is needed.
             for (input, run) in runs() {
-                self.push_wave(input, run, s, schedule, cycle);
+                self.push_wave(input, run, s, blocks);
             }
             return;
         }
@@ -591,9 +589,7 @@ impl Merge<'_> {
                     self.regions[r].gate(insts, run, self.local[gi])
                 })
                 .collect();
-            stitch_and_push(
-                ctx, self.state, strategy, gates, schedule, cycle, stitch, counters,
-            );
+            stitch_and_push(ctx, self.state, strategy, gates, blocks, stitch, counters);
         }
     }
 }
@@ -640,14 +636,12 @@ impl StitchScratch {
 /// tables (region and whole-device frequencies already agree), and
 /// Baselines S and G keep their region-local static colorings (the
 /// documented partitioned exemption).
-#[allow(clippy::too_many_arguments)]
 fn stitch_and_push(
     ctx: &CompileContext,
     state: &PartitionedState,
     strategy: Strategy,
     gates: Vec<ScheduledGate>,
-    schedule: &mut Schedule,
-    cycle: &mut CycleScratch,
+    blocks: &mut CycleBlocks,
     stitch: &mut StitchScratch,
     counters: &mut Counters,
 ) {
@@ -747,25 +741,24 @@ fn stitch_and_push(
             removed.reverse();
             pending.push_back(removed);
         }
-        push_cycle_global(ctx, strategy, gates, schedule, cycle);
+        push_cycle_global(ctx, strategy, gates, blocks);
     }
 }
 
 /// Builds and pushes one global cycle from already-frequency-assigned
 /// gates: frequencies follow the whole-device engine's layout rule
-/// ([`CycleFrequencies`]), the duration is recomputed from the merged gate
+/// ([`CycleBlocks`]), the duration is recomputed from the merged gate
 /// set (identical formula to the whole-device engine), and Baseline G's
 /// active couplings are collected in gate order.
 fn push_cycle_global(
     ctx: &CompileContext,
     strategy: Strategy,
     gates: Vec<ScheduledGate>,
-    schedule: &mut Schedule,
-    scratch: &mut CycleScratch,
+    blocks: &mut CycleBlocks,
 ) {
     let params = *ctx.device().params();
     let two_qubit = gates.iter().filter(|g| g.interaction_freq.is_some()).count();
-    let mut frequencies = CycleFrequencies::parked(ctx, two_qubit);
+    blocks.begin(ctx.parking(), two_qubit);
     let mut active_couplings = if strategy == Strategy::BaselineG {
         Vec::with_capacity(two_qubit)
     } else {
@@ -776,7 +769,7 @@ fn push_cycle_global(
         match g.instruction.qubit_pair() {
             Some((a, b)) => {
                 let omega = g.interaction_freq.expect("two-qubit gate has a frequency");
-                frequencies.retune(a, b, omega);
+                blocks.retune(a, b, omega);
                 if strategy == Strategy::BaselineG {
                     active_couplings.push((a.min(b), a.max(b)));
                 }
@@ -791,7 +784,5 @@ fn push_cycle_global(
         }
     }
     let duration_ns = max_gate_ns + if two_qubit > 0 { params.flux_settle_ns } else { 0.0 };
-    let frequencies = frequencies.finish(ctx);
-    schedule
-        .push_cycle_with(Cycle { gates, frequencies, active_couplings, duration_ns }, scratch);
+    blocks.push(gates, active_couplings, duration_ns);
 }

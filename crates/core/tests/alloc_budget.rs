@@ -6,33 +6,34 @@
 //! the Fig. 9 jobs, a compile may allocate at most:
 //!
 //! - one gate list per cycle of the returned schedule,
-//! - one frequency buffer per cycle with a two-qubit gate (a dense
-//!   vector, or the retuned pairs overlaid on the context's shared
-//!   parking vector; a cycle of single-qubit gates only shares the
-//!   parking vector and allocates no frequencies),
-//! - one more per Baseline G cycle with active couplings,
-//! - `ceil(log2(depth)) + 1` for the schedule's cycle list, which starts
-//!   empty and at least doubles each time it grows,
+//! - one active coupling list per Baseline G cycle that has one,
+//! - [`BLOCKS`] frequency blocks for the whole schedule: one holding the
+//!   dense cycles' rows and one holding the other cycles' retuned pairs
+//!   (every cycle's frequencies are a window onto them or onto the
+//!   context's shared parking vector),
+//! - one cycle list, made at the schedule's exact depth,
 //! - and [`OWN`] more.
 //!
 //! `OWN` is zero: once their per-thread workspaces are warm, neither the
 //! front end (routing, lowering, peephole) nor the scheduling engine
 //! allocates anything but the schedule the compile returns, so a
 //! per-compile or per-cycle working buffer added to either fails this
-//! test.
+//! test, and so does a frequency row or pair list allocated per cycle.
 //!
 //! A warm partitioned compile (`CompilerConfig::with_partition`, the
 //! 256-qubit scale tier, every strategy, regions run on the calling
 //! thread) has the same budget plus [`PER_REGION_RUN`] allocations per
 //! region engine run: what each run hands the merge. Classification,
-//! segmentation, the region and cut circuits, the merge keys and the
-//! stitch buffers all live in a per-thread scratch, so a per-compile or
-//! per-cycle buffer added to the partitioned path fails that test too.
+//! segmentation, the region and cut circuits, the merge keys, the stitch
+//! buffers and the merged cycles' frequency blocks all live in a
+//! per-thread scratch, so a per-compile or per-cycle buffer added to the
+//! partitioned path fails that test too.
 //!
 //! A third test bounds the bytes of a warm whole-device Baseline U
 //! compile of the 1024-qubit scale-tier XEB program under [`U1024_BYTES`]:
-//! its ~2,000 cycles each retune at most a few qubits, so overlays keep
-//! the schedule far smaller than one dense 8 KiB vector per cycle.
+//! its ~2,000 cycles each retune at most a few qubits, so their pairs over
+//! the shared parking vector keep the schedule far smaller than one dense
+//! 8 KiB row per cycle.
 
 use fastsc_core::router::route;
 use fastsc_core::{Compiler, CompilerConfig, Strategy};
@@ -47,11 +48,8 @@ use std::cell::Cell;
 /// Allocations a warm compile may make beyond the returned schedule.
 const OWN: usize = 0;
 
-/// A bound on the allocations of a list grown to `len` by at-least
-/// doubling from capacity one or more: `ceil(log2(len)) + 1`.
-fn doubling_allocations(len: usize) -> usize {
-    len.next_power_of_two().trailing_zeros() as usize + 1
-}
+/// The frequency blocks one schedule shares: dense rows and retuned pairs.
+const BLOCKS: usize = 2;
 
 thread_local! {
     static COUNT: Cell<usize> = const { Cell::new(0) };
@@ -109,16 +107,12 @@ fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// Allocations a schedule may make: one gate list per cycle, one
-/// frequency buffer per cycle with a two-qubit gate, one active-coupling
-/// list per Baseline G cycle that has one, and the cycle list's growth.
+/// active-coupling list per Baseline G cycle that has one, the frequency
+/// blocks and the cycle list.
 fn schedule_allocations(schedule: &Schedule) -> usize {
     let cycles = schedule.cycles();
-    let two_qubit_cycles = cycles
-        .iter()
-        .filter(|c| c.gates.iter().any(|g| g.instruction.gate.is_two_qubit()))
-        .count();
     let coupler_cycles = cycles.iter().filter(|c| !c.active_couplings.is_empty()).count();
-    cycles.len() + two_qubit_cycles + coupler_cycles + doubling_allocations(cycles.len())
+    cycles.len() + coupler_cycles + BLOCKS + 1
 }
 
 #[test]
@@ -212,12 +206,13 @@ fn warm_partitioned_compiles_allocate_only_the_schedule_and_region_outputs() {
 
 /// Bytes a warm whole-device Baseline U compile of the 1024-qubit
 /// scale-tier XEB program (1,985 cycles) may allocate. Measured at
-/// 811,656 bytes; the bound leaves about 50% headroom.
+/// 657,056 bytes (811,656 when each cycle allocated its own pair list and
+/// the cycle list grew by doubling); the bound leaves about 80% headroom.
 const U1024_BYTES: usize = 1_200_000;
 
 /// The same compile when every cycle stored a dense 8 KiB frequency
-/// vector: 16,943,816 bytes measured. Overlays must keep the compile
-/// under a quarter of it.
+/// vector: 16,943,816 bytes measured. Pairs over the parking vector must
+/// keep the compile under a quarter of it.
 const U1024_DENSE_BYTES: usize = 16_943_816;
 const _: () = assert!(4 * U1024_BYTES < U1024_DENSE_BYTES);
 

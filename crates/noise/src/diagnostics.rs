@@ -145,7 +145,8 @@ pub fn error_budget(device: &Device, schedule: &Schedule) -> ErrorBudget {
             let alpha_u = device.qubit(u).anharmonicity;
             let alpha_v = device.qubit(v).anharmonicity;
             if busy.contains(&(u, v)) {
-                ep.active = false;
+                // Own gate: charge the open episode, as the estimator does.
+                close(ep, (u, v), cycle_idx, alpha_u, alpha_v, &mut budget.crosstalk);
                 continue;
             }
             let coupler_on = cycle.active_couplings.contains(&(u, v));

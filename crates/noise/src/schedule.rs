@@ -23,9 +23,11 @@ pub struct Cycle {
     pub gates: Vec<ScheduledGate>,
     /// Every qubit's 0-1 frequency (GHz) during this cycle — interaction
     /// frequencies for two-qubit gate qubits, parking frequencies for
-    /// the others. Reads like a dense vector; the compiler stores a cycle
-    /// that retunes few of the device's qubits as an overlay on the
-    /// device's shared parking vector (see [`Frequencies`]).
+    /// the others. Reads like a dense vector; a compiled cycle is a
+    /// window onto its schedule's shared blocks: its row of the dense
+    /// rows block, or, when it retunes few of the device's qubits, its
+    /// retuned pairs over the device's shared parking vector (see
+    /// [`Frequencies`]).
     pub frequencies: Frequencies,
     /// Couplings (normalized `(min, max)` qubit pairs) whose tunable
     /// coupler is active this cycle. Ignored on fixed-coupler hardware.
@@ -94,6 +96,12 @@ impl Schedule {
     /// An empty schedule over `n_qubits` device qubits.
     pub fn new(n_qubits: usize) -> Self {
         Schedule { n_qubits, cycles: Vec::new() }
+    }
+
+    /// An empty schedule over `n_qubits` device qubits with room for
+    /// `cycles` cycles, so pushing that many never grows the cycle list.
+    pub fn with_capacity(n_qubits: usize, cycles: usize) -> Self {
+        Schedule { n_qubits, cycles: Vec::with_capacity(cycles) }
     }
 
     /// Appends a cycle.
@@ -172,8 +180,8 @@ impl Schedule {
     /// A pinned 64-bit digest of **everything** in the schedule: qubit
     /// count, cycle count, and for every cycle its gates (gate
     /// identity, parameters, operands, and interaction frequency bits),
-    /// every qubit's frequency (the logical values, so an overlay and its
-    /// dense twin hash equal), active couplings, and
+    /// every qubit's frequency (the logical values, so a window onto
+    /// shared blocks and its dense twin hash equal), active couplings, and
     /// duration — all folded through the workspace's stable FNV-1a
     /// [`StableHasher`](fastsc_ir::hash::StableHasher) with exact
     /// IEEE-754 bit patterns for every float.

@@ -36,7 +36,7 @@ use crate::{Artifact, ScheduleArtifact, SmtArtifact, StaticsArtifact};
 use fastsc_core::{CompileStats, CompiledProgram};
 use fastsc_ir::hash::StableHasher;
 use fastsc_ir::{Circuit, Gate, Instruction, Operands};
-use fastsc_noise::{Cycle, Schedule, ScheduledGate};
+use fastsc_noise::{Cycle, CycleScratch, Frequencies, Schedule, ScheduledGate};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -161,6 +161,22 @@ impl<'a> Reader<'a> {
     fn f64_vec(&mut self) -> Option<Vec<f64>> {
         let n = self.len_prefix(8)?;
         (0..n).map(|_| self.f64_bits()).collect()
+    }
+
+    /// Appends a length-prefixed float sequence to `out`; fails unless
+    /// it holds exactly `n` values.
+    fn f64_row(&mut self, n: usize, out: &mut Vec<f64>) -> Option<()> {
+        if self.len_prefix(8)? != n {
+            return None;
+        }
+        for _ in 0..n {
+            out.push(self.f64_bits()?);
+        }
+        Some(())
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
 
     fn finished(&self) -> bool {
@@ -354,18 +370,27 @@ fn encode_schedule(w: &mut Writer, schedule: &Schedule) {
     }
 }
 
-/// Rebuilds a schedule cycle by cycle. Every condition
-/// [`Schedule::push_cycle`] enforces by panicking is pre-checked here and
-/// turned into a decode failure instead, so a damaged record can never
-/// abort the process — and the rebuilt schedule passes exactly the
-/// validation a freshly compiled one does.
+/// Rebuilds a schedule cycle by cycle, laying every cycle's frequency
+/// row into one value block that the decoded cycles are windows onto.
+/// Every condition [`Schedule::push_cycle_with`] enforces by panicking is
+/// pre-checked here and turned into a decode failure instead, so a
+/// damaged record can never abort the process — and the rebuilt schedule
+/// then passes exactly the validation a freshly compiled one does,
+/// through one reused scratch.
 fn decode_schedule(r: &mut Reader<'_>) -> Option<Schedule> {
     let n_qubits = r.usize()?;
     if n_qubits > r.bytes.len() {
         return None;
     }
     let n_cycles = r.len_prefix(9)?;
-    let mut schedule = Schedule::new(n_qubits);
+    // Every cycle stores its row, 8 bytes a value: a count the payload
+    // cannot hold fails before the block is reserved.
+    let n_values = n_qubits.checked_mul(n_cycles)?;
+    if n_values.checked_mul(8)? > r.remaining() {
+        return None;
+    }
+    let mut rows = Vec::with_capacity(n_values);
+    let mut cycles = Vec::with_capacity(n_cycles);
     let mut used = vec![usize::MAX; n_qubits];
     for stamp in 0..n_cycles {
         let n_gates = r.len_prefix(10)?;
@@ -385,10 +410,7 @@ fn decode_schedule(r: &mut Reader<'_>) -> Option<Schedule> {
             };
             gates.push(ScheduledGate { instruction, interaction_freq });
         }
-        let frequencies = r.f64_vec()?;
-        if frequencies.len() != n_qubits {
-            return None;
-        }
+        r.f64_row(n_qubits, &mut rows)?;
         let n_couplings = r.len_prefix(16)?;
         let active_couplings: Vec<(usize, usize)> =
             (0..n_couplings).map(|_| Some((r.usize()?, r.usize()?))).collect::<Option<_>>()?;
@@ -396,12 +418,15 @@ fn decode_schedule(r: &mut Reader<'_>) -> Option<Schedule> {
         if duration_ns.is_nan() || duration_ns < 0.0 {
             return None;
         }
-        schedule.push_cycle(Cycle {
-            gates,
-            frequencies: frequencies.into(),
-            active_couplings,
-            duration_ns,
-        });
+        cycles.push((gates, active_couplings, duration_ns));
+    }
+    let rows: Arc<[f64]> = rows.into();
+    let mut schedule = Schedule::with_capacity(n_qubits, n_cycles);
+    let mut scratch = CycleScratch::new();
+    for (c, (gates, active_couplings, duration_ns)) in cycles.into_iter().enumerate() {
+        let frequencies = Frequencies::row(&rows, c * n_qubits..(c + 1) * n_qubits);
+        let cycle = Cycle { gates, frequencies, active_couplings, duration_ns };
+        schedule.push_cycle_with(cycle, &mut scratch);
     }
     Some(schedule)
 }
@@ -524,7 +549,6 @@ mod tests {
     use super::*;
     use fastsc_core::{CompileContext, Compiler, CompilerConfig, Strategy};
     use fastsc_device::Device;
-    use fastsc_noise::Frequencies;
     use fastsc_workloads::Benchmark;
 
     fn sample_schedule_artifact() -> ScheduleArtifact {
@@ -628,6 +652,36 @@ mod tests {
             back.compiled.stats.lowered_gate_count,
             artifact.compiled.stats.lowered_gate_count
         );
+    }
+
+    #[test]
+    fn a_decoded_scale_tier_baseline_u_schedule_hashes_like_the_original() {
+        // ~2,000 cycles over 1,024 qubits, almost all of them pairs over
+        // the parking vector: decoding lays them out as dense rows.
+        let tier = fastsc_workloads::scale_tiers()
+            .into_iter()
+            .find(|t| t.n_qubits() == 1024)
+            .expect("the ladder has a 1024-qubit tier");
+        let device = Device::grid(tier.side, tier.side, tier.seed);
+        let compiler = Compiler::new(device, CompilerConfig::default());
+        let program = tier.circuit();
+        let compiled = compiler.compile(&program, Strategy::BaselineU).expect("compiles");
+        let artifact = ScheduleArtifact {
+            device_fingerprint: 0x2222,
+            program_hash: program.structural_hash(),
+            strategy_code: Strategy::BaselineU.stable_code(),
+            config_fingerprint: CompilerConfig::default().fingerprint(),
+            program,
+            compiled: Arc::new(compiled),
+        };
+        let original = &artifact.compiled.schedule;
+        let payload = encode_artifact(&Artifact::Schedule(artifact.clone()));
+        let Artifact::Schedule(back) = decode_artifact(&payload).expect("decodes") else {
+            panic!("wrong kind")
+        };
+        assert!(original.depth() > 1_000, "depth {}", original.depth());
+        assert_eq!(back.compiled.schedule.stable_hash(), original.stable_hash());
+        assert_eq!(&back.compiled.schedule, original);
     }
 
     /// `artifact`'s schedule with every cycle's frequencies stored in one
