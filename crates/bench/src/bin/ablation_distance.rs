@@ -23,7 +23,7 @@ fn main() {
     let benchmarks = [Benchmark::Xeb(16, 5), Benchmark::Xeb(16, 10), Benchmark::Qgan(16)];
     // A device with a real next-neighbor residual channel.
     let params = DeviceParams { distance2_coupling_factor: 0.05, ..Default::default() };
-    let noise = NoiseConfig { include_distance2: true, ..NoiseConfig::default() };
+    let noise = NoiseConfig { include_distance2: true };
     let widths = [12usize, 6, 10, 8, 10, 10];
 
     println!("Crosstalk-distance ablation (ColorDynamic; distance-2 channel live)");

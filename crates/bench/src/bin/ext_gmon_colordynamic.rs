@@ -22,7 +22,7 @@ fn main() {
     let residuals = [0.0, 0.2, 0.4, 0.6, 0.8];
     // Through-coupler leakage live.
     let params = DeviceParams { distance2_coupling_factor: 0.1, ..Default::default() };
-    let noise = NoiseConfig { include_distance2: true, ..NoiseConfig::default() };
+    let noise = NoiseConfig { include_distance2: true };
     let widths = [12usize, 8, 12, 16, 10];
 
     println!("Extension — ColorDynamic on gmon hardware (paper §VIII future work)");

@@ -28,7 +28,7 @@ fn main() {
     // Through-coupler next-neighbor virtual coupling at ~10% of the direct
     // coupling (before coupler attenuation).
     let params = DeviceParams { distance2_coupling_factor: 0.1, ..Default::default() };
-    let noise = NoiseConfig { include_distance2: true, ..NoiseConfig::default() };
+    let noise = NoiseConfig { include_distance2: true };
     let widths = [12usize, 10, 10, 10, 10, 10, 10];
 
     println!("Fig. 12 — Baseline G success rate by residual coupling factor");

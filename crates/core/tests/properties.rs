@@ -214,6 +214,7 @@ proptest! {
         // The budget attributes each episode the estimator charges, so its
         // union-bound sum is at least the product-form crosstalk error —
         // on every strategy's schedules of the Fig. 9 programs and grids.
+        // Both come from one walk, so the shared factors agree bitwise.
         let bench = Benchmark::fig9_suite()[bench];
         let side = ((bench.n_qubits() as f64).sqrt().ceil() as usize).max(2);
         let program = bench.build(seed);
@@ -227,12 +228,21 @@ proptest! {
             let compiler = Compiler::new(device, CompilerConfig::default());
             let compiled = compiler.compile(&program, strategy).expect("compiles");
             let device = compiler.device();
-            let budget = error_budget(device, &compiled.schedule).crosstalk_sum();
+            let budget = error_budget(device, &compiled.schedule);
             let report = estimate(device, &compiled.schedule, &NoiseConfig::default());
+            let sum = budget.crosstalk_sum();
             prop_assert!(
-                budget >= report.crosstalk_error() - 1e-12,
-                "{} {}: budget {} < estimated {}", bench, strategy, budget, report.crosstalk_error()
+                sum >= report.crosstalk_error() - 1e-12,
+                "{} {}: budget {} < estimated {}", bench, strategy, sum, report.crosstalk_error()
             );
+            prop_assert_eq!(budget.gate_error.to_bits(), (1.0 - report.gate_survival).to_bits());
+            let survival = budget.decoherence.iter().fold(1.0, |s, e| s * (1.0 - e));
+            prop_assert_eq!(survival.to_bits(), report.decoherence_survival.to_bits());
+            // The budget drops contributions at or below 1e-9.
+            if report.max_channel_error > 1e-9 {
+                let largest = budget.top_crosstalk(1)[0].error;
+                prop_assert_eq!(largest.to_bits(), report.max_channel_error.to_bits());
+            }
         }
     }
 

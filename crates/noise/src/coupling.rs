@@ -100,8 +100,7 @@ impl ChannelErrors {
 
 /// Evaluates all three channels for a coupled pair over one cycle.
 ///
-/// `g0` is the bare coupling already scaled by any coupler attenuation;
-/// `include_leakage` disables the sideband channels when false.
+/// `g0` is the bare coupling already scaled by any coupler attenuation.
 pub fn pair_channels(
     g0: f64,
     omega_a: f64,
@@ -109,12 +108,8 @@ pub fn pair_channels(
     alpha_a: f64,
     alpha_b: f64,
     t_ns: f64,
-    include_leakage: bool,
 ) -> ChannelErrors {
     let exchange = crosstalk_error(g0, (omega_a - omega_b).abs(), t_ns);
-    if !include_leakage {
-        return ChannelErrors { exchange, leakage_a: 0.0, leakage_b: 0.0 };
-    }
     let sqrt2_g0 = std::f64::consts::SQRT_2 * g0;
     // |11> <-> |20>: the 1->2 transition of one qubit absorbs the 1->0 of
     // the other, resonant when omega12_x = omega01_y.
@@ -223,7 +218,7 @@ mod tests {
     #[test]
     fn leakage_channels_resonant_at_anharmonicity_offset() {
         // omega_a + alpha = omega_b: leakage_a channel on resonance.
-        let ch = pair_channels(G0, 6.5, 6.3, -0.2, -0.2, 50.0, true);
+        let ch = pair_channels(G0, 6.5, 6.3, -0.2, -0.2, 50.0);
         assert!(ch.leakage_a > 0.9, "leakage_a = {}", ch.leakage_a);
         // Exchange channel is 200 MHz detuned: tiny.
         assert!(ch.exchange < 0.01);
@@ -231,15 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn leakage_can_be_disabled() {
-        let ch = pair_channels(G0, 6.5, 6.3, -0.2, -0.2, 50.0, false);
-        assert_eq!(ch.leakage_a, 0.0);
-        assert_eq!(ch.leakage_b, 0.0);
-    }
-
-    #[test]
     fn combined_error_bounds() {
-        let ch = pair_channels(G0, 6.5, 6.5, -0.2, -0.2, 50.0, true);
+        let ch = pair_channels(G0, 6.5, 6.5, -0.2, -0.2, 50.0);
         let c = ch.combined();
         assert!((0.0..=1.0).contains(&c));
         assert!(c >= ch.exchange);

@@ -1,39 +1,23 @@
 //! Qubit decoherence (paper §II-B-1) and flux-noise dephasing (Fig. 4).
 
-/// How T1/T2 decay combines into a single error number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DecoherenceModel {
-    /// Exactly the paper's expression:
-    /// `q(t) = (1 - e^{-t/T1}) (1 - e^{-t/T2})`.
-    #[default]
-    PaperProduct,
-    /// Survival-probability reading: `q(t) = 1 - e^{-t/T1} e^{-t/T2}`
-    /// (larger for short programs; kept for sensitivity studies).
-    SurvivalProduct,
+/// The paper's decoherence error after accumulating decay exponents
+/// `x1 = sum t_i/T1` and `x2 = sum t_i/T2_eff(i)`:
+/// `q = (1 - e^{-x1}) (1 - e^{-x2})`.
+pub fn error_from_exponents(x1: f64, x2: f64) -> f64 {
+    (1.0 - (-x1).exp()) * (1.0 - (-x2).exp())
 }
 
-impl DecoherenceModel {
-    /// Error after accumulating decay exponents `x1 = sum t_i/T1` and
-    /// `x2 = sum t_i/T2_eff(i)`.
-    pub fn error_from_exponents(self, x1: f64, x2: f64) -> f64 {
-        match self {
-            DecoherenceModel::PaperProduct => (1.0 - (-x1).exp()) * (1.0 - (-x2).exp()),
-            DecoherenceModel::SurvivalProduct => 1.0 - (-(x1 + x2)).exp(),
-        }
-    }
-
-    /// Error of a qubit idling for `t_ns` with constant `T1`/`T2`
-    /// (microseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both time constants are positive and `t_ns >= 0`.
-    pub fn error(self, t1_us: f64, t2_us: f64, t_ns: f64) -> f64 {
-        assert!(t1_us > 0.0 && t2_us > 0.0, "coherence times must be positive");
-        assert!(t_ns >= 0.0, "duration must be non-negative");
-        let t_us = t_ns * 1e-3;
-        self.error_from_exponents(t_us / t1_us, t_us / t2_us)
-    }
+/// Error of a qubit idling for `t_ns` with constant `T1`/`T2`
+/// (microseconds): `q(t) = (1 - e^{-t/T1}) (1 - e^{-t/T2})`.
+///
+/// # Panics
+///
+/// Panics unless both time constants are positive and `t_ns >= 0`.
+pub fn error(t1_us: f64, t2_us: f64, t_ns: f64) -> f64 {
+    assert!(t1_us > 0.0 && t2_us > 0.0, "coherence times must be positive");
+    assert!(t_ns >= 0.0, "duration must be non-negative");
+    let t_us = t_ns * 1e-3;
+    error_from_exponents(t_us / t1_us, t_us / t2_us)
 }
 
 /// Effective dephasing time at a frequency `dist_ghz` away from the
@@ -58,17 +42,14 @@ mod tests {
 
     #[test]
     fn error_zero_at_zero_time() {
-        for m in [DecoherenceModel::PaperProduct, DecoherenceModel::SurvivalProduct] {
-            assert_eq!(m.error(25.0, 20.0, 0.0), 0.0);
-        }
+        assert_eq!(error(25.0, 20.0, 0.0), 0.0);
     }
 
     #[test]
     fn error_monotone_in_time() {
-        let m = DecoherenceModel::PaperProduct;
         let mut last = 0.0;
         for t in [10.0, 100.0, 1_000.0, 10_000.0, 100_000.0] {
-            let e = m.error(25.0, 20.0, t);
+            let e = error(25.0, 20.0, t);
             assert!(e > last, "t = {t}");
             last = e;
         }
@@ -77,32 +58,23 @@ mod tests {
 
     #[test]
     fn error_saturates_at_one() {
-        let e = DecoherenceModel::PaperProduct.error(1.0, 1.0, 1e9);
+        let e = error(1.0, 1.0, 1e9);
         assert!((e - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn paper_product_matches_formula() {
         let (t1, t2, t) = (25.0, 20.0, 3_000.0); // 3 us program
-        let e = DecoherenceModel::PaperProduct.error(t1, t2, t);
+        let e = error(t1, t2, t);
         let expect = (1.0 - (-3.0f64 / 25.0).exp()) * (1.0 - (-3.0f64 / 20.0).exp());
         assert!((e - expect).abs() < 1e-12);
     }
 
     #[test]
-    fn survival_model_is_larger_for_short_times() {
-        // For small t: paper ~ t^2/(T1 T2), survival ~ t (1/T1 + 1/T2).
-        let paper = DecoherenceModel::PaperProduct.error(25.0, 20.0, 100.0);
-        let survival = DecoherenceModel::SurvivalProduct.error(25.0, 20.0, 100.0);
-        assert!(survival > paper);
-    }
-
-    #[test]
     fn exponent_accumulation_equals_direct_when_constant() {
-        let m = DecoherenceModel::PaperProduct;
-        let direct = m.error(25.0, 20.0, 2_000.0);
+        let direct = error(25.0, 20.0, 2_000.0);
         // Two 1 us segments with the same constants.
-        let acc = m.error_from_exponents(2.0 / 25.0, 2.0 / 20.0);
+        let acc = error_from_exponents(2.0 / 25.0, 2.0 / 20.0);
         assert!((direct - acc).abs() < 1e-12);
     }
 

@@ -9,9 +9,8 @@
 //! schedule underperforms; it is also how the ablation harnesses verify
 //! that a mitigation removed the channel it claims to remove.
 
-use crate::coupling;
-use crate::decoherence::{flux_adjusted_t2, DecoherenceModel};
-use crate::frequencies::FrequencyScratch;
+use crate::decoherence;
+use crate::estimator::{walk, Episode, NoiseConfig};
 use crate::schedule::Schedule;
 use fastsc_device::Device;
 
@@ -72,132 +71,42 @@ impl ErrorBudget {
 /// Contributions below this error are dropped from the budget.
 const NEGLIGIBLE: f64 = 1e-9;
 
-/// Computes the attributed error budget of `schedule` on `device`,
-/// mirroring the estimator's episode accounting (nearest-neighbor
-/// channels, leakage included, paper decoherence model, flux noise on).
+/// Computes the attributed error budget of `schedule` on `device`: the
+/// episodes [`estimate`](crate::estimate) charges under the default
+/// [`NoiseConfig`], one contribution per channel above a negligible
+/// error, charged to the cycle in which its episode closed.
 ///
 /// # Panics
 ///
-/// Panics if the schedule and device disagree on qubit count.
+/// Exactly when [`estimate`](crate::estimate) panics: if the schedule
+/// and device disagree on qubit count, or if a scheduled two-qubit gate
+/// sits on a pair of qubits that are not coupled on the device.
 pub fn error_budget(device: &Device, schedule: &Schedule) -> ErrorBudget {
-    assert_eq!(
-        schedule.n_qubits(),
-        device.n_qubits(),
-        "schedule and device disagree on qubit count"
-    );
-    let params = *device.params();
-    let n = device.n_qubits();
-    let edges: Vec<(usize, usize)> = device.connectivity().edges().map(|(_, e)| e).collect();
-
-    #[derive(Clone, Copy, Default)]
-    struct Ep {
-        active: bool,
-        wu: f64,
-        wv: f64,
-        g0: f64,
-        t_ns: f64,
-    }
-    let mut eps = vec![Ep::default(); edges.len()];
-    let mut budget =
-        ErrorBudget { crosstalk: Vec::new(), decoherence: vec![0.0; n], gate_error: 0.0 };
-    let mut gate_survival = 1.0f64;
-    let mut x1 = vec![0.0f64; n];
-    let mut x2 = vec![0.0f64; n];
-
-    let close = |ep: &mut Ep,
-                 pair: (usize, usize),
-                 cycle: usize,
-                 alpha_u: f64,
-                 alpha_v: f64,
-                 out: &mut Vec<ChannelContribution>| {
-        if !ep.active {
-            return;
-        }
-        let ch = coupling::pair_channels(ep.g0, ep.wu, ep.wv, alpha_u, alpha_v, ep.t_ns, true);
+    let mut crosstalk = Vec::new();
+    let walk = walk(device, schedule, &NoiseConfig::default(), |charge| {
+        let (Episode { wu, wv, .. }, (alpha_u, alpha_v)) = (charge.episode, charge.alpha);
         let entries = [
-            (ChannelKind::Exchange, (ep.wu - ep.wv).abs(), ch.exchange),
-            (ChannelKind::Sideband, (ep.wu + alpha_u - ep.wv).abs(), ch.leakage_a),
-            (ChannelKind::Sideband, (ep.wv + alpha_v - ep.wu).abs(), ch.leakage_b),
+            (ChannelKind::Exchange, (wu - wv).abs(), charge.channels.exchange),
+            (ChannelKind::Sideband, (wu + alpha_u - wv).abs(), charge.channels.leakage_a),
+            (ChannelKind::Sideband, (wv + alpha_v - wu).abs(), charge.channels.leakage_b),
         ];
         for (kind, detuning, error) in entries {
             if error > NEGLIGIBLE {
-                out.push(ChannelContribution { pair, cycle, kind, detuning, error });
+                let (pair, cycle) = (charge.pair, charge.cycle);
+                crosstalk.push(ChannelContribution { pair, cycle, kind, detuning, error });
             }
         }
-        ep.active = false;
-    };
-
-    let mut scratch = FrequencyScratch::new();
-    for (cycle_idx, cycle) in schedule.cycles().iter().enumerate() {
-        let t = cycle.duration_ns;
-        let freqs = scratch.dense(&cycle.frequencies);
-        for g in &cycle.gates {
-            let e = if g.instruction.gate.is_two_qubit() {
-                params.base_two_qubit_error
-            } else {
-                params.base_single_qubit_error
-            };
-            gate_survival *= 1.0 - e;
-        }
-        let busy = cycle.busy_couplings();
-        for (idx, &(u, v)) in edges.iter().enumerate() {
-            let ep = &mut eps[idx];
-            let alpha_u = device.qubit(u).anharmonicity;
-            let alpha_v = device.qubit(v).anharmonicity;
-            if busy.contains(&(u, v)) {
-                // Own gate: charge the open episode, as the estimator does.
-                close(ep, (u, v), cycle_idx, alpha_u, alpha_v, &mut budget.crosstalk);
-                continue;
-            }
-            let coupler_on = cycle.active_couplings.contains(&(u, v));
-            let factor = if device.coupler().is_tunable() && !coupler_on {
-                device.coupler().inactive_factor()
-            } else {
-                1.0
-            };
-            let (wu, wv) = (freqs[u], freqs[v]);
-            let g0 = factor * params.coupling_at(wu.max(wv));
-            let same = ep.active
-                && (ep.wu - wu).abs() < 1e-12
-                && (ep.wv - wv).abs() < 1e-12
-                && (ep.g0 - g0).abs() < 1e-15;
-            if !same {
-                close(ep, (u, v), cycle_idx, alpha_u, alpha_v, &mut budget.crosstalk);
-                *ep = Ep { active: g0 > 0.0, wu, wv, g0, t_ns: 0.0 };
-            }
-            if ep.active {
-                ep.t_ns += t;
-            }
-            if cycle.is_qubit_busy(u) || cycle.is_qubit_busy(v) {
-                close(ep, (u, v), cycle_idx, alpha_u, alpha_v, &mut budget.crosstalk);
-            }
-        }
-        for q in 0..n {
-            let spec = device.qubit(q);
-            let t2 = flux_adjusted_t2(
-                spec.t2_us,
-                spec.sweet_spot_distance(freqs[q]),
-                params.flux_noise_slope,
-            );
-            let t_us = t * 1e-3;
-            x1[q] += t_us / spec.t1_us;
-            x2[q] += t_us / t2;
-        }
+    });
+    crosstalk.sort_by(|a, b| b.error.total_cmp(&a.error));
+    ErrorBudget {
+        crosstalk,
+        decoherence: walk
+            .exponents
+            .iter()
+            .map(|&(x1, x2)| decoherence::error_from_exponents(x1, x2))
+            .collect(),
+        gate_error: 1.0 - walk.gate_survival,
     }
-    let last = schedule.depth().saturating_sub(1);
-    for (idx, &(u, v)) in edges.iter().enumerate() {
-        let alpha_u = device.qubit(u).anharmonicity;
-        let alpha_v = device.qubit(v).anharmonicity;
-        close(&mut eps[idx], (u, v), last, alpha_u, alpha_v, &mut budget.crosstalk);
-    }
-
-    for q in 0..n {
-        budget.decoherence[q] =
-            DecoherenceModel::PaperProduct.error_from_exponents(x1[q], x2[q]);
-    }
-    budget.gate_error = 1.0 - gate_survival;
-    budget.crosstalk.sort_by(|a, b| b.error.total_cmp(&a.error));
-    budget
 }
 
 #[cfg(test)]
@@ -275,6 +184,24 @@ mod tests {
         // For the dominant-channel regime the attributed sum and the
         // product-form total agree to first order.
         assert!(budget.crosstalk_sum() >= report.crosstalk_error() - 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "two-qubit gate on uncoupled qubits (0, 3)")]
+    fn rejects_a_two_qubit_gate_on_an_uncoupled_pair() {
+        // Qubits 0 and 3 sit diagonally on the 2x2 grid.
+        let device = Device::grid(2, 2, 7);
+        let mut s = Schedule::new(4);
+        s.push_cycle(Cycle {
+            gates: vec![ScheduledGate {
+                instruction: Instruction { gate: Gate::Cz, operands: Operands::Two(0, 3) },
+                interaction_freq: Some(6.5),
+            }],
+            frequencies: vec![6.5, 5.5, 5.5, 6.5].into(),
+            active_couplings: vec![],
+            duration_ns: 70.0,
+        });
+        let _ = error_budget(&device, &s);
     }
 
     #[test]

@@ -1,34 +1,23 @@
-//! The worst-case program-success estimator (paper Eq. 4, §VI-C).
+//! The worst-case program-success estimator (paper Eq. 4, §VI-C) and the
+//! one episode walk it and the error budget share.
 
-use crate::coupling;
-use crate::decoherence::{flux_adjusted_t2, DecoherenceModel};
+use crate::coupling::{self, ChannelErrors};
+use crate::decoherence::{self, flux_adjusted_t2};
 use crate::frequencies::FrequencyScratch;
 use crate::schedule::Schedule;
 use fastsc_device::Device;
 
-/// Toggles for the noise channels included in the estimate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The estimate's one optional channel.
+///
+/// The model itself is fixed: the exchange and both sideband (leakage)
+/// channels of every coupling, the paper's product decoherence error,
+/// and `T2` degraded away from flux sweet spots (off on a device whose
+/// `flux_noise_slope` is 0).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NoiseConfig {
-    /// Decoherence combination model (default: the paper's product form).
-    pub decoherence: DecoherenceModel,
-    /// Include the `omega01 <-> omega12` sideband/leakage channels.
-    pub include_leakage: bool,
-    /// Degrade `T2` away from flux sweet spots.
-    pub include_flux_noise: bool,
     /// Include next-neighbor (distance-2) residual channels, using
     /// `DeviceParams::distance2_coupling_factor`.
     pub include_distance2: bool,
-}
-
-impl Default for NoiseConfig {
-    fn default() -> Self {
-        NoiseConfig {
-            decoherence: DecoherenceModel::PaperProduct,
-            include_leakage: true,
-            include_flux_noise: true,
-            include_distance2: false,
-        }
-    }
 }
 
 /// The estimator's output: the Eq. 4 product and its factors.
@@ -75,96 +64,91 @@ impl SuccessReport {
 /// phase — charged conservatively as a fresh worst case afterwards), or
 /// the coupling performs its own gate.
 #[derive(Debug, Clone, Copy, Default)]
-struct Episode {
+pub(crate) struct Episode {
     active: bool,
-    wu: f64,
-    wv: f64,
+    pub(crate) wu: f64,
+    pub(crate) wv: f64,
     /// Fully attenuated effective coupling for this episode, GHz.
     g0: f64,
     t_ns: f64,
 }
 
-struct ChannelLedger {
-    survival: f64,
-    max_error: f64,
-    episodes_closed: usize,
+/// One closed episode, as [`walk`] charges it.
+pub(crate) struct Charge {
+    /// The pair `(min, max)`: a coupling, or a distance-2 pair.
+    pub(crate) pair: (usize, usize),
+    /// The cycle in which the episode closed.
+    pub(crate) cycle: usize,
+    pub(crate) episode: Episode,
+    /// The pair's anharmonicities.
+    pub(crate) alpha: (f64, f64),
+    pub(crate) channels: ChannelErrors,
 }
 
-impl ChannelLedger {
-    fn close(&mut self, ep: &mut Episode, alpha_u: f64, alpha_v: f64, include_leakage: bool) {
-        if !ep.active {
-            return;
-        }
-        let ch = coupling::pair_channels(
-            ep.g0,
-            ep.wu,
-            ep.wv,
-            alpha_u,
-            alpha_v,
-            ep.t_ns,
-            include_leakage,
-        );
-        for eps in [ch.exchange, ch.leakage_a, ch.leakage_b] {
-            self.survival *= 1.0 - eps;
-            self.max_error = self.max_error.max(eps);
-        }
-        self.episodes_closed += 1;
-        ep.active = false;
-    }
+/// What [`walk`] returns besides its charges.
+pub(crate) struct Walk {
+    /// `prod (1 - eps)` over intended gates' base errors.
+    pub(crate) gate_survival: f64,
+    /// Per qubit, the accumulated decay exponents `(t/T1, t/T2_eff)`.
+    pub(crate) exponents: Vec<(f64, f64)>,
 }
 
-/// Estimates the worst-case success rate of `schedule` on `device`.
+/// Walks `schedule` on `device` cycle by cycle and charges every closed
+/// episode to `sink`, in a fixed order: per cycle, the couplings in
+/// device order, then the distance-2 pairs (when `config` includes them).
 ///
-/// Every physical coupling not executing its own gate contributes the
-/// Eq. 5/6 channel errors once per *episode* of constant, undisturbed
-/// configuration (scaled by the coupler's inactive factor on gmon
-/// hardware); intended gates contribute their base calibration error;
-/// qubits accumulate decoherence exponents with flux-noise-adjusted `T2`.
-/// See the crate docs for the exact formula.
+/// Every pair not executing its own gate opens episodes; a coupling's is
+/// scaled by its coupler's inactive factor on gmon hardware, a distance-2
+/// pair's by that factor squared (one per hop of the mediated coupling,
+/// the leakage path behind the paper's Fig. 12 sensitivity study).
 ///
 /// # Panics
 ///
 /// Panics if `schedule.n_qubits() != device.n_qubits()` or if a scheduled
 /// two-qubit gate sits on a pair of qubits that are not coupled on the
 /// device (a routing bug in the producing compiler).
-pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> SuccessReport {
+pub(crate) fn walk(
+    device: &Device,
+    schedule: &Schedule,
+    config: &NoiseConfig,
+    mut sink: impl FnMut(Charge),
+) -> Walk {
     assert_eq!(
         schedule.n_qubits(),
         device.n_qubits(),
         "schedule and device disagree on qubit count"
     );
     let params = *device.params();
+    let coupler = device.coupler();
     let n = device.n_qubits();
 
-    // Channel pair lists: nearest-neighbor couplings, plus distance-2
-    // pairs when that channel is enabled.
-    let edges: Vec<(usize, usize)> = device.connectivity().edges().map(|(_, e)| e).collect();
-    let distance2_pairs: Vec<(usize, usize)> =
-        if config.include_distance2 && params.distance2_coupling_factor > 0.0 {
-            let g = device.connectivity();
-            let mut pairs = Vec::new();
-            for u in 0..n {
-                let dist = g.bfs_distances(u);
-                for (v, d) in dist.iter().enumerate() {
-                    if v > u && *d == Some(2) {
-                        pairs.push((u, v));
-                    }
-                }
-            }
-            pairs
-        } else {
-            Vec::new()
-        };
+    let mut pairs: Vec<(usize, usize)> =
+        device.connectivity().edges().map(|(_, e)| e).collect();
+    let n_edges = pairs.len();
+    if config.include_distance2 && params.distance2_coupling_factor > 0.0 {
+        for u in 0..n {
+            let dist = device.connectivity().bfs_distances(u);
+            pairs.extend((u + 1..n).filter(|&v| dist[v] == Some(2)).map(|v| (u, v)));
+        }
+    }
+    let d2_factor = if coupler.is_tunable() { coupler.inactive_factor().powi(2) } else { 1.0 }
+        * params.distance2_coupling_factor;
+
+    let mut close = |ep: &mut Episode, (u, v): (usize, usize), cycle: usize| {
+        if !ep.active {
+            return;
+        }
+        let alpha = (device.qubit(u).anharmonicity, device.qubit(v).anharmonicity);
+        let channels = coupling::pair_channels(ep.g0, ep.wu, ep.wv, alpha.0, alpha.1, ep.t_ns);
+        sink(Charge { pair: (u, v), cycle, episode: *ep, alpha, channels });
+        ep.active = false;
+    };
 
     let mut gate_survival = 1.0f64;
-    let mut ledger = ChannelLedger { survival: 1.0, max_error: 0.0, episodes_closed: 0 };
-    let mut edge_eps = vec![Episode::default(); edges.len()];
-    let mut d2_eps = vec![Episode::default(); distance2_pairs.len()];
-    let mut x1 = vec![0.0f64; n]; // accumulated t/T1
-    let mut x2 = vec![0.0f64; n]; // accumulated t/T2_eff
+    let mut episodes = vec![Episode::default(); pairs.len()];
+    let mut exponents = vec![(0.0f64, 0.0f64); n];
     let mut scratch = FrequencyScratch::new();
-
-    for cycle in schedule.cycles() {
+    for (c, cycle) in schedule.cycles().iter().enumerate() {
         let t = cycle.duration_ns;
         let freqs = scratch.dense(&cycle.frequencies);
 
@@ -186,23 +170,17 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
         }
 
         let busy = cycle.busy_couplings();
-        let coupler_on = |a: usize, b: usize| -> bool {
-            let key = (a.min(b), a.max(b));
-            busy.contains(&key) || cycle.active_couplings.contains(&key)
-        };
-
-        // Advance per-coupling episodes.
-        for (idx, &(u, v)) in edges.iter().enumerate() {
-            let ep = &mut edge_eps[idx];
-            let alpha_u = device.qubit(u).anharmonicity;
-            let alpha_v = device.qubit(v).anharmonicity;
+        for (idx, (ep, &(u, v))) in episodes.iter_mut().zip(&pairs).enumerate() {
             if busy.contains(&(u, v)) {
-                // Own gate: close without charging a crosstalk channel.
-                ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
+                // Own gate: close the open episode; the gate's cycle
+                // charges no crosstalk channel of its own.
+                close(ep, (u, v), c);
                 continue;
             }
-            let factor = if device.coupler().is_tunable() && !coupler_on(u, v) {
-                device.coupler().inactive_factor()
+            let factor = if idx >= n_edges {
+                d2_factor
+            } else if coupler.is_tunable() && !cycle.active_couplings.contains(&(u, v)) {
+                coupler.inactive_factor()
             } else {
                 1.0
             };
@@ -213,7 +191,7 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
                 && (ep.wv - wv).abs() < 1e-12
                 && (ep.g0 - g0).abs() < 1e-15;
             if !same_config {
-                ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
+                close(ep, (u, v), c);
                 *ep = Episode { active: g0 > 0.0, wu, wv, g0, t_ns: 0.0 };
             }
             if ep.active {
@@ -222,95 +200,67 @@ pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> S
             // Drive or flux activity on an endpoint scrambles the channel
             // phase: charge this episode now and restart.
             if cycle.is_qubit_busy(u) || cycle.is_qubit_busy(v) {
-                ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
-            }
-        }
-
-        // Next-neighbor residual channels (optional). The two-hop virtual
-        // coupling is mediated by the couplers along the path, so on
-        // tunable-coupler hardware it is attenuated by the inactive factor
-        // of each hop (squared) — this is the leakage path behind the
-        // paper's Fig. 12 sensitivity study.
-        let d2_attenuation = if device.coupler().is_tunable() {
-            device.coupler().inactive_factor().powi(2)
-        } else {
-            1.0
-        };
-        for (idx, &(u, v)) in distance2_pairs.iter().enumerate() {
-            let ep = &mut d2_eps[idx];
-            let alpha_u = device.qubit(u).anharmonicity;
-            let alpha_v = device.qubit(v).anharmonicity;
-            let (wu, wv) = (freqs[u], freqs[v]);
-            let g0 = d2_attenuation
-                * params.distance2_coupling_factor
-                * params.coupling_at(wu.max(wv));
-            let same_config = ep.active
-                && (ep.wu - wu).abs() < 1e-12
-                && (ep.wv - wv).abs() < 1e-12
-                && (ep.g0 - g0).abs() < 1e-15;
-            if !same_config {
-                ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
-                *ep = Episode { active: g0 > 0.0, wu, wv, g0, t_ns: 0.0 };
-            }
-            if ep.active {
-                ep.t_ns += t;
-            }
-            if cycle.is_qubit_busy(u) || cycle.is_qubit_busy(v) {
-                ledger.close(ep, alpha_u, alpha_v, config.include_leakage);
+                close(ep, (u, v), c);
             }
         }
 
         // Decoherence exponents with per-cycle flux-noise adjustment.
-        for q in 0..n {
+        for (q, (x1, x2)) in exponents.iter_mut().enumerate() {
             let spec = device.qubit(q);
-            let t2 = if config.include_flux_noise {
-                flux_adjusted_t2(
-                    spec.t2_us,
-                    spec.sweet_spot_distance(freqs[q]),
-                    params.flux_noise_slope,
-                )
-            } else {
-                spec.t2_us
-            };
+            let dist = spec.sweet_spot_distance(freqs[q]);
+            let t2 = flux_adjusted_t2(spec.t2_us, dist, params.flux_noise_slope);
             let t_us = t * 1e-3;
-            x1[q] += t_us / spec.t1_us;
-            x2[q] += t_us / t2;
+            *x1 += t_us / spec.t1_us;
+            *x2 += t_us / t2;
         }
     }
 
     // Close every episode still open at program end.
-    for (idx, &(u, v)) in edges.iter().enumerate() {
-        ledger.close(
-            &mut edge_eps[idx],
-            device.qubit(u).anharmonicity,
-            device.qubit(v).anharmonicity,
-            config.include_leakage,
-        );
+    let last = schedule.depth().saturating_sub(1);
+    for (ep, &pair) in episodes.iter_mut().zip(&pairs) {
+        close(ep, pair, last);
     }
-    for (idx, &(u, v)) in distance2_pairs.iter().enumerate() {
-        ledger.close(
-            &mut d2_eps[idx],
-            device.qubit(u).anharmonicity,
-            device.qubit(v).anharmonicity,
-            config.include_leakage,
-        );
-    }
+    Walk { gate_survival, exponents }
+}
 
-    let mut decoherence_survival = 1.0f64;
-    for q in 0..n {
-        let eps = config.decoherence.error_from_exponents(x1[q], x2[q]);
-        decoherence_survival *= 1.0 - eps;
-    }
+/// Estimates the worst-case success rate of `schedule` on `device`.
+///
+/// Every physical coupling not executing its own gate contributes the
+/// Eq. 5/6 channel errors once per *episode* of constant, undisturbed
+/// configuration (scaled by the coupler's inactive factor on gmon
+/// hardware); intended gates contribute their base calibration error;
+/// qubits accumulate decoherence exponents with flux-noise-adjusted `T2`.
+/// See the crate docs for the exact formula.
+///
+/// # Panics
+///
+/// Panics if `schedule.n_qubits() != device.n_qubits()` or if a scheduled
+/// two-qubit gate sits on a pair of qubits that are not coupled on the
+/// device (a routing bug in the producing compiler).
+pub fn estimate(device: &Device, schedule: &Schedule, config: &NoiseConfig) -> SuccessReport {
+    let (mut crosstalk_survival, mut max_channel_error, mut episodes) = (1.0f64, 0.0f64, 0);
+    let walk = walk(device, schedule, config, |charge| {
+        let ch = charge.channels;
+        for eps in [ch.exchange, ch.leakage_a, ch.leakage_b] {
+            crosstalk_survival *= 1.0 - eps;
+            max_channel_error = max_channel_error.max(eps);
+        }
+        episodes += 1;
+    });
+    let decoherence_survival = walk
+        .exponents
+        .iter()
+        .fold(1.0, |s, &(x1, x2)| s * (1.0 - decoherence::error_from_exponents(x1, x2)));
 
     SuccessReport {
-        p_success: gate_survival * ledger.survival * decoherence_survival,
-        gate_survival,
-        crosstalk_survival: ledger.survival,
+        p_success: walk.gate_survival * crosstalk_survival * decoherence_survival,
+        gate_survival: walk.gate_survival,
+        crosstalk_survival,
         decoherence_survival,
         depth: schedule.depth(),
         duration_ns: schedule.total_duration_ns(),
-        max_channel_error: ledger.max_error,
-        channels_evaluated: 3 * ledger.episodes_closed,
+        max_channel_error,
+        channels_evaluated: 3 * episodes,
     }
 }
 
@@ -362,7 +312,7 @@ pub fn static_success_estimate(
 
     let mut survival = 1.0f64;
     for spec in device.qubits() {
-        survival *= 1.0 - DecoherenceModel::PaperProduct.error(spec.t1_us, spec.t2_us, t_ns);
+        survival *= 1.0 - decoherence::error(spec.t1_us, spec.t2_us, t_ns);
     }
 
     // Both detunings are clamped to a small positive floor so degenerate
@@ -478,7 +428,7 @@ mod tests {
             overlay.push_cycle(cycle);
             dense.push_cycle(twin);
         }
-        let config = NoiseConfig { include_distance2: true, ..NoiseConfig::default() };
+        let config = NoiseConfig { include_distance2: true };
         assert_eq!(estimate(&d, &overlay, &config), estimate(&d, &dense, &config));
         let (a, b) = (crate::error_budget(&d, &overlay), crate::error_budget(&d, &dense));
         assert_eq!(a.crosstalk_sum().to_bits(), b.crosstalk_sum().to_bits());
@@ -579,30 +529,43 @@ mod tests {
     #[test]
     fn leakage_channel_catches_anharmonicity_collision() {
         // Two coupled qubits parked exactly alpha apart: the 0-1
-        // frequencies are detuned but omega12(q0) = omega01(q1).
+        // frequencies are 200 MHz detuned but omega12(q0) = omega01(q1).
+        // Moved 500 MHz apart, the pair sits off every resonance.
         let d = Device::linear(2, 3);
         let alpha = d.qubit(0).anharmonicity; // -0.2
-        let mut s = Schedule::new(2);
-        s.push_cycle(Cycle {
-            gates: vec![],
-            frequencies: vec![5.2, 5.2 + alpha].into(),
-            active_couplings: vec![],
-            duration_ns: 100.0,
-        });
-        let with = estimate(&d, &s, &NoiseConfig::default());
-        let without =
-            estimate(&d, &s, &NoiseConfig { include_leakage: false, ..NoiseConfig::default() });
+        let idle = |f1: f64| {
+            let mut s = Schedule::new(2);
+            s.push_cycle(Cycle {
+                gates: vec![],
+                frequencies: vec![5.2, f1].into(),
+                active_couplings: vec![],
+                duration_ns: 100.0,
+            });
+            estimate(&d, &s, &NoiseConfig::default())
+        };
+        let (sideband, apart) = (idle(5.2 + alpha), idle(4.7));
         assert!(
-            with.crosstalk_error() > without.crosstalk_error() + 0.1,
-            "with = {}, without = {}",
-            with.crosstalk_error(),
-            without.crosstalk_error()
+            sideband.crosstalk_error() > 100.0 * apart.crosstalk_error(),
+            "on the sideband = {}, apart = {}",
+            sideband.crosstalk_error(),
+            apart.crosstalk_error()
         );
+        assert!(sideband.crosstalk_error() > 0.5);
     }
 
     #[test]
     fn flux_noise_toggle_matters_off_sweet_spot() {
-        let d = device();
+        // The same fabrication draw with and without flux noise.
+        let build = |flux_noise_slope: f64| {
+            let params = fastsc_device::DeviceParams { flux_noise_slope, ..Default::default() };
+            let mut builder =
+                fastsc_device::DeviceBuilder::new(fastsc_graph::topology::grid(2, 2));
+            builder.params(params).seed(7);
+            builder.build()
+        };
+        let (noisy, quiet) = (build(device().params().flux_noise_slope), build(0.0));
+        assert!(noisy.params().flux_noise_slope > 0.0);
+        assert_eq!(quiet.qubits(), noisy.qubits());
         let mut s = Schedule::new(4);
         // Park far from both sweet spots (5 GHz low, ~7 GHz high).
         s.push_cycle(Cycle {
@@ -611,13 +574,15 @@ mod tests {
             active_couplings: vec![],
             duration_ns: 5_000.0,
         });
-        let with = estimate(&d, &s, &NoiseConfig::default());
-        let without = estimate(
-            &d,
-            &s,
-            &NoiseConfig { include_flux_noise: false, ..NoiseConfig::default() },
+        let with = estimate(&noisy, &s, &NoiseConfig::default());
+        let without = estimate(&quiet, &s, &NoiseConfig::default());
+        assert!(
+            with.decoherence_error() > without.decoherence_error(),
+            "with = {}, without = {}",
+            with.decoherence_error(),
+            without.decoherence_error()
         );
-        assert!(with.decoherence_error() > without.decoherence_error());
+        assert_eq!(with.crosstalk_survival, without.crosstalk_survival);
     }
 
     #[test]
@@ -638,11 +603,7 @@ mod tests {
             duration_ns: 200.0,
         });
         let off = estimate(&d, &s, &NoiseConfig::default());
-        let on = estimate(
-            &d,
-            &s,
-            &NoiseConfig { include_distance2: true, ..NoiseConfig::default() },
-        );
+        let on = estimate(&d, &s, &NoiseConfig { include_distance2: true });
         assert!(on.crosstalk_error() > off.crosstalk_error());
         assert!(on.channels_evaluated > off.channels_evaluated);
     }

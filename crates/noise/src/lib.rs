@@ -20,8 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use fastsc_device::Device;
-//! use fastsc_noise::{coupling, decoherence::DecoherenceModel};
+//! use fastsc_noise::coupling;
 //!
 //! // Fig. 2: residual coupling decays as 1/delta-omega.
 //! let g_near = coupling::residual_coupling(0.005, 0.05);
